@@ -147,8 +147,9 @@ def cmd_figure(args) -> int:
     t_min = args.t_min if args.t_min is not None else t0
     t_max = args.t_max if args.t_max is not None else t1
     t_steps = args.t_steps if args.t_steps is not None else steps
-    if not (t_min < t_max) or t_steps < 2:
-        print("error: need t_min < t_max and t_steps >= 2", file=sys.stderr)
+    if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max) \
+            or t_steps < 2:
+        print("error: need finite t_min < t_max and t_steps >= 2", file=sys.stderr)
         return 2
     grid = np.linspace(t_min, t_max, t_steps)
 

@@ -11,7 +11,10 @@ antisymmetric table, truncated or not.
 
 The module provides the generic right-hand side, a fixed-step fourth-order
 integrator, and the closed-form solution families for the systems where the
-equations decouple into rotations:
+equations decouple into rotations.  The integrator's stages use a bilinear
+kernel f_IJ^K G_KK / G_II precomputed once per (algebra, penalties); the
+public ``rhs`` validates its inputs on every call and is the reference the
+kernel is tested against.  The families:
 
 ``ho4_equal_penalty``    (V^P, V^Q) rotate at rate v_H + (G_EE/G_PP) v_E
 ``sp2_J_equal_penalty``  (V^1, V^2) rotate at rate 4 v_3
@@ -153,9 +156,8 @@ class ClosedFormFamily:
                     -2 * v1 * V6 + 3 * v1 * V5,
                 ])
             return fn
-        alg = builtin(self.algebra_name)
         G = G if G is not None else self.default_penalties()
-        return lambda V: rhs(alg, G, V)
+        return _bilinear_rhs(builtin(self.algebra_name), G)
 
 
 def rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix, V) -> np.ndarray:
@@ -169,21 +171,36 @@ def rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix, V) -> np.ndarray:
     return w / G.weights
 
 
+def _bilinear_rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix):
+    """The same right-hand side as :func:`rhs`, for the integrator's stages.
+
+    The kernel M[i, j*dim + k] = f_ijk G_k / G_i is built once, so a stage
+    is one product M @ outer(V, V).ravel() on an already validated state.
+    """
+    if G.dim != algebra.dim:
+        raise DimMismatch(f"penalties have dim {G.dim}, algebra has {algebra.dim}")
+    d = algebra.dim
+    M = (algebra.f * (G.weights[None, None, :] / G.weights[:, None, None])
+         ).reshape(d, d * d)
+    return lambda V: M @ (V[:, None] * V).ravel()
+
+
 def integrate_rk4(fn, v0, h: float):
     """Classical fixed-step RK4 on s in [0, 1]; returns (s_grid, states)."""
     n = max(1, int(round(1.0 / h)))
     hs = 1.0 / n
+    half, sixth = 0.5 * hs, hs / 6.0
     grid = np.linspace(0.0, 1.0, n + 1)
     states = np.empty((n + 1, len(v0)))
     V = np.asarray(v0, dtype=float).copy()
     states[0] = V
     for k in range(n):
         k1 = fn(V)
-        k2 = fn(V + 0.5 * hs * k1)
-        k3 = fn(V + 0.5 * hs * k2)
+        k2 = fn(V + half * k1)
+        k3 = fn(V + half * k2)
         k4 = fn(V + hs * k3)
-        V = V + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(V)):
+        V = V + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.isfinite(V).all():
             raise NumericBlowup(
                 f"non-finite state at s={grid[k + 1]:.6f}", s_reached=grid[k + 1]
             )
@@ -216,7 +233,9 @@ def solve_numeric(
     if not (0 < h <= MAX_STEP):
         raise ValueError(f"step size must satisfy 0 < h <= {MAX_STEP}")
     v0 = np.asarray(v0, dtype=float)
-    grid, states = integrate_rk4(lambda V: rhs(algebra, G, V), v0, h)
+    if v0.shape != (algebra.dim,):
+        raise DimMismatch(f"v0 must have shape ({algebra.dim},), got {v0.shape}")
+    grid, states = integrate_rk4(_bilinear_rhs(algebra, G), v0, h)
     W = algebra.f * G.weights[None, None, :]
     derivs = np.einsum("ijk,nj,nk->ni", W, states, states) / G.weights[None, :]
     return VelocitySolution(

@@ -17,6 +17,7 @@ step across them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -81,7 +82,10 @@ def x_cot_x(x: float) -> float:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target unitary, identified by a system tag and its parameters."""
+    """Target unitary, identified by a system tag and its parameters.
+
+    Every parameter must be finite; ``inf`` and ``nan`` raise ``ValueError``.
+    """
 
     system: str
     params: dict
@@ -91,6 +95,9 @@ class TargetSpec:
             raise Unsupported(
                 f"unknown system {self.system!r}; choose from {_SYSTEMS}"
             )
+        for name, value in self.params.items():
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     # -- constructors -----------------------------------------------------
     @classmethod

@@ -13,11 +13,15 @@ truncation edge, so every check is restricted to an interior block.
 
 The path-ordered exponential is approximated by a midpoint product of
 short-time exponentials, and the right-invariant line element is evaluated
-directly from its trace form.
+directly from its trace form.  The product is blocked: each block of about
+128 KiB of factors is exponentiated at once by a scaled Taylor polynomial
+and multiplied in a log-depth pairwise tree, so its cost is a few array
+operations per block and its memory is bounded whatever the step count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +220,57 @@ def commutator_closure_residual(rep) -> float:
     return worst
 
 
+# Product blocks hold about this many bytes of complex factors, so memory
+# stays bounded for large (Fock) representations whatever the step count.
+_BLOCK_BYTES = 128 * 1024
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _block_length(n: int) -> int:
+    """Number of n x n complex factors in one product block."""
+    return max(1, _BLOCK_BYTES // (16 * n * n))
+
+
+def _expm_taylor(A: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a (k, n, n) stack by a scaled Taylor polynomial.
+
+    The stack's largest 1-norm theta sets one scaling 2^-j (theta <= 1/2
+    afterwards) and the smallest degree whose remainder bound
+    theta^(m+1)/(m+1)! / (1 - theta/(m+2)) is below 2^-53 (Higham 2005;
+    Al-Mohy & Higham 2009).  A non-finite stack gives non-finite factors.
+    """
+    theta = float(np.max(np.sum(np.abs(A), axis=-2)))
+    if not math.isfinite(theta):
+        return np.full_like(A, np.nan)
+    squarings = 0
+    if theta > 0.5:
+        squarings = math.frexp(theta)[1] + 1     # theta / 2^squarings < 1/2
+        A = A * math.ldexp(1.0, -squarings)
+        theta = math.ldexp(theta, -squarings)
+    degree, term = 0, theta
+    while term / (1.0 - theta / (degree + 2)) > _UNIT_ROUNDOFF:
+        degree += 1
+        term *= theta / (degree + 1)
+    eye = np.eye(A.shape[-1], dtype=A.dtype)
+    P = np.broadcast_to(eye, A.shape).copy()
+    for j in range(degree, 0, -1):       # Horner: I + A/1 (I + A/2 (I + ...))
+        P = A @ P
+        P /= j
+        P += eye
+    for _ in range(squarings):
+        P = P @ P
+    return P
+
+
+def _ordered_product(F: np.ndarray) -> np.ndarray:
+    """F[-1] @ ... @ F[1] @ F[0] by a log-depth pairwise tree."""
+    while len(F) > 1:
+        even = len(F) - len(F) % 2
+        pairs = F[1:even:2] @ F[0:even:2]
+        F = np.concatenate([pairs, F[even:]]) if even < len(F) else pairs
+    return F[0]
+
+
 def path_ordered_exponential(rep, sol: VelocitySolution,
                              steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Ordered product of short-time exponentials along the velocity field.
@@ -223,18 +278,38 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     Later factors multiply from the left (the generator acts before the
     already-accumulated evolution); velocities are sampled at interval
     midpoints, which keeps the splitting error second order in the step.
+
+    The factors are formed and multiplied a block at a time: one contraction
+    builds a block's generators, one batched Taylor exponential gives its
+    factors and a pairwise tree multiplies them, and the block products are
+    chained in order.  A block whose product is not finite is replayed one
+    factor at a time, so ``NumericBlowup.s_reached`` is the first midpoint
+    at which the running product stops being finite.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    mats = rep.matrices
-    n = rep.dim if isinstance(rep, MatrixRep) else rep.levels
+    mats = np.stack(rep.matrices)
+    n = mats.shape[-1]
     U = np.eye(n, dtype=complex)
     ds = 1.0 / steps
     s_mid = (np.arange(steps) + 0.5) * ds
     V = np.atleast_2d(sol(s_mid))
-    for k in range(steps):
-        A = sum(V[k, i] * mats[i] for i in range(len(mats)))
-        U = expm(-1j * A * ds) @ U
+    block = _block_length(n)
+    # overflow is detected and reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, steps, block):
+            A = np.einsum("ki,ijl->kjl", V[lo:lo + block], mats) * (-1j * ds)
+            U_next = _ordered_product(_expm_taylor(A)) @ U
+            if not np.all(np.isfinite(U_next)):
+                U_next = _replay(A, U, s_mid[lo:lo + block])
+            U = U_next
+    return U
+
+
+def _replay(A: np.ndarray, U: np.ndarray, s_mid: np.ndarray) -> np.ndarray:
+    """Serial product over one block; raises at the first non-finite step."""
+    for k in range(len(A)):
+        U = _expm_taylor(A[k:k + 1])[0] @ U
         if not np.all(np.isfinite(U)):
             raise NumericBlowup(f"non-finite product at s={s_mid[k]:.6f}",
                                 s_reached=float(s_mid[k]))

@@ -141,8 +141,29 @@ def test_verify_algebra_report(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["suite"] == "algebra"
-    assert all(set(c) == {"name", "residual", "pass"} for c in report["checks"])
+    assert all(set(c) == {"name", "residual", "threshold", "margin", "pass"}
+               for c in report["checks"])
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_verify_all_reports_threshold_and_margin(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks
+    for c in checks:
+        assert c["margin"] == c["threshold"] - c["residual"]
+        assert c["pass"] == (c["margin"] >= 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "ho", "--t", "inf"],
+    ["bound", "displacement", "--re", "nan"],
+    ["figure", "fig2", "--t-max", "inf"],
+])
+def test_non_finite_input_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_algebra_export(capsys):

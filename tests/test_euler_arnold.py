@@ -7,6 +7,8 @@ for the genuine table flows.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcbound as qb
 from qcbound.euler_arnold import ClosedFormFamily, integrate_rk4
@@ -120,6 +122,32 @@ def test_step_size_validation():
     alg = qb.builtin("sp2_J")
     with pytest.raises(ValueError):
         qb.solve_numeric(alg, qb.PenaltyMatrix.identity(3), np.zeros(3), h=0.5)
+
+
+@pytest.mark.parametrize("name", qb.builtin_names())
+def test_solve_numeric_matches_reference_rhs(name):
+    # the precomputed stage kernel integrates the same flow as the public rhs
+    alg = qb.builtin(name)
+
+    @settings(max_examples=5, deadline=None)
+    @given(v0=st.lists(st.floats(-1.0, 1.0), min_size=alg.dim, max_size=alg.dim),
+           weights=st.lists(st.floats(0.2, 5.0), min_size=alg.dim,
+                            max_size=alg.dim))
+    def check(v0, weights):
+        G = qb.PenaltyMatrix.diagonal(weights)
+        sol = qb.solve_numeric(alg, G, v0, h=1e-2)
+        _, want = integrate_rk4(lambda V: qb.rhs(alg, G, V), v0, 1e-2)
+        assert np.max(np.abs(sol.states - want)) <= 1e-13
+
+    check()
+
+
+def test_solve_numeric_dim_mismatch():
+    alg = qb.builtin("sp2_J")
+    with pytest.raises(qb.DimMismatch):
+        qb.solve_numeric(alg, qb.PenaltyMatrix.identity(4), np.zeros(3))
+    with pytest.raises(qb.DimMismatch):
+        qb.solve_numeric(alg, qb.PenaltyMatrix.identity(3), np.zeros(4))
 
 
 def test_integrator_raises_on_blowup():

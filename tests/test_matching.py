@@ -112,6 +112,22 @@ def test_target_validation():
         qb.TargetSpec.coupled(1.0, 1.0, 1.0, 1.0, q=2.0, p=1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: qb.TargetSpec.ho(1.0, math.inf),
+    lambda: qb.TargetSpec.ho(math.inf, 1.0),
+    lambda: qb.TargetSpec.displacement(complex(math.nan, 0.0)),
+    lambda: qb.TargetSpec.displacement(complex(0.0, math.inf)),
+    lambda: qb.TargetSpec.coupled(2.0, 1.0, math.nan, 1.0),
+    lambda: qb.TargetSpec.coupled(2.0, 1.0, 1.0, 1.0, q=1.0, p=math.nan),
+    lambda: qb.TargetSpec.anharm_cubic(1.0, 0.1, -math.inf),
+    lambda: qb.TargetSpec.ho(1.0, 2.0).with_time(math.nan),
+], ids=["ho_t", "ho_omega", "displacement_re", "displacement_im", "coupled_mu",
+        "coupled_p", "anharm_t", "with_time"])
+def test_target_rejects_non_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # poles
 # ---------------------------------------------------------------------------

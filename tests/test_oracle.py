@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import qcbound as qb
@@ -181,3 +183,120 @@ def test_dyson_gap_scales_cubically():
     K = errs[-1] / radii[-1] ** 3
     for r, e in zip(radii, errs):
         assert e <= 1.2 * K * r ** 3
+
+
+# ---------------------------------------------------------------------------
+# batched product against the serial reference
+# ---------------------------------------------------------------------------
+
+def serial_path_ordered(rep, sol, steps):
+    """Reference: one expm per midpoint, later factors on the left.
+
+    Returns (U, None), or (None, s) with s the first midpoint at which the
+    running product is not finite.
+    """
+    mats = rep.matrices
+    U = np.eye(mats[0].shape[0], dtype=complex)
+    ds = 1.0 / steps
+    s_mid = (np.arange(steps) + 0.5) * ds
+    V = np.atleast_2d(sol(s_mid))
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            A = sum(V[k, i] * mats[i] for i in range(len(mats)))
+            U = expm(-1j * A * ds) @ U
+            if not np.all(np.isfinite(U)):
+                return None, float(s_mid[k])
+    return U, None
+
+
+def _numeric_sol(alg_name):
+    alg = qb.builtin(alg_name)
+    G = qb.PenaltyMatrix.identity(alg.dim)
+    return lambda v0: qb.solve_numeric(alg, G, v0, h=1e-2)
+
+
+# rep name -> (representation, v0 -> velocity solution)
+BATCH_CASES = {
+    "sp2_J": (qb.matrix_rep("sp2_J"), lambda v0: qb.solve_closed_form(
+        ClosedFormFamily("sp2_J_equal_penalty"), v0)),
+    "coupled_M4": (qb.matrix_rep("coupled_M4"), lambda v0: qb.solve_closed_form(
+        ClosedFormFamily("coupled_pq", q=1.0, p=10.0), v0)),
+    "sp4_T10": (qb.matrix_rep("sp4_T10"), _numeric_sol("sp4_T10")),
+    "fock_ho4": (qb.fock_rep("ho4", levels=16), lambda v0: qb.solve_closed_form(
+        ClosedFormFamily("ho4_equal_penalty"), v0)),
+}
+
+
+def _step_cases(rep):
+    B = oracle._block_length(rep.matrices[0].shape[0])
+    return sorted({1, 2, 3, 7, B - 1, B + 1, 2 * B + 1})
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batched_product_matches_serial_reference(name):
+    rep, make_sol = BATCH_CASES[name]
+    n_gen = len(rep.matrices)
+
+    @settings(max_examples=4, deadline=None)
+    @given(v0=st.lists(st.floats(-2.0, 2.0), min_size=n_gen, max_size=n_gen))
+    def check(v0):
+        sol = make_sol(np.array(v0))
+        for steps in _step_cases(rep):
+            want, _ = serial_path_ordered(rep, sol, steps)
+            got = qb.path_ordered_exponential(rep, sol, steps=steps)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_zero_velocity_gives_identity_across_blocks(name):
+    rep, make_sol = BATCH_CASES[name]
+    sol = make_sol(np.zeros(len(rep.matrices)))
+    n = rep.matrices[0].shape[0]
+    for steps in _step_cases(rep):
+        U = qb.path_ordered_exponential(rep, sol, steps=steps)
+        assert np.array_equal(U, np.eye(n))
+
+
+def test_batched_product_unimodular():
+    rep = qb.matrix_rep("sp4_T10")
+    sol = qb.solve_numeric(qb.builtin("sp4_T10"), qb.PenaltyMatrix.identity(10),
+                           np.linspace(-0.9, 0.8, 10))
+    U = qb.path_ordered_exponential(rep, sol, steps=4000)
+    assert abs(np.linalg.det(U) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# blow-up: the first non-finite midpoint is reported
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("v1,steps", [
+    (2000.0, 4000),    # block 0's own product overflows
+    (1000.0, 4000),    # block 1 is finite alone, overflows when chained
+    (2000.0, 2049),    # two blocks, overflow inside the first
+])
+def test_blowup_reports_first_non_finite_midpoint(v1, steps):
+    # constant hyperbolic velocity along J1: U(s) = exp(v1 s sigma_x)
+    rep = qb.matrix_rep("sp2_J")
+    sol = qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"),
+                               np.array([v1, 0.0, 0.0]))
+    _, s_want = serial_path_ordered(rep, sol, steps)
+    assert s_want is not None
+    k = round(s_want * steps - 0.5)
+    assert k % oracle._block_length(2) != 0       # overflow starts mid-block
+    with pytest.raises(qb.NumericBlowup) as info:
+        qb.path_ordered_exponential(rep, sol, steps=steps)
+    assert info.value.s_reached == s_want
+
+
+def test_blowup_from_a_single_overflowing_factor():
+    # the first factor's norm is near the float limit: no scaling overflow,
+    # the product is already non-finite at the first midpoint
+    rep = qb.matrix_rep("sp2_J")
+    sol = qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"),
+                               np.array([1e307, 0.0, 0.0]))
+    _, s_want = serial_path_ordered(rep, sol, 4)
+    with pytest.raises(qb.NumericBlowup) as info:
+        qb.path_ordered_exponential(rep, sol, steps=4)
+    assert info.value.s_reached == s_want == 0.125
