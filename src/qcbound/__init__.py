@@ -22,6 +22,7 @@ from .algebra import (
     validate,
 )
 from .bounds import (
+    BoundCurve,
     BoundResult,
     anharm_length,
     anharm_length_quadrature,
@@ -35,6 +36,7 @@ from .errors import (
     FamilyMismatch,
     NotRegistered,
     NumericBlowup,
+    PrecisionLoss,
     QcBoundError,
     SingularBasisChange,
     Unsupported,
@@ -80,11 +82,11 @@ from .verification import run_suite
 __all__ = [
     "BasisChange", "KJ_BASIS_CHANGE", "LieAlgebraSpec", "ValidationReport",
     "builtin", "builtin_names", "change_basis", "table_to_json", "validate",
-    "BoundResult", "anharm_length", "anharm_length_quadrature", "bound",
-    "bound_curve", "length",
+    "BoundCurve", "BoundResult", "anharm_length", "anharm_length_quadrature",
+    "bound", "bound_curve", "length",
     "DegenerateDirection", "DimMismatch", "FamilyMismatch", "NotRegistered",
-    "NumericBlowup", "QcBoundError", "SingularBasisChange", "Unsupported",
-    "UnsupportedCenterVelocity",
+    "NumericBlowup", "PrecisionLoss", "QcBoundError", "SingularBasisChange",
+    "Unsupported", "UnsupportedCenterVelocity",
     "ClosedFormFamily", "PenaltyMatrix", "VelocitySolution", "integrate_rk4",
     "rhs", "solve_closed_form", "solve_numeric",
     "ExponentCoefficients", "ProductFormCoefficients", "leading_order_coeffs",

@@ -7,8 +7,9 @@ Subcommands
 ``verify``   run the self-check suites, emit a JSON report
 ``algebra``  export a structure-constant table as JSON
 
-Exit codes: 0 success, 2 usage error, 3 divergent single-point bound,
-4 verification failure.  CSV output uses the fixed header
+Exit codes: 0 success, 2 usage error (including a periodic reduction that
+keeps no digits), 3 divergent or ``nan`` single-point bound, 4 verification
+failure.  CSV output uses the fixed header
 ``t,value,branch,divergent`` (plus a trailing ``series`` column for the
 multi-series figures), 12 significant digits and LF line endings, so files
 regenerate byte-identically.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import builtin, table_to_json
-from .bounds import bound, bound_curve
+from .bounds import POSITIVITY_CAVEAT, bound, bound_curve
 from .errors import NotRegistered, QcBoundError
 from .matching import TargetSpec
 from .verification import SUITES, run_suite
@@ -73,10 +74,13 @@ def cmd_bound(args) -> int:
     except (QcBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if result.is_divergent:
-        location = next((c[len("divergent: "):] for c in result.caveats
-                         if c.startswith("divergent: ")), "matching pole")
-        print(f"inf {location}")
+    if not math.isfinite(result.value):
+        if result.is_divergent:
+            location = next((c[len("divergent: "):] for c in result.caveats
+                             if c.startswith("divergent: ")), "matching pole")
+        else:
+            location = POSITIVITY_CAVEAT
+        print(f"{_fmt(result.value)} {location}")
         for c in result.caveats:
             print(f"# {c}")
         return 3
@@ -141,32 +145,32 @@ def cmd_figure(args) -> int:
         return 2
     try:
         series, (t0, t1, steps) = _figure_series(args.name, args)
+        t_min = args.t_min if args.t_min is not None else t0
+        t_max = args.t_max if args.t_max is not None else t1
+        t_steps = args.t_steps if args.t_steps is not None else steps
+        if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max) \
+                or t_steps < 2:
+            raise ValueError("need finite t_min < t_max and t_steps >= 2")
+        grid = np.linspace(t_min, t_max, t_steps)
+        curves = [(label, bound_curve(target, grid)) for label, target in series]
     except (QcBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    t_min = args.t_min if args.t_min is not None else t0
-    t_max = args.t_max if args.t_max is not None else t1
-    t_steps = args.t_steps if args.t_steps is not None else steps
-    if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max) \
-            or t_steps < 2:
-        print("error: need finite t_min < t_max and t_steps >= 2", file=sys.stderr)
-        return 2
-    grid = np.linspace(t_min, t_max, t_steps)
+    for c in dict.fromkeys(c for _, curve in curves for c in curve.caveats):
+        if c.startswith("precision:"):
+            print(f"warning: {c}", file=sys.stderr)
 
     multi = len(series) > 1
     lines = ["t,value,branch,divergent" + (",series" if multi else "")]
-    for label, target in series:
-        for t, res in bound_curve(target, grid):
-            good = math.isfinite(res.value)
-            row = [
-                _fmt(t),
-                _fmt(res.value) if good else "",
-                str(res.branch),
-                "0" if good else "1",
-            ]
-            if multi:
-                row.append(label)
-            lines.append(",".join(row))
+    t_text = [_fmt(t) for t in grid.tolist()]
+    for label, curve in curves:
+        suffix = f",{label}" if multi else ""
+        good = np.isfinite(curve.value).tolist()
+        lines += [
+            f"{t},{_fmt(v) if ok else ''},{b},{0 if ok else 1}{suffix}"
+            for t, v, b, ok in zip(t_text, curve.value.tolist(),
+                                   curve.branch.tolist(), good)
+        ]
 
     out = args.out or f"{args.name}.csv"
     with open(out, "w", newline="\n") as fh:

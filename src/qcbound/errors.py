@@ -42,3 +42,8 @@ class Unsupported(QcBoundError):
 
 class DegenerateDirection(QcBoundError):
     """A generator has zero trace norm in the chosen representation."""
+
+
+class PrecisionLoss(QcBoundError):
+    """A periodic reduction was asked of a coordinate whose ulp is at least
+    the period, so the reduced value carries no information."""

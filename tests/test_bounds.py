@@ -78,6 +78,8 @@ def test_displacement_bound_and_alternate():
         assert res.value == pytest.approx(math.sqrt(2) * abs(alpha), abs=1e-12)
         assert res.extras["product_form_value"] == pytest.approx(
             2 * abs(alpha), abs=1e-12)
+        assert (res.extras["product_form_value"]
+                == qb.match_displacement_product_form(alpha)["value"])
 
 
 def test_iho_bound_linear_growth():
@@ -246,7 +248,7 @@ def test_zero_time_bound_vanishes(make):
 def test_bound_curve_sawtooth_shape():
     grid = np.linspace(0.0, 16 * PI, 801)
     curve = qb.bound_curve(qb.TargetSpec.ho(1.0, 0.0), grid)
-    vals = np.array([r.value for _, r in curve])
+    vals = curve.value
     assert np.max(vals) <= 2 * PI + 1e-12
     for n in range(5):
         k = np.argmin(np.abs(grid - 4 * PI * n))
@@ -256,7 +258,7 @@ def test_bound_curve_sawtooth_shape():
 def test_bound_curve_emits_pole_records():
     grid = np.array([2 * PI - 0.1, 2 * PI, 2 * PI + 0.1])
     curve = qb.bound_curve(qb.TargetSpec.ho_linear(1.0, 0.3, 0.0), grid)
-    flags = [r.is_divergent for _, r in curve]
+    flags = curve.divergent.tolist()
     assert flags == [False, True, False]
 
 
@@ -268,7 +270,35 @@ def test_bound_curve_requires_sorted_grid():
 def test_bound_curve_anharm_gap_at_cubic_pole():
     grid = np.array([2 * PI / 3 - 0.1, 2 * PI / 3, 2 * PI / 3 + 0.1])
     curve = qb.bound_curve(qb.TargetSpec.anharm_cubic(1.0, 0.05, 0.0), grid)
-    assert [r.is_divergent for _, r in curve] == [False, True, False]
+    assert curve.divergent.tolist() == [False, True, False]
+
+
+def test_bound_curve_shared_fields():
+    grid = np.array([0.5, PI, 4.0])     # m = 0.5: v3 = (omega + lambda) t = t
+    curve = qb.bound_curve(qb.TargetSpec.free_particle(0.5, 0.0), grid)
+    assert curve.formula_id == "quadratic_cot"
+    assert curve.caveats[0] == qb.bounds.STANDARD_CAVEAT
+    assert any("free particle wired" in c for c in curve.caveats)
+    assert curve.pole.tolist() == [
+        None, "sin(2 v3) = 0 at v3 = 2*pi/2: quadratic coupling cannot be matched",
+        None]
+
+
+def test_bound_curve_applies_the_precision_contract():
+    target = qb.TargetSpec.ho(1.0, 0.0)
+    assert not any(c.startswith("precision:")
+                   for c in qb.bound_curve(target, [0.0, 6e4]).caveats)
+    assert any(c.startswith("precision:")
+               for c in qb.bound_curve(target, [0.0, 7e4]).caveats)
+    with pytest.raises(qb.PrecisionLoss):
+        qb.bound_curve(target, [0.0, 1.0, 2.0 ** 56])
+    with pytest.raises(ValueError):
+        qb.bound_curve(target, [0.0, math.nan])
+
+
+def test_bound_curve_rejects_timeless_target():
+    with pytest.raises(qb.Unsupported):
+        qb.bound_curve(qb.TargetSpec.displacement(1.0 + 0.0j), [0.0, 1.0])
 
 
 def test_time_sweep_rejects_timeless_target():

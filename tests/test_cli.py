@@ -166,6 +166,31 @@ def test_non_finite_input_is_a_usage_error(argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_reduction_without_digits_is_a_usage_error(capsys):
+    assert main(["bound", "ho", "--t", "1e17"]) == 2
+    assert "period" in capsys.readouterr().err
+    assert main(["figure", "fig2", "--t-max", "1e17"]) == 2
+    assert "period" in capsys.readouterr().err
+
+
+def test_figure_warns_about_lost_reduction_digits(tmp_path, capsys):
+    out = tmp_path / "fig2.csv"
+    assert main(["figure", "fig2", "--out", str(out), "--t-min", "1e5",
+                 "--t-max", "1.0001e5", "--t-steps", "3"]) == 0
+    assert "warning: precision:" in capsys.readouterr().err
+
+
+def test_nan_bound_never_exits_zero(monkeypatch, capsys):
+    nan_result = qb.BoundResult(
+        value=math.nan, formula_id="anharm_elliptic",
+        caveats=[qb.bounds.STANDARD_CAVEAT, qb.bounds.POSITIVITY_CAVEAT])
+    monkeypatch.setattr("qcbound.cli.bound", lambda target: nan_result)
+    assert main(["bound", "anharm", "--t", "1"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"nan {qb.bounds.POSITIVITY_CAVEAT}"
+    assert f"# {qb.bounds.POSITIVITY_CAVEAT}" in out
+
+
 def test_algebra_export(capsys):
     code = main(["algebra", "export", "ho4"])
     out = capsys.readouterr().out

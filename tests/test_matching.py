@@ -44,6 +44,42 @@ def test_x_cot_x_series_region():
     assert x_cot_x(0.5) == pytest.approx(0.5 / math.tan(0.5), rel=1e-15)
 
 
+def test_array_forms_equal_scalar_forms():
+    x = np.array([-1e5, -7.5, -2 * PI, -1e-9, 0.0, 1e-9, 0.3, 2 * PI, 6 * PI, 40.0])
+    red, n = reduce_periodic_signed(x, 4 * PI)
+    assert n.dtype == np.int64
+    assert [(float(r), int(k)) for r, k in zip(red, n)] == [
+        reduce_periodic_signed(v, 4 * PI) for v in x.tolist()]
+    assert x_cot_x(x).tolist() == [x_cot_x(v) for v in x.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# precision contract of the periodic reduction
+# ---------------------------------------------------------------------------
+
+def test_reduction_precision_caveat_threshold():
+    # ulp(x) > 4 pi * 1e-12 first holds at |x| = 2**16
+    below = qb.match(qb.TargetSpec.ho(1.0, math.nextafter(2.0 ** 16, 0.0)))
+    at = qb.match(qb.TargetSpec.ho(1.0, -(2.0 ** 16)))
+    assert not any(n.startswith("precision:") for n in below.notes)
+    assert [n for n in at.notes if n.startswith("precision:")]
+    assert any(c.startswith("precision:")
+               for c in qb.bound(qb.TargetSpec.coupled(2.0, 1.0, 1.0, 3e4)).caveats)
+
+
+def test_reduction_without_digits_raises():
+    # ulp(x) >= 4 pi first holds at |x| = 2**56
+    last = math.nextafter(2.0 ** 56, 0.0)
+    assert qb.match(qb.TargetSpec.ho(1.0, last)).v0 is not None
+    for t in (2.0 ** 56, -1e17):
+        with pytest.raises(qb.PrecisionLoss):
+            qb.match(qb.TargetSpec.ho(1.0, t))
+    with pytest.raises(qb.PrecisionLoss):
+        reduce_periodic_signed(np.array([0.0, 1e17]), 4 * PI)
+    with pytest.raises(qb.PrecisionLoss):  # omega * t overflows to inf
+        qb.match(qb.TargetSpec.anharm_cubic(1e200, 0.1, 1e200))
+
+
 # ---------------------------------------------------------------------------
 # per-system matches
 # ---------------------------------------------------------------------------
