@@ -81,6 +81,8 @@ class LieAlgebraSpec:
             raise DimMismatch(
                 f"structure constants must have shape {(self.dim,)*3}, got {f.shape}"
             )
+        if not np.isfinite(f).all():
+            raise ValueError("structure constants must be finite")
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "generator_labels", tuple(self.generator_labels))

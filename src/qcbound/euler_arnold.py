@@ -11,10 +11,18 @@ antisymmetric table, truncated or not.
 
 The module provides the generic right-hand side, a fixed-step fourth-order
 integrator, and the closed-form solution families for the systems where the
-equations decouple into rotations.  The integrator's stages use a bilinear
-kernel f_IJ^K G_KK / G_II precomputed once per (algebra, penalties); the
-public ``rhs`` validates its inputs on every call and is the reference the
-kernel is tested against.  The families:
+equations decouple into rotations.
+
+``solve_numeric`` and ``ClosedFormFamily.governing_rhs`` describe their
+equation as a quadratic field (a coefficient table c_IJK and weights w).
+For such a field ``integrate_rk4`` generates, once per (table, weights,
+step), a straight-line RK4 step in Python floats.  Each stage does what
+``rhs``'s ``einsum`` does, term by term and in the same order: g_K = w_K V^K,
+then the sum of (c_IJK V^J) g_K over the nonzero (J, K) in lexicographic
+order, then the division by w_I; the update is the expression of the
+generic loop.  IEEE arithmetic rounds each of these operations the same
+in numpy and in Python, so the states equal (``==``) those of the generic
+loop over ``rhs``, which stays the reference.  The families:
 
 ``ho4_equal_penalty``    (V^P, V^Q) rotate at rate v_H + (G_EE/G_PP) v_E
 ``sp2_J_equal_penalty``  (V^1, V^2) rotate at rate 4 v_3
@@ -24,11 +32,14 @@ kernel is tested against.  The families:
 The anharmonic family solves the prohibitive-penalty reduction of the
 truncated cubic system (hard-direction feedback on V^1 dropped), which is
 the regime in which its boundary matching is formulated; its governing
-right-hand side is exposed for direct numerical cross-checks.
+right-hand side, a unit-weight table with six nonzero entries, is exposed
+for direct numerical cross-checks.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,18 +157,9 @@ class ClosedFormFamily:
     def governing_rhs(self, G: PenaltyMatrix | None = None):
         """Right-hand side of the ODE system this family actually solves."""
         if self.tag == "anharm_p":
-            def fn(V):
-                v1, V4, V5, V6, V7 = V
-                return np.array([
-                    0.0,
-                    v1 * V6,
-                    -v1 * V7,
-                    2 * v1 * V7 - 3 * v1 * V4,
-                    -2 * v1 * V6 + 3 * v1 * V5,
-                ])
-            return fn
+            return _QuadraticField(_ANHARM_REDUCED, np.ones(5))
         G = G if G is not None else self.default_penalties()
-        return _bilinear_rhs(builtin(self.algebra_name), G)
+        return _QuadraticField(builtin(self.algebra_name).f, G.weights)
 
 
 def rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix, V) -> np.ndarray:
@@ -171,22 +173,149 @@ def rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix, V) -> np.ndarray:
     return w / G.weights
 
 
-def _bilinear_rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix):
-    """The same right-hand side as :func:`rhs`, for the integrator's stages.
+class _QuadraticField:
+    """The quadratic field dV_i/ds = sum_jk c_ijk V_j (w_k V_k) / w_i.
 
-    The kernel M[i, j*dim + k] = f_ijk G_k / G_i is built once, so a stage
-    is one product M @ outer(V, V).ravel() on an already validated state.
+    Calling it evaluates the same ``einsum`` as :func:`rhs`.
+    :func:`integrate_rk4` instead runs a generated Python-float RK4 step
+    (:func:`_compile_rk4`) that rounds exactly as that ``einsum`` does.
+    The compiled step leaves out the table's zero terms, which ``einsum``
+    multiplies out; that changes nothing while the state is finite, and
+    the first non-finite row is the same unless some w_k V_k overflows in a
+    component k that no nonzero c_ijk reads.
     """
-    if G.dim != algebra.dim:
-        raise DimMismatch(f"penalties have dim {G.dim}, algebra has {algebra.dim}")
-    d = algebra.dim
-    M = (algebra.f * (G.weights[None, None, :] / G.weights[:, None, None])
-         ).reshape(d, d * d)
-    return lambda V: M @ (V[:, None] * V).ravel()
+
+    __slots__ = ("c", "w")
+
+    def __init__(self, c, w):
+        c = np.array(c, dtype=float)
+        w = np.array(w, dtype=float)
+        d = len(w)
+        if w.shape != (d,) or c.shape != (d, d, d):
+            raise DimMismatch(f"table {c.shape} does not fit weights {w.shape}")
+        if not (np.isfinite(c).all() and np.isfinite(w).all() and (w > 0).all()):
+            raise ValueError("field coefficients must be finite, weights positive")
+        c.setflags(write=False)
+        w.setflags(write=False)
+        self.c, self.w = c, w
+
+    def __call__(self, V):
+        return np.einsum("ijk,j,k->i", self.c, V, self.w * V) / self.w
+
+
+def _stage_source(c, w, u, out):
+    """Lines computing ``out_i`` = field(u)_i with the rounding of ``rhs``.
+
+    ``einsum`` forms g_k = w_k u_k, sums (c_ijk u_j) g_k over (j, k) in
+    lexicographic order from 0.0 and divides by w_i.  Zero terms, products
+    and quotients by 1.0, and the start from 0.0 are exact and left out;
+    (-a u) g is written -(a u g), which rounds the same.  A factor a u_j
+    or a product (a u_j) g_k that several terms share is computed once.
+    """
+    d = len(w)
+    w = w.tolist()
+    lines = []
+    g = list(u)
+    for k in range(d):
+        if w[k] != 1.0:
+            g[k] = f"g{k}"
+            lines.append(f"g{k} = {w[k]!r}*{u[k]}")
+    terms = [(i, j, k, float(c[i, j, k])) for i, j, k in zip(*np.nonzero(c))]
+    uses = Counter((abs(coef), j, k) for _, j, k, coef in terms)
+    uses.update((a, j) for a, j, _ in list(uses) if a != 1.0)
+    shared = {}
+
+    def share(key, expr):
+        if uses[key] < 2:
+            return expr
+        if key not in shared:
+            shared[key] = f"t{len(shared)}"
+            lines.append(f"{shared[key]} = {expr}")
+        return shared[key]
+
+    sums = [""] * d
+    for i, j, k, coef in terms:
+        a = abs(coef)
+        factor = u[j] if a == 1.0 else share((a, j), f"{a!r}*{u[j]}")
+        term = share((a, j, k), f"{factor}*{g[k]}")
+        if sums[i]:
+            sums[i] += f" {'-' if coef < 0 else '+'} {term}"
+        else:
+            sums[i] = f"-{term}" if coef < 0 else term
+    for i in range(d):
+        expr = sums[i] or "0.0"
+        if w[i] != 1.0:
+            expr = f"({expr})/{w[i]!r}"
+        lines.append(f"{out}{i} = {expr}")
+    return lines
+
+
+@functools.lru_cache(maxsize=32)
+def _compile_rk4(table: bytes, weights: bytes, hs: float):
+    """Generate and compile ``rows(v, count)`` for one (table, weights, step).
+
+    ``rows`` returns the ``count`` RK4 states after the state ``v`` as a
+    list of tuples.
+
+    The step body is straight-line float code: four stages from
+    :func:`_stage_source` and the update of :func:`integrate_rk4`'s loop,
+    written out per component.  The source holds only identifiers and the
+    reprs of finite floats, which read back as the same doubles.
+    """
+    w = np.frombuffer(weights)
+    d = len(w)
+    c = np.frombuffer(table).reshape(d, d, d)
+    half, sixth = 0.5 * hs, hs / 6.0
+    v = [f"v{i}" for i in range(d)]
+    body = _stage_source(c, w, v, "a")
+    for prev, scale, u, out in (("a", half, "p", "b"), ("b", half, "q", "e"),
+                                ("e", hs, "r", "k")):
+        body += [f"{u}{i} = v{i} + {scale!r}*{prev}{i}" for i in range(d)]
+        body += _stage_source(c, w, [f"{u}{i}" for i in range(d)], out)
+    body += [f"v{i} = v{i} + {sixth!r}*(a{i} + 2.0*(b{i} + e{i}) + k{i})"
+             for i in range(d)]
+    state = ", ".join(v) + ","
+    src = "\n".join(
+        ["def rows(v, count):", f"    {state} = v", "    out = []",
+         "    append = out.append", "    for _ in range(count):"]
+        + [f"        {line}" for line in body]
+        + [f"        append(({state}))", "    return out"])
+    namespace = {}
+    exec(compile(src, f"<rk4 step, dim {d}>", "exec"), namespace)
+    return namespace["rows"]
+
+
+# rows per chunk of the compiled integrator: one finiteness check each
+_CHUNK_ROWS = 256
+
+
+def _integrate_field(field: _QuadraticField, states, grid, hs: float) -> None:
+    """Fill ``states[1:]`` from ``states[0]`` with the field's compiled step."""
+    if states.shape[1] != len(field.w):
+        raise DimMismatch(
+            f"state has dim {states.shape[1]}, field has {len(field.w)}")
+    rows = _compile_rk4(field.c.tobytes(), field.w.tobytes(), hs)
+    state = tuple(states[0].tolist())
+    n = len(states) - 1
+    for start in range(1, n + 1, _CHUNK_ROWS):
+        block = states[start:start + _CHUNK_ROWS]
+        chunk = rows(state, len(block))
+        block[...] = chunk
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            bad = start + int(np.argmin(finite))
+            raise NumericBlowup(
+                f"non-finite state at s={grid[bad]:.6f}", s_reached=grid[bad])
+        state = chunk[-1]
 
 
 def integrate_rk4(fn, v0, h: float):
-    """Classical fixed-step RK4 on s in [0, 1]; returns (s_grid, states)."""
+    """Classical fixed-step RK4 on s in [0, 1]; returns (s_grid, states).
+
+    A quadratic field (``solve_numeric``, ``ClosedFormFamily.governing_rhs``)
+    runs its compiled step; any other callable runs the loop below, which
+    gives the same states for the same field.
+    """
     n = max(1, int(round(1.0 / h)))
     hs = 1.0 / n
     half, sixth = 0.5 * hs, hs / 6.0
@@ -194,6 +323,9 @@ def integrate_rk4(fn, v0, h: float):
     states = np.empty((n + 1, len(v0)))
     V = np.asarray(v0, dtype=float).copy()
     states[0] = V
+    if isinstance(fn, _QuadraticField):
+        _integrate_field(fn, states, grid, hs)
+        return grid, states
     for k in range(n):
         k1 = fn(V)
         k2 = fn(V + half * k1)
@@ -235,7 +367,7 @@ def solve_numeric(
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (algebra.dim,):
         raise DimMismatch(f"v0 must have shape ({algebra.dim},), got {v0.shape}")
-    grid, states = integrate_rk4(_bilinear_rhs(algebra, G), v0, h)
+    grid, states = integrate_rk4(_QuadraticField(algebra.f, G.weights), v0, h)
     W = algebra.f * G.weights[None, None, :]
     derivs = np.einsum("ijk,nj,nk->ni", W, states, states) / G.weights[None, :]
     return VelocitySolution(
@@ -295,6 +427,13 @@ def _coupled_evaluator(v0, q, p):
                                np.full_like(s_arr, v2), V3, V4])
         return out[0] if np.ndim(s) == 0 else out
     return ev
+
+
+# The reduced cubic system over (V1, V4, V5, V6, V7) as a unit-weight table:
+# dV4 = v1 V6, dV5 = -v1 V7, dV6 = 2 v1 V7 - 3 v1 V4, dV7 = 3 v1 V5 - 2 v1 V6.
+_ANHARM_REDUCED = np.zeros((5, 5, 5))
+_ANHARM_REDUCED[[1, 2, 3, 3, 4, 4], 0, [3, 4, 1, 4, 2, 3]] = [
+    1.0, -1.0, -3.0, 2.0, 3.0, -2.0]
 
 
 # Trigonometric mixing of the reduced cubic system: rows are the components

@@ -59,6 +59,19 @@ def test_unknown_name_raises():
         qb.builtin("so3")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_structure_constants_rejected(bad):
+    f = qb.builtin("sp2_J").f.copy()
+    f[0, 1, 2] = bad
+    with pytest.raises(ValueError):
+        qb.LieAlgebraSpec(name="bad", dim=3, generator_labels=("a", "b", "c"), f=f)
+
+
+def test_overflowing_table_parameter_rejected():
+    with pytest.raises(ValueError):
+        qb.builtin("ho4_general", m=1e-320, omega=1.0)   # -1/m overflows
+
+
 # ---------------------------------------------------------------------------
 # independent derivation of the two-mode quadratic table
 # ---------------------------------------------------------------------------

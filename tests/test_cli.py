@@ -156,6 +156,11 @@ def test_verify_all_reports_threshold_and_margin(tmp_path, capsys):
         assert c["pass"] == (c["margin"] >= 0)
 
 
+def test_verify_all_is_deterministic_in_one_process():
+    # the second run reuses the compiled RK4 steps the first one built
+    assert qb.run_suite("all") == qb.run_suite("all")
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "ho", "--t", "inf"],
     ["bound", "displacement", "--re", "nan"],

@@ -2,16 +2,18 @@
 
 Closed-form families are checked against fixed-step RK4 on their governing
 systems, and the weighted speed is verified as an exact constant of motion
-for the genuine table flows.
+for the genuine table flows.  The compiled RK4 step of a quadratic field is
+checked for equality (``==``) with the generic loop over ``rhs``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
-from qcbound.euler_arnold import ClosedFormFamily, integrate_rk4
+from qcbound.euler_arnold import (_CHUNK_ROWS, DEFAULT_STEP, ClosedFormFamily,
+                                  _QuadraticField, integrate_rk4)
 
 RNG = np.random.default_rng(42)
 
@@ -124,9 +126,17 @@ def test_step_size_validation():
         qb.solve_numeric(alg, qb.PenaltyMatrix.identity(3), np.zeros(3), h=0.5)
 
 
+# an input on which a kernel with other rounding than rhs drifted 1.4e-13
+# from the reference states within 100 steps
+SP4_T10_DRIFT_EXAMPLE = dict(
+    v0=[0.0, 0.96875, -1.0, 0.9453125, 0.0, 0.0, 0.25, 0.0, 0.5, 0.0],
+    weights=[1.0, 4.25, 4.0, 4.625, 1.0, 1.5, 1.0, 1.0, 3.5, 1.0],
+)
+
+
 @pytest.mark.parametrize("name", qb.builtin_names())
 def test_solve_numeric_matches_reference_rhs(name):
-    # the precomputed stage kernel integrates the same flow as the public rhs
+    # the compiled step integrates the public rhs with its exact rounding
     alg = qb.builtin(name)
 
     @settings(max_examples=5, deadline=None)
@@ -137,9 +147,78 @@ def test_solve_numeric_matches_reference_rhs(name):
         G = qb.PenaltyMatrix.diagonal(weights)
         sol = qb.solve_numeric(alg, G, v0, h=1e-2)
         _, want = integrate_rk4(lambda V: qb.rhs(alg, G, V), v0, 1e-2)
-        assert np.max(np.abs(sol.states - want)) <= 1e-13
+        assert np.array_equal(sol.states, want)
+
+    if name == "sp4_T10":
+        check = example(**SP4_T10_DRIFT_EXAMPLE)(check)
+    check()
+
+
+@pytest.mark.parametrize("name", qb.builtin_names())
+def test_compiled_step_matches_generic_loop(name):
+    alg = qb.builtin(name)
+
+    @settings(max_examples=2, deadline=None)
+    @given(v0=st.lists(st.floats(-2.0, 2.0), min_size=alg.dim, max_size=alg.dim),
+           weights=st.lists(st.floats(0.2, 5.0), min_size=alg.dim,
+                            max_size=alg.dim))
+    def check(v0, weights):
+        field = _QuadraticField(alg.f, weights)
+        grid, got = integrate_rk4(field, v0, DEFAULT_STEP)
+        want_grid, want = integrate_rk4(lambda V: field(V), v0, DEFAULT_STEP)
+        assert np.array_equal(grid, want_grid)
+        assert np.array_equal(got, want)
 
     check()
+
+
+def _anharm_reduced_rhs(V):
+    # the reduced cubic system written out by hand, the reference for its table
+    v1, V4, V5, V6, V7 = V
+    return np.array([
+        0.0,
+        v1 * V6,
+        -v1 * V7,
+        2 * v1 * V7 - 3 * v1 * V4,
+        -2 * v1 * V6 + 3 * v1 * V5,
+    ])
+
+
+@settings(max_examples=3, deadline=None)
+@given(v0=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
+def test_anharm_field_is_the_reduced_system(v0):
+    field = ClosedFormFamily("anharm_p", p=100.0).governing_rhs()
+    assert np.array_equal(field(np.array(v0)), _anharm_reduced_rhs(v0))
+    _, got = integrate_rk4(field, v0, DEFAULT_STEP)
+    _, want = integrate_rk4(_anharm_reduced_rhs, v0, DEFAULT_STEP)
+    assert np.array_equal(got, want)
+
+
+def test_compiled_blowup_reports_the_generic_loop_s():
+    # dV/ds = V^2 blows up at s = 1/v0 and overflows a few steps later;
+    # the row of a state is s * 1000
+    field = _QuadraticField([[[1.0]]], [1.0])
+    rows = []
+    for v0, s_near in ((3.0, 0.336), (50.0, 0.023), (700.0, 0.004)):
+        with pytest.raises(qb.NumericBlowup) as fast:
+            integrate_rk4(field, [v0], 1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(qb.NumericBlowup) as slow:
+                integrate_rk4(lambda V: field(V), [v0], 1e-3)
+        assert fast.value.s_reached == slow.value.s_reached
+        assert fast.value.s_reached == pytest.approx(s_near, abs=1e-9)
+        rows.append(round(fast.value.s_reached * 1000))
+    # the first non-finite row is found inside a chunk, not only at its end
+    assert any((row - 1) % _CHUNK_ROWS not in (0, _CHUNK_ROWS - 1) for row in rows)
+
+
+def test_field_rejects_non_finite_or_mismatched_tables():
+    with pytest.raises(ValueError):
+        _QuadraticField([[[np.nan]]], [1.0])
+    with pytest.raises(ValueError):
+        _QuadraticField([[[1.0]]], [0.0])
+    with pytest.raises(qb.DimMismatch):
+        _QuadraticField(np.zeros((2, 2, 2)), [1.0])
 
 
 def test_solve_numeric_dim_mismatch():

@@ -6,18 +6,22 @@ invariants the bounds rely on.
   documented poles.
 * every bound is non-negative (``inf`` at poles, never ``nan``);
 * the oscillator bound has period 4 pi / omega in t, to 1e-9;
-* matched cubic-oscillator velocities satisfy A > hypot(B, C).
+* matched cubic-oscillator velocities satisfy A > hypot(B, C);
+* each closed-form family's length agrees with the length of its RK4
+  trajectory to 1e-7.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
 from qcbound.bounds import anharm_integrand_coeffs
+from qcbound.euler_arnold import DEFAULT_STEP
 
 PI = math.pi
 T = qb.TargetSpec
@@ -139,3 +143,25 @@ def test_anharm_integrand_positive_on_matched_velocities(omega, lam, t, g11, p):
     assume(not res.is_divergent)
     A, B, C = anharm_integrand_coeffs(res.v0, g11, p)
     assert A > math.hypot(B, C)
+
+
+FAMILIES = [qb.ClosedFormFamily("ho4_equal_penalty"),
+            qb.ClosedFormFamily("sp2_J_equal_penalty"),
+            qb.ClosedFormFamily("coupled_pq", q=1.0, p=10.0),
+            qb.ClosedFormFamily("anharm_p", p=100.0)]
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.tag)
+def test_closed_form_length_agrees_with_rk4(fam):
+    dim = qb.builtin(fam.algebra_name).dim
+    G = fam.default_penalties()
+
+    @settings(max_examples=20, deadline=None)
+    @given(v0=st.lists(floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    def check(v0):
+        closed = qb.length(qb.solve_closed_form(fam, v0), G)
+        grid, states = qb.integrate_rk4(fam.governing_rhs(), v0, DEFAULT_STEP)
+        numeric = simpson(np.sqrt(states ** 2 @ G.weights), x=grid)
+        assert abs(closed - numeric) <= 1e-7 * max(1.0, closed)
+
+    check()
