@@ -25,6 +25,7 @@ recorded as open rather than zero by fiat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,10 +143,14 @@ def _table(dim, entries):
 
 def _ho4(m: float = 1.0, omega: float = 1.0, general: bool = False) -> LieAlgebraSpec:
     # order (E, P, Q, H); [Q,P]=iE, [H,Q]=-iP/m, [H,P]=i m omega^2 Q
+    try:
+        omega2 = omega ** 2
+    except OverflowError:       # float ** raises where * would give inf
+        omega2 = math.inf       # rejected with the other non-finite tables
     f = _table(4, [
         (2, 1, {0: 1.0}),
         (3, 2, {1: -1.0 / m}),
-        (3, 1, {2: m * omega ** 2}),
+        (3, 1, {2: m * omega2}),
     ])
     if general:
         return LieAlgebraSpec(

@@ -8,7 +8,12 @@ For the rotation families the integrand is constant and L reduces to the
 weighted norm of the initial velocity.  The truncated cubic oscillator is
 the exception: its integrand oscillates at frequency 4 v1 and integrates to
 an incomplete elliptic integral of the second kind, evaluated here in
-closed form with an adaptive-quadrature cross-check.
+closed form with a Gauss-Legendre cross-check.
+
+The module needs numpy only, apart from SciPy's ``ellipeinc``, which the
+cubic length imports when it first runs.  Simpson's rule (:func:`simpson`)
+is a port of SciPy's and gives equal results; other non-constant speeds
+are integrated by adaptive composite Gauss-Legendre.
 
 All values produced by :func:`bound` are upper bounds on the true
 complexity; poles of the matching equations yield an infinite value, which
@@ -24,12 +29,11 @@ functions where numpy's can round differently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, simpson
-from scipy.special import ellipeinc
 
 from .euler_arnold import PenaltyMatrix, VelocitySolution
 from .matching import (MatchResult, TargetSpec, apply_math, match,
@@ -92,26 +96,117 @@ class BoundResult:
         return math.isinf(self.value)
 
 
+def simpson(y, x) -> float:
+    """Composite Simpson's rule for samples ``y`` at the points ``x`` (1-d).
+
+    A port of SciPy's ``integrate.simpson(y, x=x)`` for 1-d input: the same
+    operations in the same order, with Cartwright's correction of the last
+    interval for an even number of points, so the results are equal (``==``).
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = len(y)
+    if len(x) != n:
+        raise ValueError("x and y must have the same length")
+    if n == 2:
+        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+    h = np.diff(x)
+    if n % 2:
+        return float(_simpson_panels(y, h, n - 2))
+    result = _simpson_panels(y, h, n - 3)
+    h0, h1 = h[-2:-1].squeeze(), h[-1:].squeeze()
+    alpha = _ratio(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _ratio(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _ratio(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result + 0.0)
+
+
+def _ratio(num, den):
+    """num / den, and 0 where den is 0 (SciPy's guarded division)."""
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _simpson_panels(y, h, stop):
+    """Simpson sum over the panels [x_k, x_k+2] for even k < ``stop``."""
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _ratio(h0, h1)
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - _ratio(1.0, h0divh1))
+                        + y[1:stop + 1:2] * (hsum * _ratio(hsum, hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+_GL_ORDER = 20
+_GL_MAX_LEVELS = 40
+_GL_MAX_PANELS = 1 << 14
+
+
+@functools.lru_cache(maxsize=1)
+def _gl_rule():
+    """Gauss-Legendre nodes and weights of order ``_GL_ORDER`` on [0, 1]."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(_GL_ORDER)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _gauss_legendre(f, epsabs: float, epsrel: float, panels: int = 1) -> float:
+    """Integral over [0, 1] of a vectorised ``f`` by composite Gauss-Legendre.
+
+    Starts from ``panels`` equal panels.  Each level halves the open panels;
+    a panel closes when its estimate and the sum over its halves agree to
+    its width's share of max(epsabs, epsrel |I|), and its halves' sum is
+    kept.  A non-finite estimate closes at once, so it propagates.  After
+    ``_GL_MAX_LEVELS`` levels, or when the open panels would exceed
+    ``_GL_MAX_PANELS``, the current estimates are returned as they are.
+    """
+    nodes, weights = _gl_rule()
+
+    def panel_sums(a, h):
+        s = a[:, None] + h * nodes
+        return h * (f(s.ravel()).reshape(s.shape) @ weights)
+
+    panels = min(max(1, panels), _GL_MAX_PANELS)
+    h = 1.0 / panels
+    a = np.arange(panels) * h
+    coarse = panel_sums(a, h)
+    closed = 0.0
+    for _ in range(_GL_MAX_LEVELS):
+        h *= 0.5
+        a = np.stack([a, a + h], axis=1).ravel()
+        halves = panel_sums(a, h).reshape(-1, 2)
+        fine = halves[:, 0] + halves[:, 1]
+        tol = max(epsabs, epsrel * abs(closed + fine.sum()))
+        open_ = np.abs(fine - coarse) > tol * (2.0 * h)
+        closed += fine[~open_].sum()
+        if not open_.any() or 2 * open_.sum() > _GL_MAX_PANELS:
+            return float(closed + fine[open_].sum())
+        a = a.reshape(-1, 2)[open_].ravel()
+        coarse = halves[open_].ravel()
+    return float(closed + coarse.sum())
+
+
 def length(sol: VelocitySolution, G: PenaltyMatrix) -> float:
     """Geodesic length of a velocity solution under penalties G.
 
     Constant-speed solutions are integrated exactly; numeric solutions are
     integrated on their own dense grid (Simpson); anything else falls back
-    to adaptive quadrature of the speed.
+    to adaptive Gauss-Legendre quadrature of the speed.
     """
     if sol.constant_speed:
         return math.sqrt(G.speed_squared(sol.v0))
     w = G.weights
     if sol.states is not None:
         speeds = np.sqrt(np.einsum("i,ni->n", w, sol.states ** 2))
-        return float(simpson(speeds, x=sol.grid))
+        return simpson(speeds, sol.grid)
 
     def speed(s):
         V = sol(s)
-        return math.sqrt(float(np.dot(w, V * V)))
+        return np.sqrt(V * V @ w)
 
-    val, _ = quad(speed, 0.0, 1.0, epsabs=1e-13, epsrel=1e-9, limit=200)
-    return val
+    return _gauss_legendre(speed, epsabs=1e-13, epsrel=1e-9)
 
 
 def anharm_integrand_coeffs(v0, g11: float, p: float):
@@ -178,6 +273,8 @@ def _anharm_length_array(v1, A, B, C):
 
 def _elliptic_length(v1, A, R, phi, root):
     """Elliptic-integral length for v1 != 0 and R > 0; ``root`` = sqrt(A + R)."""
+    from scipy.special import ellipeinc
+
     m = 2.0 * R / (A + R)
 
     def antideriv(y):
@@ -188,20 +285,19 @@ def _elliptic_length(v1, A, R, phi, root):
 
 
 def anharm_length_quadrature(v0, g11: float, p: float) -> float:
-    """Adaptive-quadrature evaluation of the cubic-oscillator length.
+    """Gauss-Legendre evaluation of the cubic-oscillator length.
 
     Independent of the elliptic reduction; used to cross-check conventions.
+    The starting panels are about one period of the integrand wide.
     """
     v1 = float(v0[0])
     A, B, C = anharm_integrand_coeffs(v0, g11, p)
 
     def integrand(s):
-        return math.sqrt(
-            (A + B * math.cos(4 * s * v1) + C * math.sin(4 * s * v1)) / 2.0
-        )
+        return np.sqrt((A + B * np.cos(4 * s * v1) + C * np.sin(4 * s * v1)) / 2.0)
 
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
+    panels = math.ceil(abs(4 * v1) / (2 * math.pi)) if math.isfinite(v1) else 1
+    return _gauss_legendre(integrand, epsabs=1e-13, epsrel=1e-11, panels=panels)
 
 
 def _sum_squares(components):

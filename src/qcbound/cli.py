@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -215,6 +216,20 @@ def cmd_algebra_export(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads negative numbers in exponent notation (``-8.6e-05``) as values.
+
+    argparse takes an argument that starts with ``-`` for an option unless
+    it matches the parser's negative-number pattern, which has no exponent.
+    Subparsers inherit the class, and so the pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_target_options(p: argparse.ArgumentParser):
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--Omega", type=float, default=1.0,
@@ -235,7 +250,7 @@ def _add_target_options(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qc-bound",
         description="Geodesic complexity bounds for oscillator evolution operators",
     )

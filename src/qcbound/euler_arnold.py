@@ -11,7 +11,9 @@ antisymmetric table, truncated or not.
 
 The module provides the generic right-hand side, a fixed-step fourth-order
 integrator, and the closed-form solution families for the systems where the
-equations decouple into rotations.
+equations decouple into rotations.  A numeric solution is evaluated off its
+grid by a cubic Hermite interpolant through the grid states and their exact
+slopes, written in numpy (the module needs no SciPy).
 
 ``solve_numeric`` and ``ClosedFormFamily.governing_rhs`` describe their
 equation as a quadratic field (a coefficient table c_IJK and weights w).
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .algebra import LieAlgebraSpec, builtin
 from .errors import DimMismatch, FamilyMismatch, NumericBlowup
@@ -341,12 +342,25 @@ def integrate_rk4(fn, v0, h: float):
 
 
 def _grid_interpolator(grid, states, derivs):
-    spline = CubicHermiteSpline(grid, states, derivs, axis=0)
+    """Cubic Hermite interpolant through the grid states and their slopes.
+
+    The per-interval coefficients and the power-sum evaluation are those of
+    SciPy's ``CubicHermiteSpline``; s is clipped to [0, 1].
+    """
+    dx = np.diff(grid)[:, None]
+    slope = np.diff(states, axis=0) / dx
+    t = (derivs[:-1] + derivs[1:] - 2 * slope) / dx
+    c0, c1 = states[:-1], derivs[:-1]
+    c2, c3 = (slope - derivs[:-1]) / dx - t, t / dx
+    last = len(grid) - 2
 
     def ev(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = spline(np.clip(s_arr, 0.0, 1.0))
-        return out[0] if np.isscalar(s) or np.ndim(s) == 0 else out
+        s_arr = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, 1.0)
+        i = np.clip(np.searchsorted(grid, s_arr, side="right") - 1, 0, last)
+        d = (s_arr - grid[i])[:, None]
+        z = d * d
+        out = c0[i] + c1[i] * d + c2[i] * z + c3[i] * (z * d)
+        return out[0] if np.ndim(s) == 0 else out
     return ev
 
 
@@ -360,7 +374,8 @@ def solve_numeric(
 
     The dense grid states are kept on the solution so that downstream
     quadrature shares the integrator's discretization; off-grid evaluation
-    interpolates with a cubic Hermite spline through the exact slopes.
+    interpolates with a cubic Hermite spline through the exact slopes
+    (:func:`_grid_interpolator`).
     """
     if not (0 < h <= MAX_STEP):
         raise ValueError(f"step size must satisfy 0 < h <= {MAX_STEP}")

@@ -17,6 +17,9 @@ directly from its trace form.  The product is blocked: each block of about
 128 KiB of factors is exponentiated at once by a scaled Taylor polynomial
 and multiplied in a log-depth pairwise tree, so its cost is a few array
 operations per block and its memory is bounded whatever the step count.
+The same Taylor exponential serves the single exponentials of
+:func:`exponential_of_coefficients` and :func:`random_group_element`, so
+the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import builtin
 from .errors import DegenerateDirection, NotRegistered, NumericBlowup
@@ -320,7 +322,7 @@ def exponential_of_coefficients(rep, coeffs_at_1) -> np.ndarray:
     """Single exponential exp(-i sum_I c_I M_I) for comparison."""
     mats = rep.matrices
     A = sum(c * M for c, M in zip(coeffs_at_1, mats))
-    return expm(-1j * A)
+    return _expm_taylor((-1j * A)[None])[0]
 
 
 def spectrum_period_check(rep: TruncatedFockRep, omega: float,
@@ -367,8 +369,9 @@ def line_element(rep: MatrixRep, U: np.ndarray, dU: np.ndarray,
 
 def random_group_element(rep: MatrixRep, rng, scale: float = 0.5) -> np.ndarray:
     """Product of a few random one-parameter exponentials in the group."""
-    n = rep.dim
-    g = np.eye(n, dtype=complex)
-    for M in rep.matrices:
-        g = g @ expm(-1j * float(rng.uniform(-scale, scale)) * M)
+    A = np.stack([-1j * float(rng.uniform(-scale, scale)) * M
+                  for M in rep.matrices])
+    g = np.eye(rep.dim, dtype=complex)
+    for factor in _expm_taylor(A):
+        g = g @ factor
     return g

@@ -72,6 +72,13 @@ def test_overflowing_table_parameter_rejected():
         qb.builtin("ho4_general", m=1e-320, omega=1.0)   # -1/m overflows
 
 
+def test_overflowing_squared_parameter_rejected():
+    with pytest.raises(ValueError):
+        qb.builtin("ho4_general", omega=1e200)           # omega ** 2 overflows
+    # a finite square keeps the rounding of ** 2
+    assert qb.builtin("ho4_general", m=3.0, omega=1e150).f[3, 1, 2] == 3.0 * 1e150 ** 2
+
+
 # ---------------------------------------------------------------------------
 # independent derivation of the two-mode quadratic table
 # ---------------------------------------------------------------------------

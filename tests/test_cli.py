@@ -178,6 +178,23 @@ def test_reduction_without_digits_is_a_usage_error(capsys):
     assert "period" in capsys.readouterr().err
 
 
+def test_figure_accepts_negative_exponent_notation(tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    lam = "-8.598686419669654e-05"
+    assert main(["figure", "fig4", "--lambda", lam, "--out", str(spaced)]) == 0
+    assert main(["figure", "fig4", f"--lambda={lam}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_bound_accepts_negative_exponent_notation(capsys):
+    assert main(["bound", "anharm", "--lambda", "-5e-02", "--t", "1",
+                 "--p", "100"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["bound", "anharm", "--lambda=-0.05", "--t", "1",
+                 "--p", "100"]) == 0
+    assert spaced == capsys.readouterr().out
+
+
 def test_figure_warns_about_lost_reduction_digits(tmp_path, capsys):
     out = tmp_path / "fig2.csv"
     assert main(["figure", "fig2", "--out", str(out), "--t-min", "1e5",

@@ -1,0 +1,43 @@
+"""Import guards: SciPy is loaded at run time only for the cubic length.
+
+Each case runs in a fresh interpreter, since the test session itself has
+SciPy loaded (it is the reference of other tests).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run(code: str, tmp_path) -> None:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_non_cubic_commands_load_no_scipy(tmp_path):
+    _run("""
+import sys
+import qcbound
+from qcbound import cli
+assert cli.main(["bound", "ho", "--omega", "1", "--t", "3"]) == 0
+assert cli.main(["figure", "fig2", "--t-steps", "5", "--out", "fig2.csv"]) == 0
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+""", tmp_path)
+
+
+def test_cubic_bound_loads_scipy_special_only(tmp_path):
+    _run("""
+import sys
+from qcbound import cli
+assert cli.main(["bound", "anharm", "--lambda", "0.05", "--t", "1"]) == 0
+assert "scipy.special" in sys.modules
+heavy = [m for m in ("scipy.integrate", "scipy.linalg", "scipy.interpolate")
+         if m in sys.modules]
+assert not heavy, heavy
+""", tmp_path)
