@@ -12,12 +12,15 @@ keeps no digits), 3 divergent or ``nan`` single-point bound, 4 verification
 failure.  CSV output uses the fixed header
 ``t,value,branch,divergent`` (plus a trailing ``series`` column for the
 multi-series figures), 12 significant digits and LF line endings, so files
-regenerate byte-identically.
+regenerate byte-identically.  Rows are formatted with ``%.12g``, which gives
+the same text as ``format(x, ".12g")``, in one ``%`` pass per curve.
+:func:`main` builds its parser once per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -98,8 +101,11 @@ def cmd_bound(args) -> int:
 # figures
 # ---------------------------------------------------------------------------
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
 
 
 def _figure_series(name, args):
@@ -124,19 +130,46 @@ def _figure_series(name, args):
     grid_default = (0.0, 2 * math.pi, 501)
     if name == "fig5":
         mu = args.mu if args.mu is not None else 3.0
-        p_values = _parse_floats(args.p_values) if args.p_values else [1.0, 5.0, 10.0, 100.0]
         series = [(f"p={_fmt(p)}",
                    TargetSpec.coupled(omega1, omega2, mu, 0.0, q=args.q, p=p))
-                  for p in p_values]
+                  for p in _parse_floats(args.p_values, "--p-values")]
         return series, grid_default
     if name == "fig6":
-        mu_values = _parse_floats(args.mu_values) if args.mu_values else [0.0, 1.0, 2.0, 3.0]
         p = args.p if args.p is not None else 10.0
         series = [(f"mu={_fmt(mu)}",
                    TargetSpec.coupled(omega1, omega2, mu, 0.0, q=args.q, p=p))
-                  for mu in mu_values]
+                  for mu in _parse_floats(args.mu_values, "--mu-values")]
         return series, grid_default
     raise NotRegistered(f"unknown figure {name!r}")
+
+
+def _csv_text(grid: np.ndarray, curves) -> tuple[str, int]:
+    """CSV text and row count of ``[(label, BoundCurve)]``: one ``%`` pass per
+    curve, where ``%.0s`` prints a divergent row's value as the empty text."""
+    multi = len(curves) > 1
+    n = len(grid)
+    t_text = ("%.12g\n" * n % tuple(grid.tolist())).splitlines()
+    parts = ["t,value,branch,divergent" + (",series" if multi else "") + "\n"]
+    for label, curve in curves:
+        suffix = f",{label}".replace("%", "%%") if multi else ""
+        rows = np.where(np.isfinite(curve.value),
+                        f"%s,%.12g,%d,0{suffix}\n", f"%s,%.0s,%d,1{suffix}\n")
+        flat = [None] * (3 * n)
+        flat[0::3], flat[1::3], flat[2::3] = (
+            t_text, curve.value.tolist(), curve.branch.tolist())
+        parts.append("".join(rows.tolist()) % tuple(flat))
+    return "".join(parts), n * len(curves)
+
+
+def _write(path: str, text: str) -> int:
+    """Write ``text`` with LF line endings: 0, or 2 after an error message."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_figure(args) -> int:
@@ -161,22 +194,11 @@ def cmd_figure(args) -> int:
         if c.startswith("precision:"):
             print(f"warning: {c}", file=sys.stderr)
 
-    multi = len(series) > 1
-    lines = ["t,value,branch,divergent" + (",series" if multi else "")]
-    t_text = [_fmt(t) for t in grid.tolist()]
-    for label, curve in curves:
-        suffix = f",{label}" if multi else ""
-        good = np.isfinite(curve.value).tolist()
-        lines += [
-            f"{t},{_fmt(v) if ok else ''},{b},{0 if ok else 1}{suffix}"
-            for t, v, b, ok in zip(t_text, curve.value.tolist(),
-                                   curve.branch.tolist(), good)
-        ]
-
+    text, rows = _csv_text(grid, curves)
     out = args.out or f"{args.name}.csv"
-    with open(out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(lines) - 1} rows)")
+    if _write(out, text):
+        return 2
+    print(f"wrote {out} ({rows} rows)")
     return 0
 
 
@@ -187,9 +209,8 @@ def cmd_figure(args) -> int:
 def cmd_verify(args) -> int:
     report = run_suite(args.suite)
     text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+    if args.out and _write(args.out, text + "\n"):
+        return 2
     print(text)
     failed = [c for c in report["checks"] if not c["pass"]]
     if failed:
@@ -205,9 +226,8 @@ def cmd_algebra_export(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(table_to_json(spec), indent=2)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+    if args.out and _write(args.out, text + "\n"):
+        return 2
     print(text)
     return 0
 
@@ -279,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--q", type=float, default=1.0)
     p_fig.add_argument("--p", type=float, default=None)
     p_fig.add_argument("--g11", type=float, default=1.0)
-    p_fig.add_argument("--p-values", dest="p_values", default=None,
+    p_fig.add_argument("--p-values", dest="p_values", default="1,5,10,100",
                        help="comma-separated penalty sweep (fig5)")
-    p_fig.add_argument("--mu-values", dest="mu_values", default=None,
+    p_fig.add_argument("--mu-values", dest="mu_values", default="0,1,2,3",
                        help="comma-separated coupling sweep (fig6)")
     p_fig.set_defaults(func=cmd_figure)
 
@@ -300,8 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main() reuses one parser, built on its first call; build_parser() stays fresh
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     return args.func(args)
 
 

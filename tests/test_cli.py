@@ -1,15 +1,23 @@
 """Command-line interface: output format, exit codes, CSV determinism."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcbound as qb
+from qcbound import cli
 from qcbound.cli import main
 
 PI = math.pi
+EXPECTED_SHA256 = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text()
+)["figure_sha256"]
 
 
 def test_bound_ho_prints_twelve_significant_digits(capsys):
@@ -227,3 +235,129 @@ def test_algebra_export(capsys):
 def test_algebra_export_unknown(capsys):
     code = main(["algebra", "export", "nope"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig2"],
+    ["verify", "algebra"],
+    ["algebra", "export", "ho4"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig5", "--p-values", ","],
+    ["figure", "fig5", "--p-values", " , "],
+    ["figure", "fig6", "--mu-values", ","],
+])
+def test_empty_sweep_list_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {argv[2]} needs at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    def sha256(name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["figure", name, "--out", str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    assert main(["figure", "fig5", "--p-values", "2,3", "--t-steps", "11",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["figure"])
+    assert err.value.code == 2
+    assert main(["bound", "ho", "--t", "1"]) == 0
+    assert sha256("fig5") == EXPECTED_SHA256["fig5"]
+    assert sha256("fig2") == EXPECTED_SHA256["fig2"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.strip() == qb.__version__
+
+
+def test_build_parser_returns_a_fresh_parser():
+    parser = cli.build_parser()
+    parser.set_defaults(func=None)
+    assert cli.build_parser() is not parser
+    assert main(["bound", "ho", "--t", "1"]) == 0
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def reference_csv(grid, curves):
+    """The per-row writer that ``cli._csv_text`` replaced, kept verbatim."""
+    multi = len(curves) > 1
+    lines = ["t,value,branch,divergent" + (",series" if multi else "")]
+    t_text = [_fmt(t) for t in grid.tolist()]
+    for label, curve in curves:
+        suffix = f",{label}" if multi else ""
+        good = np.isfinite(curve.value).tolist()
+        lines += [
+            f"{t},{_fmt(v) if ok else ''},{b},{0 if ok else 1}{suffix}"
+            for t, v, b, ok in zip(t_text, curve.value.tolist(),
+                                   curve.branch.tolist(), good)
+        ]
+    return "\n".join(lines) + "\n", len(lines) - 1
+
+
+def _with_poles(target, n_max=3):
+    """The target and its documented pole times (ho_linear, ho_quadratic)."""
+    p = target.params
+    if target.system == "ho_linear":          # omega t = 2 pi (mod 4 pi)
+        poles = [(2 * PI + 4 * PI * n) / p["omega"] for n in range(-n_max, n_max)]
+    elif target.system == "ho_quadratic":     # v3 = n pi / 2
+        poles = [n * PI / (2 * (p["omega"] + p["lam"]))
+                 for n in range(-n_max, n_max + 1) if n]
+    else:
+        poles = []
+    return target, poles
+
+
+_FIGURE_TARGETS = st.one_of(
+    st.builds(qb.TargetSpec.ho_linear, st.floats(0.2, 3.0), st.floats(-1.0, 1.0),
+              st.just(0.0)),
+    st.builds(qb.TargetSpec.ho_quadratic, st.floats(0.6, 3.0),
+              st.floats(-0.5, 0.5), st.just(0.0)),
+    st.builds(lambda mu, p: qb.TargetSpec.coupled(2.0, 1.0, mu, 0.0, q=1.0, p=p),
+              st.floats(0.0, 3.0), st.floats(1.0, 100.0)),
+    st.builds(qb.TargetSpec.ho, st.floats(0.1, 5.0), st.just(0.0)),
+).map(_with_poles)
+
+_GRID_POINTS = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310, 1e-300, 123456.789, 1e15]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(targets=st.lists(_FIGURE_TARGETS, min_size=1, max_size=4),
+       points=st.lists(_GRID_POINTS, min_size=0, max_size=40),
+       labels=st.lists(st.text(max_size=8), min_size=4, max_size=4))
+@example(targets=[_with_poles(qb.TargetSpec.ho_linear(1.0, 0.3, 0.0)),
+                  _with_poles(qb.TargetSpec.ho_quadratic(1.0, 0.2, 0.0))],
+         points=[-0.0, 5e-324], labels=["p=5%", "a,b", "%d", "%%s,"])
+def test_bulk_csv_writer_matches_per_row_reference(targets, points, labels):
+    poles = [t for _, ts in targets for t in ts]
+    grid = np.sort(np.array(points + poles + [0.0, 1.0]))
+    curves = [(label, qb.bound_curve(target, grid))
+              for label, (target, _) in zip(labels, targets)]
+    assert cli._csv_text(grid, curves) == reference_csv(grid, curves)
+
+
+def test_bulk_csv_writer_on_two_point_grid_with_divergent_rows():
+    grid = np.array([2 * PI, 6 * PI])
+    curves = [("%,", qb.bound_curve(qb.TargetSpec.ho_linear(1.0, 0.3, 0.0), grid)),
+              ("x", qb.bound_curve(qb.TargetSpec.ho(1.0, 0.0), grid))]
+    text, rows = cli._csv_text(grid, curves)
+    assert (text, rows) == reference_csv(grid, curves)
+    assert text.splitlines()[1:3] == ["6.28318530718,,1,1,%,",
+                                      "18.8495559215,,2,1,%,"]
