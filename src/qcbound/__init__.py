@@ -60,7 +60,6 @@ from .geodesic import (
 )
 from .matching import (
     MatchResult,
-    TargetSpec,
     match,
     match_displacement_product_form,
     reduce_periodic,
@@ -77,6 +76,7 @@ from .oracle import (
     path_ordered_exponential,
     spectrum_period_check,
 )
+from .systems import TargetSpec
 from .verification import run_suite
 
 __all__ = [

@@ -19,12 +19,10 @@ All values produced by :func:`bound` are upper bounds on the true
 complexity; poles of the matching equations yield an infinite value, which
 curve emitters record as gaps.
 
-:func:`bound_curve` evaluates a whole time grid in one numpy pass through
-:func:`matching.match_curve` and the array forms of the length formulas.
-Each value equals ``bound(target.with_time(t)).value`` exactly (``==``):
-the array code repeats the scalar arithmetic in the same order, sums
-squares left to right in both paths and applies the scalar ``math``
-functions where numpy's can round differently.
+:func:`bound` and :func:`bound_curve` take the formula id, caveats and
+length from the target's registry entry (:mod:`qcbound.systems`); the curve
+runs the same kernel and length on the whole grid, so each value equals
+``bound(target.with_time(t)).value`` exactly (``==``).
 """
 
 from __future__ import annotations
@@ -32,12 +30,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .euler_arnold import PenaltyMatrix, VelocitySolution
-from .matching import (MatchResult, TargetSpec, apply_math, match,
-                       match_curve, match_displacement_product_form)
+from .matching import apply_math, match, match_curve
+
+if TYPE_CHECKING:
+    from .systems import TargetSpec
 
 __all__ = [
     "BoundResult",
@@ -52,27 +53,6 @@ __all__ = [
 
 STANDARD_CAVEAT = "upper bound only: leading-order Dyson, truncated group"
 POSITIVITY_CAVEAT = "integrand positivity violated: A <= sqrt(B^2+C^2)"
-
-_QUADRATIC_CAVEAT = ("periodicity via (omega + lambda) t is approximate "
-                     "beyond small couplings")
-
-# formula id and the caveats a finite value of each system carries
-_FORMULAS = {
-    "displacement": ("displacement_sqrt2", [
-        "ordered-product route gives 2|alpha| instead of sqrt(2)|alpha|; "
-        "both are reported, the discrepancy is documented"]),
-    "ho": ("sawtooth_4pi", []),
-    "sp2_ho": ("sawtooth_4pi", []),
-    "iho": ("iho_linear", []),
-    "ho_linear": ("ho_linear_cot", []),
-    "ho_quadratic": ("quadratic_cot", [_QUADRATIC_CAVEAT]),
-    "free_particle": ("quadratic_cot", [_QUADRATIC_CAVEAT]),
-    "coupled": ("coupled_su2", [
-        "penalties (q, p) shape the geodesic; the standard bound evaluates "
-        "its length with unit weights"]),
-    "anharm_cubic": ("anharm_elliptic", []),
-}
-
 
 @dataclass
 class BoundResult:
@@ -308,50 +288,27 @@ def _sum_squares(components):
     return total
 
 
-def _norm(v) -> float:
-    return math.sqrt(_sum_squares(v.tolist()))
+def norm_length(params: dict, v0: np.ndarray):
+    """Unit-weight norm of ``v0``: a float for shape (k,), an array for (k, n)."""
+    if v0.ndim == 1:
+        return math.sqrt(_sum_squares(v0.tolist()))
+    return np.sqrt(_sum_squares(v0))
 
 
 def bound(target: TargetSpec) -> BoundResult:
     """Complexity bound of a target: match, reduce, evaluate the length."""
-    res: MatchResult = match(target)
-
+    res = match(target)
     if res.is_divergent:
-        return BoundResult(
-            value=math.inf,
-            formula_id=f"{target.system}_pole",
-            v0=None,
-            branch=res.branch,
-            caveats=[STANDARD_CAVEAT, f"divergent: {res.divergent}"] + res.notes,
-        )
-
-    sys = target.system
-    formula, system_caveats = _FORMULAS[sys]
-    caveats = [STANDARD_CAVEAT] + system_caveats
-    extras: dict = {}
-
-    if sys == "displacement":
-        alpha = target.params["alpha"]
-        value = math.sqrt(2.0) * abs(alpha)
-        extras["product_form_value"] = match_displacement_product_form(alpha)["value"]
-    elif sys == "anharm_cubic":
-        g11, p = target.params["g11"], target.params["p"]
-        value = anharm_length(res.v0, g11, p)
-        A, B, C = anharm_integrand_coeffs(res.v0, g11, p)
-        extras.update(A=A, B=B, C=C)
-        if math.isnan(value):
-            caveats.append(POSITIVITY_CAVEAT)
-    else:
-        value = _norm(res.v0)
-
-    return BoundResult(
-        value=value,
-        formula_id=formula,
-        v0=res.v0,
-        branch=res.branch,
-        caveats=caveats + res.notes,
-        extras=extras,
-    )
+        return BoundResult(math.inf, f"{target.system}_pole", None, res.branch,
+                           [STANDARD_CAVEAT, f"divergent: {res.divergent}", *res.notes])
+    spec = target.spec
+    value = spec.length(target.params, res.v0)
+    caveats = [STANDARD_CAVEAT, *spec.caveats]
+    if math.isnan(value):
+        caveats.append(POSITIVITY_CAVEAT)
+    caveats += res.notes
+    extras = spec.extras(target.params, res.v0) if spec.extras else {}
+    return BoundResult(value, spec.formula_id, res.v0, res.branch, caveats, extras)
 
 
 @dataclass
@@ -391,17 +348,13 @@ def bound_curve(target: TargetSpec, t_grid) -> BoundCurve:
         raise ValueError("t_grid must be sorted")
 
     m = match_curve(target, t)
-    sys = target.system
-    formula, system_caveats = _FORMULAS[sys]
-    caveats = [STANDARD_CAVEAT] + system_caveats
+    spec = target.spec
+    caveats = [STANDARD_CAVEAT, *spec.caveats]
     with np.errstate(invalid="ignore", over="ignore"):
-        if sys == "anharm_cubic":
-            value = anharm_length(m.v0, target.params["g11"], target.params["p"])
-        else:
-            value = np.sqrt(_sum_squares(m.v0))
+        value = spec.length(target.params, m.v0)
     value[m.divergent] = math.inf
     if np.isnan(value).any():
         caveats.append(POSITIVITY_CAVEAT)
     return BoundCurve(t=t, value=value, branch=m.branch,
                       divergent=np.isinf(value), pole=m.pole,
-                      formula_id=formula, caveats=caveats + m.notes)
+                      formula_id=spec.formula_id, caveats=caveats + m.notes)

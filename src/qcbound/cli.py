@@ -32,10 +32,9 @@ from . import __version__
 from .algebra import builtin, table_to_json
 from .bounds import POSITIVITY_CAVEAT, bound, bound_curve
 from .errors import NotRegistered, QcBoundError
-from .matching import TargetSpec
+from .systems import (ANHARM_CUBIC, CLI_NAMES, COUPLED, HO, HO_LINEAR,
+                      HO_QUADRATIC, SYSTEMS, TargetSpec)
 from .verification import SUITES, run_suite
-
-_FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 
 def _fmt(x: float) -> str:
@@ -43,32 +42,27 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# target construction from CLI arguments
+# targets from CLI arguments: systems, flags and defaults come from the registry
 # ---------------------------------------------------------------------------
 
+# option -> its flag (systems that share an option declare it alike); the
+# flag's name is the argparse dest
+_BOUND_OPTIONS = {f.option: f for spec in SYSTEMS.values() for f in spec.cli_flags}
+
+
 def _target_from_args(args) -> TargetSpec:
-    s = args.system
-    if s == "ho":
-        return TargetSpec.ho(args.omega, args.t)
-    if s == "sp2_ho":
-        return TargetSpec.sp2_ho(args.omega, args.t)
-    if s == "displacement":
-        return TargetSpec.displacement(complex(args.re, args.im))
-    if s == "iho":
-        return TargetSpec.iho(args.Omega, args.t)
-    if s == "ho_linear":
-        return TargetSpec.ho_linear(args.omega, args.lam, args.t)
-    if s == "ho_quadratic":
-        return TargetSpec.ho_quadratic(args.omega, args.lam, args.t)
-    if s == "free_particle":
-        return TargetSpec.free_particle(args.m, args.t)
-    if s == "coupled":
-        return TargetSpec.coupled(args.omega1, args.omega2, args.mu, args.t,
-                                  q=args.q, p=args.p)
-    if s in ("anharm", "anharm_cubic"):
-        return TargetSpec.anharm_cubic(args.omega, args.lam, args.t,
-                                       g11=args.g11, p=args.p)
-    raise NotRegistered(f"unknown system {s!r}")
+    """The target of ``bound``; a flag its system does not take is an error."""
+    spec = CLI_NAMES[args.system]
+    taken = {f.option for f in spec.cli_flags}
+    unused = [option for option, f in _BOUND_OPTIONS.items()
+              if option not in taken and getattr(args, f.name) is not None]
+    if unused:
+        raise ValueError(f"{args.system} does not take {', '.join(unused)}")
+    values = [f.default if getattr(args, f.name) is None else getattr(args, f.name)
+              for f in spec.cli_flags]
+    if spec.from_flags is not None:
+        values = spec.from_flags(*values)
+    return getattr(TargetSpec, spec.tag)(*values)
 
 
 def cmd_bound(args) -> int:
@@ -78,28 +72,42 @@ def cmd_bound(args) -> int:
     except (QcBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not math.isfinite(result.value):
+    finite = math.isfinite(result.value)
+    if finite:
+        print(_fmt(result.value))
+        if "product_form_value" in result.extras:
+            print(f"# product-form alternate value: "
+                  f"{_fmt(result.extras['product_form_value'])}")
+    else:
+        location = POSITIVITY_CAVEAT
         if result.is_divergent:
             location = next((c[len("divergent: "):] for c in result.caveats
                              if c.startswith("divergent: ")), "matching pole")
-        else:
-            location = POSITIVITY_CAVEAT
         print(f"{_fmt(result.value)} {location}")
-        for c in result.caveats:
-            print(f"# {c}")
-        return 3
-    print(_fmt(result.value))
-    if "product_form_value" in result.extras:
-        print(f"# product-form alternate value: "
-              f"{_fmt(result.extras['product_form_value'])}")
     for c in result.caveats:
         print(f"# {c}")
-    return 0
+    return 0 if finite else 3
 
 
 # ---------------------------------------------------------------------------
 # figures
 # ---------------------------------------------------------------------------
+
+_WIDE, _NARROW = (0.0, 8 * math.pi, 1601), (0.0, 2 * math.pi, 501)
+# figure -> (system, parameters that differ from its defaults,
+#            swept parameter and its default values or None, default grid)
+_FIGURES = {
+    "fig2": (HO, {}, None, _WIDE),
+    "fig3": (HO_LINEAR, {"lam": 0.3}, None, _WIDE),
+    "fig4": (HO_QUADRATIC, {"lam": 0.2}, None, _WIDE),
+    "fig5": (COUPLED, {"mu": 3.0}, ("p", "1,5,10,100"), _NARROW),
+    "fig6": (COUPLED, {"p": 10.0}, ("mu", "0,1,2,3"), _NARROW),
+    "fig7": (ANHARM_CUBIC, {"lam": 0.05}, None, _WIDE),
+}
+# the parameter options of the figures' systems, except --t
+_FIGURE_OPTIONS = {f.option: f for spec, *_ in _FIGURES.values()
+                   for f in spec.params if f.name != "t"}
+
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     values = [float(x) for x in text.split(",") if x.strip()]
@@ -110,37 +118,18 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 def _figure_series(name, args):
     """Return (series list of (label, TargetSpec), default grid)."""
-    omega = args.omega if args.omega is not None else 1.0
-    grid_default = (0.0, 8 * math.pi, 1601)
-    if name == "fig2":
-        return [("", TargetSpec.ho(omega, 0.0))], grid_default
-    if name == "fig3":
-        lam = args.lam if args.lam is not None else 0.3
-        return [("", TargetSpec.ho_linear(omega, lam, 0.0))], grid_default
-    if name == "fig4":
-        lam = args.lam if args.lam is not None else 0.2
-        return [("", TargetSpec.ho_quadratic(omega, lam, 0.0))], grid_default
-    if name == "fig7":
-        lam = args.lam if args.lam is not None else 0.05
-        p = args.p if args.p is not None else 100.0
-        return [("", TargetSpec.anharm_cubic(omega, lam, 0.0,
-                                             g11=args.g11, p=p))], grid_default
-    omega1 = args.omega1 if args.omega1 is not None else 2.0
-    omega2 = args.omega2 if args.omega2 is not None else 1.0
-    grid_default = (0.0, 2 * math.pi, 501)
-    if name == "fig5":
-        mu = args.mu if args.mu is not None else 3.0
-        series = [(f"p={_fmt(p)}",
-                   TargetSpec.coupled(omega1, omega2, mu, 0.0, q=args.q, p=p))
-                  for p in _parse_floats(args.p_values, "--p-values")]
-        return series, grid_default
-    if name == "fig6":
-        p = args.p if args.p is not None else 10.0
-        series = [(f"mu={_fmt(mu)}",
-                   TargetSpec.coupled(omega1, omega2, mu, 0.0, q=args.q, p=p))
-                  for mu in _parse_floats(args.mu_values, "--mu-values")]
-        return series, grid_default
-    raise NotRegistered(f"unknown figure {name!r}")
+    spec, defaults, sweep, grid = _FIGURES[name]
+    values = {p.name: p.default for p in spec.params} | defaults
+    values.update({p.name: getattr(args, p.name) for p in spec.params
+                   if getattr(args, p.name, None) is not None})
+    values["t"] = 0.0
+    make = getattr(TargetSpec, spec.tag)
+    if sweep is None:
+        return [("", make(**values))], grid
+    swept = sweep[0]
+    return [(f"{swept}={_fmt(x)}", make(**{**values, swept: x}))
+            for x in _parse_floats(getattr(args, f"{swept}_values"),
+                                   f"--{swept}-values")], grid
 
 
 def _csv_text(grid: np.ndarray, curves) -> tuple[str, int]:
@@ -161,21 +150,30 @@ def _csv_text(grid: np.ndarray, curves) -> tuple[str, int]:
     return "".join(parts), n * len(curves)
 
 
-def _write(path: str, text: str) -> int:
-    """Write ``text`` with LF line endings: 0, or 2 after an error message."""
+def _open(path: str):
+    """``path`` opened for text with LF line endings, or None after an error
+    message."""
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        return open(path, "w", newline="\n")
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return None
+
+
+def _write(path: str, text: str) -> int:
+    """Write ``text`` to ``path``: 0, or 2 after an error message."""
+    fh = _open(path)
+    if fh is None:
         return 2
+    with fh:
+        fh.write(text)
     return 0
 
 
 def cmd_figure(args) -> int:
     if args.name not in _FIGURES:
-        print(f"error: unknown figure {args.name!r}; choose from {_FIGURES}",
-              file=sys.stderr)
+        print(f"error: unknown figure {args.name!r}; choose from "
+              f"{tuple(_FIGURES)}", file=sys.stderr)
         return 2
     try:
         series, (t0, t1, steps) = _figure_series(args.name, args)
@@ -207,10 +205,14 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    out = _open(args.out) if args.out else None
+    if args.out and out is None:
+        return 2                  # before the suite spends its time
     report = run_suite(args.suite)
     text = json.dumps(report, indent=2)
-    if args.out and _write(args.out, text + "\n"):
-        return 2
+    if out is not None:
+        with out:
+            out.write(text + "\n")
     print(text)
     failed = [c for c in report["checks"] if not c["pass"]]
     if failed:
@@ -250,25 +252,6 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_target_options(p: argparse.ArgumentParser):
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--Omega", type=float, default=1.0,
-                   help="frequency of the inverted oscillator")
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="perturbation coupling")
-    p.add_argument("--re", type=float, default=0.0, help="Re(alpha)")
-    p.add_argument("--im", type=float, default=0.0, help="Im(alpha)")
-    p.add_argument("--m", type=float, default=1.0, help="free-particle mass")
-    p.add_argument("--omega1", type=float, default=2.0)
-    p.add_argument("--omega2", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0, help="mode coupling")
-    p.add_argument("--q", type=float, default=1.0, help="soft-direction penalty")
-    p.add_argument("--p", type=float, default=1.0, help="hard-direction penalty")
-    p.add_argument("--g11", type=float, default=1.0,
-                   help="penalty of the quadratic-energy direction")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qc-bound",
@@ -278,11 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="single complexity bound")
-    p_bound.add_argument("system", choices=[
-        "ho", "displacement", "iho", "sp2_ho", "ho_linear", "ho_quadratic",
-        "free_particle", "coupled", "anharm", "anharm_cubic",
-    ])
-    _add_target_options(p_bound)
+    p_bound.add_argument("system", choices=list(CLI_NAMES))
+    for option, f in _BOUND_OPTIONS.items():
+        p_bound.add_argument(option, dest=f.name, type=float, default=None,
+                             help=f.help)
     p_bound.set_defaults(func=cmd_bound)
 
     p_fig = sub.add_parser("figure", help="emit a curve CSV")
@@ -291,18 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--t-min", dest="t_min", type=float, default=None)
     p_fig.add_argument("--t-max", dest="t_max", type=float, default=None)
     p_fig.add_argument("--t-steps", dest="t_steps", type=int, default=None)
-    p_fig.add_argument("--omega", type=float, default=None)
-    p_fig.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_fig.add_argument("--omega1", type=float, default=None)
-    p_fig.add_argument("--omega2", type=float, default=None)
-    p_fig.add_argument("--mu", type=float, default=None)
-    p_fig.add_argument("--q", type=float, default=1.0)
-    p_fig.add_argument("--p", type=float, default=None)
-    p_fig.add_argument("--g11", type=float, default=1.0)
-    p_fig.add_argument("--p-values", dest="p_values", default="1,5,10,100",
-                       help="comma-separated penalty sweep (fig5)")
-    p_fig.add_argument("--mu-values", dest="mu_values", default="0,1,2,3",
-                       help="comma-separated coupling sweep (fig6)")
+    for option, f in _FIGURE_OPTIONS.items():
+        p_fig.add_argument(option, dest=f.name, type=float, default=None,
+                           help=f.help)
+    for name, (_, _, sweep, _) in _FIGURES.items():
+        if sweep is not None:
+            p_fig.add_argument(f"--{sweep[0]}-values", dest=f"{sweep[0]}_values",
+                               default=sweep[1],
+                               help=f"comma-separated {sweep[0]} sweep ({name})")
     p_fig.set_defaults(func=cmd_figure)
 
     p_ver = sub.add_parser("verify", help="run self-check suites")

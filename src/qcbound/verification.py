@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from . import algebra, bounds, euler_arnold, geodesic, matching, oracle
+from . import algebra, bounds, euler_arnold, geodesic, matching, oracle, systems
 
 __all__ = ["run_suite", "SUITES"]
 
@@ -124,16 +124,16 @@ def _suite_geodesic():
 
     # boundary-match round trips over all systems
     targets = [
-        matching.TargetSpec.ho(1.0, 2.2),
-        matching.TargetSpec.ho(1.0, 9.7),
-        matching.TargetSpec.displacement(0.8 - 1.1j),
-        matching.TargetSpec.ho_linear(1.0, 0.3, 2.0),
-        matching.TargetSpec.sp2_ho(1.0, 5.0),
-        matching.TargetSpec.iho(2.0, 3.0),
-        matching.TargetSpec.ho_quadratic(1.0, 0.2, 1.3),
-        matching.TargetSpec.free_particle(1.0, 2.4),
-        matching.TargetSpec.coupled(2.0, 1.0, 3.0, 0.4, q=1.0, p=10.0),
-        matching.TargetSpec.anharm_cubic(1.0, 0.1, 1.0, g11=1.0, p=1e6),
+        systems.TargetSpec.ho(1.0, 2.2),
+        systems.TargetSpec.ho(1.0, 9.7),
+        systems.TargetSpec.displacement(0.8 - 1.1j),
+        systems.TargetSpec.ho_linear(1.0, 0.3, 2.0),
+        systems.TargetSpec.sp2_ho(1.0, 5.0),
+        systems.TargetSpec.iho(2.0, 3.0),
+        systems.TargetSpec.ho_quadratic(1.0, 0.2, 1.3),
+        systems.TargetSpec.free_particle(1.0, 2.4),
+        systems.TargetSpec.coupled(2.0, 1.0, 3.0, 0.4, q=1.0, p=10.0),
+        systems.TargetSpec.anharm_cubic(1.0, 0.1, 1.0, g11=1.0, p=1e6),
     ]
     worst = 0.0
     for tgt in targets:
@@ -143,7 +143,7 @@ def _suite_geodesic():
 
     # pole scan: large values only next to the known pole
     ts = np.arange(1e-3, 4 * math.pi, 1e-3)
-    vals = bounds.bound_curve(matching.TargetSpec.ho_linear(1.0, 0.3, ts[0]),
+    vals = bounds.bound_curve(systems.TargetSpec.ho_linear(1.0, 0.3, ts[0]),
                               ts).value
     big = ts[vals > 50.0]
     off_pole = big[np.abs(big - 2 * math.pi) > 0.25] if len(big) else np.array([])

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-import qcbound as qb
-
 DATA = Path(__file__).parent / "data"
 sys.path.insert(0, str(DATA))
 from record_bound_golden import decode_args, record  # noqa: E402
