@@ -295,6 +295,15 @@ def norm_length(params: dict, v0: np.ndarray):
     return np.sqrt(_sum_squares(v0))
 
 
+def _reject_overflow(value, v0) -> None:
+    """Raise ``ValueError`` if a non-finite length at a regular point is an
+    overflow: an ``inf`` length, or a non-finite matched ``v0``.  What is
+    left is a ``nan`` from a finite ``v0``, a failed positivity guard."""
+    if np.isinf(value).any() or not np.isfinite(v0).all():
+        raise ValueError("arithmetic overflow: the matched v0 or the length "
+                         "is not finite")
+
+
 def bound(target: TargetSpec) -> BoundResult:
     """Complexity bound of a target: match, reduce, evaluate the length."""
     res = match(target)
@@ -304,7 +313,8 @@ def bound(target: TargetSpec) -> BoundResult:
     spec = target.spec
     value = spec.length(target.params, res.v0)
     caveats = [STANDARD_CAVEAT, *spec.caveats]
-    if math.isnan(value):
+    if not math.isfinite(value):
+        _reject_overflow(value, res.v0)
         caveats.append(POSITIVITY_CAVEAT)
     caveats += res.notes
     extras = spec.extras(target.params, res.v0) if spec.extras else {}
@@ -352,9 +362,11 @@ def bound_curve(target: TargetSpec, t_grid) -> BoundCurve:
     caveats = [STANDARD_CAVEAT, *spec.caveats]
     with np.errstate(invalid="ignore", over="ignore"):
         value = spec.length(target.params, m.v0)
-    value[m.divergent] = math.inf
-    if np.isnan(value).any():
+    lost = ~np.isfinite(value) & ~m.divergent
+    if lost.any():
+        _reject_overflow(value[lost], m.v0[:, lost])
         caveats.append(POSITIVITY_CAVEAT)
+    value[m.divergent] = math.inf
     return BoundCurve(t=t, value=value, branch=m.branch,
                       divergent=np.isinf(value), pole=m.pole,
                       formula_id=spec.formula_id, caveats=caveats + m.notes)

@@ -107,6 +107,8 @@ _FIGURES = {
 # the parameter options of the figures' systems, except --t
 _FIGURE_OPTIONS = {f.option: f for spec, *_ in _FIGURES.values()
                    for f in spec.params if f.name != "t"}
+# swept parameter -> its default values
+_SWEEPS = dict(sweep for _, _, sweep, _ in _FIGURES.values() if sweep)
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -117,8 +119,20 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def _figure_series(name, args):
-    """Return (series list of (label, TargetSpec), default grid)."""
+    """Return (series list of (label, TargetSpec), default grid).
+
+    A parameter flag the figure's system does not take, another figure's
+    sweep list, or the single flag of the swept parameter is an error.
+    """
     spec, defaults, sweep, grid = _FIGURES[name]
+    swept = sweep[0] if sweep else None
+    taken = {p.name for p in spec.params} - {swept}
+    unused = [option for option, f in _FIGURE_OPTIONS.items()
+              if f.name not in taken and getattr(args, f.name) is not None]
+    unused += [f"--{other}-values" for other in _SWEEPS
+               if other != swept and getattr(args, f"{other}_values") is not None]
+    if unused:
+        raise ValueError(f"{name} does not take {', '.join(unused)}")
     values = {p.name: p.default for p in spec.params} | defaults
     values.update({p.name: getattr(args, p.name) for p in spec.params
                    if getattr(args, p.name, None) is not None})
@@ -126,9 +140,9 @@ def _figure_series(name, args):
     make = getattr(TargetSpec, spec.tag)
     if sweep is None:
         return [("", make(**values))], grid
-    swept = sweep[0]
+    text = getattr(args, f"{swept}_values")
     return [(f"{swept}={_fmt(x)}", make(**{**values, swept: x}))
-            for x in _parse_floats(getattr(args, f"{swept}_values"),
+            for x in _parse_floats(_SWEEPS[swept] if text is None else text,
                                    f"--{swept}-values")], grid
 
 
@@ -279,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, _, sweep, _) in _FIGURES.items():
         if sweep is not None:
             p_fig.add_argument(f"--{sweep[0]}-values", dest=f"{sweep[0]}_values",
-                               default=sweep[1],
-                               help=f"comma-separated {sweep[0]} sweep ({name})")
+                               default=None, help=f"comma-separated {sweep[0]} "
+                               f"sweep ({name}; default {sweep[1]})")
     p_fig.set_defaults(func=cmd_figure)
 
     p_ver = sub.add_parser("verify", help="run self-check suites")

@@ -24,18 +24,19 @@ then the sum of (c_IJK V^J) g_K over the nonzero (J, K) in lexicographic
 order, then the division by w_I; the update is the expression of the
 generic loop.  IEEE arithmetic rounds each of these operations the same
 in numpy and in Python, so the states equal (``==``) those of the generic
-loop over ``rhs``, which stays the reference.  The families:
+loop over ``rhs``, which stays the reference.
+
+Every closed-form family is one :class:`TrigFamily`: the velocity is a
+fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
+and frequencies taken from v0, and the exponent coefficients apply the same
+mix to the integrals of those functions.  One ``_FAMILIES`` entry per tag:
 
 ``ho4_equal_penalty``    (V^P, V^Q) rotate at rate v_H + (G_EE/G_PP) v_E
 ``sp2_J_equal_penalty``  (V^1, V^2) rotate at rate 4 v_3
 ``coupled_pq``           (V^3, V^4) rotate at rate (p - 2q)(v_1 - v_2)/p
-``anharm_p``             five-component solution mixing rates v_1 and 3 v_1
-
-The anharmonic family solves the prohibitive-penalty reduction of the
-truncated cubic system (hard-direction feedback on V^1 dropped), which is
-the regime in which its boundary matching is formulated; its governing
-right-hand side, a unit-weight table with six nonzero entries, is exposed
-for direct numerical cross-checks.
+``anharm_p``             (V^4..V^7) mix rates v_1 and 3 v_1; solves the
+                         prohibitive-penalty reduction of the cubic system
+                         (``_ANHARM_REDUCED``), so its speed is not constant
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,9 @@ __all__ = [
     "PenaltyMatrix",
     "VelocitySolution",
     "ClosedFormFamily",
+    "TrigFamily",
+    "int_cos",
+    "int_sin",
     "rhs",
     "integrate_rk4",
     "solve_numeric",
@@ -104,7 +108,9 @@ class VelocitySolution:
     ``evaluator`` accepts a scalar or 1-d array of s values and returns the
     velocity components, shape (dim,) or (n, dim).  ``constant_speed`` marks
     solutions whose weighted speed is an exact constant, so that lengths can
-    be evaluated without quadrature.
+    be evaluated without quadrature.  A closed form carries its
+    :class:`TrigFamily` as ``trig`` (it is also the evaluator); a numeric
+    solution carries its RK4 ``grid`` and ``states``.
     """
 
     algebra: str
@@ -113,7 +119,7 @@ class VelocitySolution:
     evaluator: Callable[[np.ndarray], np.ndarray]
     penalties: PenaltyMatrix
     constant_speed: bool = False
-    family: "ClosedFormFamily | None" = None
+    trig: "TrigFamily | None" = None
     grid: np.ndarray | None = None
     states: np.ndarray | None = None
 
@@ -129,36 +135,27 @@ class ClosedFormFamily:
     q: float = 1.0
     p: float = 1.0
 
-    _ALGEBRAS = {
-        "ho4_equal_penalty": "ho4",
-        "sp2_J_equal_penalty": "sp2_J",
-        "coupled_pq": "coupled_M4",
-        "anharm_p": "anharm5",
-    }
-
     def __post_init__(self):
-        if self.tag not in self._ALGEBRAS:
+        entry = _FAMILIES.get(self.tag)
+        if entry is None:
             raise FamilyMismatch(
-                f"unknown family {self.tag!r}; choose from {sorted(self._ALGEBRAS)}"
+                f"unknown family {self.tag!r}; choose from {sorted(_FAMILIES)}"
             )
-        if self.tag == "coupled_pq" and not (0 < self.q <= self.p):
-            raise FamilyMismatch("coupled_pq requires penalties 0 < q <= p")
+        if entry.q_le_p and not (0 < self.q <= self.p):
+            raise FamilyMismatch(f"{self.tag} requires penalties 0 < q <= p")
 
     @property
     def algebra_name(self) -> str:
-        return self._ALGEBRAS[self.tag]
+        return _FAMILIES[self.tag].algebra
 
     def default_penalties(self) -> PenaltyMatrix:
-        if self.tag == "coupled_pq":
-            return PenaltyMatrix.diagonal([self.q, self.q, self.p, self.p])
-        if self.tag == "anharm_p":
-            return PenaltyMatrix.diagonal([1.0, self.p, self.p, self.p, self.p])
-        return PenaltyMatrix.identity(builtin(self.algebra_name).dim)
+        return PenaltyMatrix.diagonal(_FAMILIES[self.tag].penalties(self.q, self.p))
 
     def governing_rhs(self, G: PenaltyMatrix | None = None):
         """Right-hand side of the ODE system this family actually solves."""
-        if self.tag == "anharm_p":
-            return _QuadraticField(_ANHARM_REDUCED, np.ones(5))
+        table = _FAMILIES[self.tag].table
+        if table is not None:
+            return _QuadraticField(table, np.ones(len(table)))
         G = G if G is not None else self.default_penalties()
         return _QuadraticField(builtin(self.algebra_name).f, G.weights)
 
@@ -397,51 +394,59 @@ def solve_numeric(
     )
 
 
-def _rotation_pair(s, a0, b0, rate):
-    """Solution of a' = -rate*b, b' = rate*a at parameter s."""
-    c = np.cos(rate * s)
-    sn = np.sin(rate * s)
-    return a0 * c - b0 * sn, b0 * c + a0 * sn
+def int_cos(s, w):
+    """integral_0^s cos(w u) du = sin(w s)/w, regular at w = 0."""
+    s = np.asarray(s, dtype=float)
+    return s * np.sinc(w * s / np.pi)
 
 
-def _ho4_evaluator(v0, rate):
-    vE, vP, vQ, vH = v0
+def int_sin(s, w):
+    """integral_0^s sin(w u) du = (1 - cos(w s))/w, regular at w = 0."""
+    s = np.asarray(s, dtype=float)
+    return s * np.sin(0.5 * w * s) * np.sinc(0.5 * w * s / np.pi)
 
-    def ev(s):
+
+class TrigFamily:
+    """Velocity V(s) = mix . (1, cos w_1 s, sin w_1 s, cos w_2 s, sin w_2 s, ...).
+
+    ``rates`` gives each frequency w = n r as a pair ``(n, r)``; the velocity
+    rounds its phase as (n s) r.  ``mix`` holds one row per velocity
+    component: its structurally nonzero ``(column, coefficient)`` entries,
+    summed in that order, so a rotating pair costs two products and a sum.
+    :meth:`antiderivative` applies the same ``mix`` to (s, int_cos(s, w_1),
+    int_sin(s, w_1), ...): the exponent coefficients c(s) = integral_0^s V,
+    regular where a rate vanishes.  Both take a scalar or a 1-d array of s
+    and return shape (dim,) or (len(s), dim).
+    """
+
+    __slots__ = ("mix", "rates")
+
+    def __init__(self, mix, rates):
+        self.mix, self.rates = mix, rates
+
+    def __call__(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        P, Q = _rotation_pair(s_arr, vP, vQ, rate)
-        out = np.column_stack([np.full_like(s_arr, vE), P, Q,
-                               np.full_like(s_arr, vH)])
-        return out[0] if np.ndim(s) == 0 else out
-    return ev
+        basis = [1.0]
+        for n, r in self.rates:
+            x = n * s_arr * r
+            basis += [np.cos(x), np.sin(x)]
+        return self._mixed(basis, s)
 
-
-def _sp2_evaluator(v0):
-    v1, v2, v3 = v0
-    rate = 4.0 * v3
-
-    def ev(s):
+    def antiderivative(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        V1, V2 = _rotation_pair(s_arr, v1, v2, rate)
-        out = np.column_stack([V1, V2, np.full_like(s_arr, v3)])
+        basis = [s_arr]
+        for n, r in self.rates:
+            basis += [int_cos(s_arr, n * r), int_sin(s_arr, n * r)]
+        return self._mixed(basis, s)
+
+    def _mixed(self, basis, s):
+        out = np.empty((np.size(s), len(self.mix)))
+        for i, ((k, a), *rest) in enumerate(self.mix):
+            acc = a * basis[k]
+            for k, a in rest:
+                acc = acc + a * basis[k]
+            out[:, i] = acc
         return out[0] if np.ndim(s) == 0 else out
-    return ev
-
-
-def _coupled_evaluator(v0, q, p):
-    v1, v2, v3, v4 = v0
-    rate = (p - 2.0 * q) * (v1 - v2) / p
-
-    def ev(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        c = np.cos(rate * s_arr)
-        sn = np.sin(rate * s_arr)
-        V3 = v3 * c + v4 * sn
-        V4 = v4 * c - v3 * sn
-        out = np.column_stack([np.full_like(s_arr, v1),
-                               np.full_like(s_arr, v2), V3, V4])
-        return out[0] if np.ndim(s) == 0 else out
-    return ev
 
 
 # The reduced cubic system over (V1, V4, V5, V6, V7) as a unit-weight table:
@@ -455,7 +460,7 @@ _ANHARM_REDUCED[[1, 2, 3, 3, 4, 4], 0, [3, 4, 1, 4, 2, 3]] = [
 # (V4, V5, V6, V7), the middle axis indexes the initial values (v4, v5, v6,
 # v7) and the last axis the basis functions (cos s v1, sin s v1, cos 3 s v1,
 # sin 3 s v1), everything divided by 4.
-ANHARM_MIX = 0.25 * np.array([
+_ANHARM_MIX = 0.25 * np.array([
     # cos1 sin1 cos3 sin3      component V4
     [[3, 0, 1, 0], [0, 3, 0, -1], [0, 1, 0, 1], [1, 0, -1, 0]],
     # component V5
@@ -467,31 +472,60 @@ ANHARM_MIX = 0.25 * np.array([
 ], dtype=float)
 
 
-def _anharm_basis(s_arr, v1):
-    return np.stack([
-        np.cos(s_arr * v1), np.sin(s_arr * v1),
-        np.cos(3 * s_arr * v1), np.sin(3 * s_arr * v1),
-    ], axis=-1)
+def _anharm_trig(v, w, q, p):
+    """V^1 = v1; V^4..V^7 mix cos and sin at v1 and 3 v1 (``_ANHARM_MIX``)."""
+    rows = (np.asarray(v[1:]) @ _ANHARM_MIX).tolist()
+    return TrigFamily((((0, v[0]),),) + tuple(tuple(enumerate(row, 1)) for row in rows),
+                      ((1, v[0]), (3, v[0])))
 
 
-def _anharm_evaluator(v0):
-    v1 = v0[0]
-    hard = np.asarray(v0[1:])
+class _Family(NamedTuple):
+    """One closed-form family: its algebra, default penalties ``(q, p) ->
+    weights``, the penalties it ``admits`` ``(weights, defaults) -> bool``
+    (``rule`` in words), its ``trig`` construct ``(v0, weights, q, p)``, and
+    the unit-weight ``table`` it solves when that is not the algebra's."""
 
-    def ev(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        basis = _anharm_basis(s_arr, v1)                   # (n, 4)
-        comps = np.einsum("kjb,j,nb->nk", ANHARM_MIX, hard, basis)
-        out = np.column_stack([np.full_like(s_arr, v1), comps])
-        return out[0] if np.ndim(s) == 0 else out
-    return ev
+    algebra: str
+    penalties: Callable[[float, float], list]
+    admits: Callable[[np.ndarray, list], bool]
+    rule: str
+    trig: Callable[..., TrigFamily]
+    constant_speed: bool = True
+    q_le_p: bool = False
+    table: np.ndarray | None = None
 
 
-def solve_closed_form(
-    family: ClosedFormFamily,
-    v0,
-    G: PenaltyMatrix | None = None,
-) -> VelocitySolution:
+_FAMILIES = {
+    "ho4_equal_penalty": _Family(
+        "ho4", lambda q, p: [1.0] * 4, lambda w, d: w[1] == w[2], "G_PP = G_QQ",
+        lambda v, w, q, p: TrigFamily(
+            (((0, v[0]),), ((1, v[1]), (2, -v[2])), ((1, v[2]), (2, v[1])),
+             ((0, v[3]),)),
+            ((1, v[3] + (w[0] / w[1]) * v[0]),))),
+    "sp2_J_equal_penalty": _Family(
+        "sp2_J", lambda q, p: [1.0] * 3, lambda w, d: (w == w[0]).all(),
+        "equal penalties",
+        lambda v, w, q, p: TrigFamily(
+            (((1, v[0]), (2, -v[1])), ((1, v[1]), (2, v[0])), ((0, v[2]),)),
+            ((1, 4.0 * v[2]),))),
+    "coupled_pq": _Family(
+        "coupled_M4", lambda q, p: [q, q, p, p], np.array_equal,
+        "penalties diag(q, q, p, p)",
+        lambda v, w, q, p: TrigFamily(
+            (((0, v[0]),), ((0, v[1]),), ((1, v[2]), (2, v[3])),
+             ((1, v[3]), (2, -v[2]))),
+            ((1, (p - 2.0 * q) * (v[0] - v[1]) / p),)),
+        q_le_p=True),
+    # hard components feed back on V^1 only through dropped terms, so the
+    # penalty-weighted speed is not an exact invariant here
+    "anharm_p": _Family(
+        "anharm5", lambda q, p: [1.0, p, p, p, p], lambda w, d: True, "",
+        _anharm_trig, constant_speed=False, table=_ANHARM_REDUCED),
+}
+
+
+def solve_closed_form(family: ClosedFormFamily, v0,
+                      G: PenaltyMatrix | None = None) -> VelocitySolution:
     """Analytic velocity solution for one of the decoupling families.
 
     For ``ho4_equal_penalty`` the penalties may have G_EE and G_HH free as
@@ -499,47 +533,18 @@ def solve_closed_form(
     weighting of the central velocity.  The other families are implemented
     at their canonical penalties.
     """
-    alg = builtin(family.algebra_name)
+    entry = _FAMILIES[family.tag]
+    defaults = entry.penalties(family.q, family.p)
+    dim = len(defaults)
     v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (alg.dim,):
-        raise FamilyMismatch(
-            f"{family.tag} needs v0 of shape ({alg.dim},), got {v0.shape}"
-        )
+    if v0.shape != (dim,):
+        raise FamilyMismatch(f"{family.tag} needs v0 of shape ({dim},), got {v0.shape}")
     if G is None:
-        G = family.default_penalties()
-    if G.dim != alg.dim:
+        G = PenaltyMatrix.diagonal(defaults)
+    if G.dim != dim:
         raise FamilyMismatch("penalty dimension does not match the family algebra")
-
-    if family.tag == "ho4_equal_penalty":
-        w = G.weights
-        if w[1] != w[2]:
-            raise FamilyMismatch("ho4_equal_penalty requires G_PP = G_QQ")
-        rate = v0[3] + (w[0] / w[1]) * v0[0]
-        evaluator = _ho4_evaluator(v0, rate)
-        constant = True
-    elif family.tag == "sp2_J_equal_penalty":
-        if np.any(G.weights != G.weights[0]):
-            raise FamilyMismatch("sp2_J_equal_penalty requires equal penalties")
-        evaluator = _sp2_evaluator(v0)
-        constant = True
-    elif family.tag == "coupled_pq":
-        expected = family.default_penalties()
-        if not np.array_equal(G.weights, expected.weights):
-            raise FamilyMismatch("coupled_pq penalties must be diag(q, q, p, p)")
-        evaluator = _coupled_evaluator(v0, family.q, family.p)
-        constant = True
-    else:  # anharm_p
-        evaluator = _anharm_evaluator(v0)
-        # hard components feed back on V^1 only through dropped terms, so the
-        # penalty-weighted speed is not an exact invariant here
-        constant = False
-
-    return VelocitySolution(
-        algebra=alg.name,
-        v0=v0,
-        kind=f"closed_form({family.tag})",
-        evaluator=evaluator,
-        penalties=G,
-        constant_speed=constant,
-        family=family,
-    )
+    if not entry.admits(G.weights, defaults):
+        raise FamilyMismatch(f"{family.tag} requires {entry.rule}")
+    trig = entry.trig(v0.tolist(), G.weights, family.q, family.p)
+    return VelocitySolution(entry.algebra, v0, f"closed_form({family.tag})", trig, G,
+                            constant_speed=entry.constant_speed, trig=trig)

@@ -7,10 +7,10 @@ coefficients are plain integrals of the velocity components,
     c_I(s) = integral_0^s V^I(s') ds'.
 
 Everything downstream of this truncation is an upper bound, not an exact
-complexity.  For the closed-form velocity families the integrals are
-evaluated analytically (with the sinc-type limits built in, so vanishing
-rotation rates are regular); for numeric solutions the integral reuses the
-integrator's own grid with the trapezoid rule.
+complexity.  A closed-form solution integrates analytically through its
+``TrigFamily.antiderivative`` (sinc-type limits built in, so vanishing
+rates are regular); a numeric solution uses the trapezoid rule on the
+integrator's own grid.
 
 The product-form parametrization
 U = e^{-i a1 E} e^{-i a2 P} e^{-i a3 Q} e^{-i a4 H} is provided for the
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FamilyMismatch, UnsupportedCenterVelocity
-from .euler_arnold import ANHARM_MIX, VelocitySolution
+from .euler_arnold import VelocitySolution
 
 __all__ = [
     "ExponentCoefficients",
@@ -34,21 +34,7 @@ __all__ = [
     "leading_order_coeffs",
     "product_form_coeffs_ho4",
     "residual_product_form",
-    "int_cos",
-    "int_sin",
 ]
-
-
-def int_cos(s, w):
-    """integral_0^s cos(w u) du = sin(w s)/w, regular at w = 0."""
-    s = np.asarray(s, dtype=float)
-    return s * np.sinc(w * s / np.pi)
-
-
-def int_sin(s, w):
-    """integral_0^s sin(w u) du = (1 - cos(w s))/w, regular at w = 0."""
-    s = np.asarray(s, dtype=float)
-    return s * np.sin(0.5 * w * s) * np.sinc(0.5 * w * s / np.pi)
 
 
 @dataclass(frozen=True)
@@ -78,67 +64,6 @@ def _shape(out, s):
     return out[0] if np.ndim(s) == 0 else out
 
 
-def _ho4_coeffs(v0, rate):
-    vE, vP, vQ, vH = v0
-
-    def fn(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        ic, isn = int_cos(s_arr, rate), int_sin(s_arr, rate)
-        out = np.column_stack([
-            s_arr * vE,
-            vP * ic - vQ * isn,
-            vQ * ic + vP * isn,
-            s_arr * vH,
-        ])
-        return _shape(out, s)
-    return fn
-
-
-def _sp2_coeffs(v0):
-    v1, v2, v3 = v0
-    rate = 4.0 * v3
-
-    def fn(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        ic, isn = int_cos(s_arr, rate), int_sin(s_arr, rate)
-        out = np.column_stack([v1 * ic - v2 * isn, v2 * ic + v1 * isn, s_arr * v3])
-        return _shape(out, s)
-    return fn
-
-
-def _coupled_coeffs(v0, q, p):
-    v1, v2, v3, v4 = v0
-    rate = (p - 2.0 * q) * (v1 - v2) / p
-
-    def fn(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        ic, isn = int_cos(s_arr, rate), int_sin(s_arr, rate)
-        out = np.column_stack([
-            s_arr * v1,
-            s_arr * v2,
-            v3 * ic + v4 * isn,
-            v4 * ic - v3 * isn,
-        ])
-        return _shape(out, s)
-    return fn
-
-
-def _anharm_coeffs(v0):
-    v1 = v0[0]
-    hard = np.asarray(v0[1:])
-
-    def fn(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        ibasis = np.stack([
-            int_cos(s_arr, v1), int_sin(s_arr, v1),
-            int_cos(s_arr, 3 * v1), int_sin(s_arr, 3 * v1),
-        ], axis=-1)
-        comps = np.einsum("kjb,j,nb->nk", ANHARM_MIX, hard, ibasis)
-        out = np.column_stack([s_arr * v1, comps])
-        return _shape(out, s)
-    return fn
-
-
 def _numeric_coeffs(sol: VelocitySolution):
     grid, states = sol.grid, sol.states
     dx = np.diff(grid)[:, None]
@@ -158,27 +83,15 @@ def _numeric_coeffs(sol: VelocitySolution):
 def leading_order_coeffs(sol: VelocitySolution) -> ExponentCoefficients:
     """Integrate the velocity components into exponent coefficients.
 
-    Closed-form solutions get the analytic antiderivatives; numeric
+    Closed-form solutions get their construct's antiderivative; numeric
     solutions get the trapezoid rule on the integrator grid.
     """
-    if sol.family is not None:
-        tag = sol.family.tag
-        if tag == "ho4_equal_penalty":
-            w = sol.penalties.weights
-            rate = sol.v0[3] + (w[0] / w[1]) * sol.v0[0]
-            fn = _ho4_coeffs(sol.v0, rate)
-        elif tag == "sp2_J_equal_penalty":
-            fn = _sp2_coeffs(sol.v0)
-        elif tag == "coupled_pq":
-            fn = _coupled_coeffs(sol.v0, sol.family.q, sol.family.p)
-        elif tag == "anharm_p":
-            fn = _anharm_coeffs(sol.v0)
-        else:  # pragma: no cover
-            raise FamilyMismatch(f"no coefficient formulas for {tag!r}")
+    if sol.trig is not None:
+        fn = sol.trig.antiderivative
     elif sol.grid is not None:
         fn = _numeric_coeffs(sol)
     else:
-        raise FamilyMismatch("solution carries neither a family nor a dense grid")
+        raise FamilyMismatch("solution carries neither a closed form nor a dense grid")
     return ExponentCoefficients(algebra=sol.algebra, v0=sol.v0, coeffs=fn)
 
 

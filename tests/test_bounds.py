@@ -319,3 +319,34 @@ def test_generic_length_quadrature_agrees_with_elliptic_form():
     assert l_generic == pytest.approx(qb.anharm_length(v0, g11, p), rel=1e-10)
     assert l_generic == pytest.approx(qb.anharm_length_quadrature(v0, g11, p),
                                       rel=1e-10)
+
+
+@pytest.mark.parametrize("target", [
+    qb.TargetSpec.coupled(2.0, 1.0, 1e200, 0.0),      # mu * mu * t = inf * 0
+    qb.TargetSpec.iho(1e160, 1e160),                  # v0 = -inf
+    qb.TargetSpec.ho_linear(1.0, 1e300, 1e10),        # lambda * t = inf
+])
+def test_overflow_raises_in_bound_and_bound_curve(target):
+    with pytest.raises(ValueError, match="arithmetic overflow"):
+        qb.bound(target)
+    t = target.params["t"]
+    with pytest.raises(ValueError, match="arithmetic overflow"):
+        qb.bound_curve(target, np.array([t, t + 1.0]))
+
+
+def test_overflowing_length_raises():
+    with pytest.raises(ValueError, match="arithmetic overflow"):
+        qb.bound(qb.TargetSpec.displacement(1e308 + 1e308j))
+
+
+def test_nan_length_from_finite_v0_keeps_the_positivity_caveat(monkeypatch):
+    spec = qb.systems.SYSTEMS["anharm_cubic"]
+    monkeypatch.setitem(qb.systems.SYSTEMS, "anharm_cubic",
+                        spec._replace(length=lambda p, v0: v0[0] * math.nan))
+    target = qb.TargetSpec.anharm_cubic(1.0, 0.05, 1.0)
+    res = qb.bound(target)
+    assert math.isnan(res.value)
+    assert qb.bounds.POSITIVITY_CAVEAT in res.caveats
+    curve = qb.bound_curve(target, np.array([0.5, 1.0]))
+    assert np.isnan(curve.value).all()
+    assert qb.bounds.POSITIVITY_CAVEAT in curve.caveats

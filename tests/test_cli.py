@@ -361,3 +361,51 @@ def test_bulk_csv_writer_on_two_point_grid_with_divergent_rows():
     assert (text, rows) == reference_csv(grid, curves)
     assert text.splitlines()[1:3] == ["6.28318530718,,1,1,%,",
                                       "18.8495559215,,2,1,%,"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "coupled", "--mu", "1e200", "--t", "0"],
+    ["bound", "iho", "--Omega", "1e160", "--t", "1e160"],
+    ["bound", "ho_linear", "--lambda", "1e300", "--t", "1e10"],
+    ["bound", "displacement", "--re", "1e308", "--im", "1e308"],
+    ["figure", "fig6", "--mu-values", "1e200", "--t-min", "0", "--t-max", "1",
+     "--t-steps", "3"],
+])
+def test_overflowing_intermediate_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    extra = ["--out", str(out)] if argv[0] == "figure" else []
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: arithmetic overflow")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["figure", "fig2", "--lambda", "0.3", "--mu", "5"], "--lambda, --mu"),
+    (["figure", "fig5", "--mu-values", "1,2", "--p", "7"], "--p, --mu-values"),
+])
+def test_figure_names_every_unused_flag(argv, flags, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {argv[1]} does not take {flags}\n"
+
+
+@pytest.mark.parametrize("name", list(cli._FIGURES))
+def test_figure_rejects_flags_it_does_not_take(name, tmp_path, capsys):
+    spec, _, sweep, _ = cli._FIGURES[name]
+    swept = sweep[0] if sweep else None
+    taken = {p.name for p in spec.params} - {"t", swept}
+    sweep_lists = [f"--{s[0]}-values" for _, _, s, _ in cli._FIGURES.values() if s]
+    out = tmp_path / "f.csv"
+    rejected = [o for o, f in cli._FIGURE_OPTIONS.items() if f.name not in taken]
+    rejected += [o for o in sweep_lists if o != f"--{swept}-values"]
+    assert rejected
+    for option in rejected:
+        assert main(["figure", name, "--out", str(out), option, "1"]) == 2, option
+        assert capsys.readouterr().err == f"error: {name} does not take {option}\n"
+    assert not out.exists()
+    accepted = [a for o, f in cli._FIGURE_OPTIONS.items() if f.name in taken
+                for a in (o, repr(float(f.default)))]
+    if swept is not None:
+        accepted += [f"--{swept}-values", "1,2"]
+    assert main(["figure", name, "--out", str(out), "--t-steps", "3"] + accepted) == 0
