@@ -295,13 +295,19 @@ def norm_length(params: dict, v0: np.ndarray):
     return np.sqrt(_sum_squares(v0))
 
 
-def _reject_overflow(value, v0) -> None:
+def _reject_overflow(target: TargetSpec, value, v0) -> None:
     """Raise ``ValueError`` if a non-finite length at a regular point is an
-    overflow: an ``inf`` length, or a non-finite matched ``v0``.  What is
-    left is a ``nan`` from a finite ``v0``, a failed positivity guard."""
-    if np.isinf(value).any() or not np.isfinite(v0).all():
-        raise ValueError("arithmetic overflow: the matched v0 or the length "
-                         "is not finite")
+    overflow: an ``inf`` length, a non-finite matched ``v0``, or a
+    non-finite number among the length's ``intermediates``.  What is left
+    is a ``nan`` from finite inputs, a failed positivity guard."""
+    spec = target.spec
+    parts = [v0]
+    if spec.intermediates is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts += spec.intermediates(target.params, v0)
+    if np.isinf(value).any() or not all(np.isfinite(x).all() for x in parts):
+        raise ValueError("arithmetic overflow: the matched v0, the length or "
+                         "a number it is computed from is not finite")
 
 
 def bound(target: TargetSpec) -> BoundResult:
@@ -314,7 +320,7 @@ def bound(target: TargetSpec) -> BoundResult:
     value = spec.length(target.params, res.v0)
     caveats = [STANDARD_CAVEAT, *spec.caveats]
     if not math.isfinite(value):
-        _reject_overflow(value, res.v0)
+        _reject_overflow(target, value, res.v0)
         caveats.append(POSITIVITY_CAVEAT)
     caveats += res.notes
     extras = spec.extras(target.params, res.v0) if spec.extras else {}
@@ -364,7 +370,7 @@ def bound_curve(target: TargetSpec, t_grid) -> BoundCurve:
         value = spec.length(target.params, m.v0)
     lost = ~np.isfinite(value) & ~m.divergent
     if lost.any():
-        _reject_overflow(value[lost], m.v0[:, lost])
+        _reject_overflow(target, value[lost], m.v0[:, lost])
         caveats.append(POSITIVITY_CAVEAT)
     value[m.divergent] = math.inf
     return BoundCurve(t=t, value=value, branch=m.branch,

@@ -8,8 +8,9 @@ Subcommands
 ``algebra``  export a structure-constant table as JSON
 
 Exit codes: 0 success, 2 usage error (including a periodic reduction that
-keeps no digits), 3 divergent or ``nan`` single-point bound, 4 verification
-failure.  CSV output uses the fixed header
+keeps no digits or an arithmetic overflow), 3 divergent or ``nan``
+single-point bound, or a ``nan`` in a figure (which then writes no file),
+4 verification failure.  CSV output uses the fixed header
 ``t,value,branch,divergent`` (plus a trailing ``series`` column for the
 multi-series figures), 12 significant digits and LF line endings, so files
 regenerate byte-identically.  Rows are formatted with ``%.12g``, which gives
@@ -202,6 +203,13 @@ def cmd_figure(args) -> int:
     except (QcBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for label, curve in curves:
+        nan = np.isnan(curve.value)
+        if nan.any():
+            series = f" ({label})" if label else ""
+            print(f"error: nan bound at t={_fmt(grid[nan.argmax()])}{series}: "
+                  f"{POSITIVITY_CAVEAT}", file=sys.stderr)
+            return 3
     for c in dict.fromkeys(c for _, curve in curves for c in curve.caveats):
         if c.startswith("precision:"):
             print(f"warning: {c}", file=sys.stderr)

@@ -15,16 +15,18 @@ equations decouple into rotations.  A numeric solution is evaluated off its
 grid by a cubic Hermite interpolant through the grid states and their exact
 slopes, written in numpy (the module needs no SciPy).
 
-``solve_numeric`` and ``ClosedFormFamily.governing_rhs`` describe their
-equation as a quadratic field (a coefficient table c_IJK and weights w).
-For such a field ``integrate_rk4`` generates, once per (table, weights,
-step), a straight-line RK4 step in Python floats.  Each stage does what
-``rhs``'s ``einsum`` does, term by term and in the same order: g_K = w_K V^K,
-then the sum of (c_IJK V^J) g_K over the nonzero (J, K) in lexicographic
-order, then the division by w_I; the update is the expression of the
-generic loop.  IEEE arithmetic rounds each of these operations the same
-in numpy and in Python, so the states equal (``==``) those of the generic
-loop over ``rhs``, which stays the reference.
+``rhs``, ``solve_numeric`` and ``ClosedFormFamily.governing_rhs`` describe
+their equation as a quadratic field: a coefficient table c_IJK and weights
+w, folded into one symmetrised table S_IJK (J <= K) with
+dV^I/ds = sum_{J<=K} S_IJK V^J V^K / w_I.  For such a field
+``integrate_rk4`` generates, once per (table, weights, step), a
+straight-line RK4 step in Python floats.  Each stage does what the field's
+``einsum`` does, term by term and in the same order: the sum of
+(S_IJK V^J) V^K over the nonzero (J, K) in lexicographic order, then the
+division by w_I; the update is the expression of the generic loop.  IEEE
+arithmetic rounds each of these operations the same in numpy and in
+Python, so the states equal (``==``) those of the generic loop over
+``rhs``, which stays the reference.
 
 Every closed-form family is one :class:`TrigFamily`: the velocity is a
 fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
@@ -167,23 +169,36 @@ def rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix, V) -> np.ndarray:
         raise DimMismatch(f"state must have shape ({algebra.dim},), got {V.shape}")
     if G.dim != algebra.dim:
         raise DimMismatch(f"penalties have dim {G.dim}, algebra has {algebra.dim}")
-    w = np.einsum("ijk,j,k->i", algebra.f, V, G.weights * V)
-    return w / G.weights
+    return _field_of(algebra.f.tobytes(), G.weights.tobytes())(V)
+
+
+@functools.lru_cache(maxsize=32)
+def _field_of(table: bytes, weights: bytes) -> "_QuadraticField":
+    """The field of a (table, weights) pair, built once: the generic RK4
+    loop calls :func:`rhs` four times a step."""
+    w = np.frombuffer(weights)
+    d = len(w)
+    return _QuadraticField(np.frombuffer(table).reshape(d, d, d), w)
 
 
 class _QuadraticField:
     """The quadratic field dV_i/ds = sum_jk c_ijk V_j (w_k V_k) / w_i.
 
-    Calling it evaluates the same ``einsum`` as :func:`rhs`.
+    The field is held as one symmetrised table S with the weights folded
+    in: S_ijk = c_ijk w_k + c_ikj w_j for j < k, S_ijj = c_ijj w_j and 0 for
+    j > k, so that dV_i/ds = sum_jk S_ijk V_j V_k / w_i.  The (j, k) and
+    (k, j) terms share one product, and terms that cancel exactly (the
+    antisymmetric part under equal weights) are zeros of S.  Calling the
+    field evaluates that sum with ``einsum``, which :func:`rhs` returns;
     :func:`integrate_rk4` instead runs a generated Python-float RK4 step
     (:func:`_compile_rk4`) that rounds exactly as that ``einsum`` does.
-    The compiled step leaves out the table's zero terms, which ``einsum``
+    The compiled step leaves out the zeros of S, which ``einsum``
     multiplies out; that changes nothing while the state is finite, and
-    the first non-finite row is the same unless some w_k V_k overflows in a
-    component k that no nonzero c_ijk reads.
+    the first non-finite row is the same unless a stage state overflows in
+    a component that no nonzero S_ijk reads.
     """
 
-    __slots__ = ("c", "w")
+    __slots__ = ("S", "w")
 
     def __init__(self, c, w):
         c = np.array(c, dtype=float)
@@ -193,32 +208,44 @@ class _QuadraticField:
             raise DimMismatch(f"table {c.shape} does not fit weights {w.shape}")
         if not (np.isfinite(c).all() and np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("field coefficients must be finite, weights positive")
-        c.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = c * w
+            S = np.triu(W + W.transpose(0, 2, 1), 1)
+        diag = np.arange(d)
+        S[:, diag, diag] = W[:, diag, diag]
+        if not np.isfinite(S).all():
+            raise ValueError("field coefficients overflow: c_ijk w_k is not finite")
+        S.setflags(write=False)
         w.setflags(write=False)
-        self.c, self.w = c, w
+        self.S, self.w = S, w
 
     def __call__(self, V):
-        return np.einsum("ijk,j,k->i", self.c, V, self.w * V) / self.w
+        return np.einsum("ijk,j,k->i", self.S, V, V) / self.w
+
+    def rows(self, X):
+        """The field at each row of ``X``, shape (n, d): the compiled step's
+        terms in its order, each one numpy operation over the rows, so row
+        n equals ``self(X[n])`` (``==``)."""
+        X = np.ascontiguousarray(X.T)
+        out = np.zeros(X.shape)
+        for i, j, k in zip(*np.nonzero(self.S)):
+            out[i] += self.S[i, j, k] * X[j] * X[k]
+        return (out / self.w[:, None]).T
 
 
-def _stage_source(c, w, u, out):
+def _stage_source(S, w, u, out):
     """Lines computing ``out_i`` = field(u)_i with the rounding of ``rhs``.
 
-    ``einsum`` forms g_k = w_k u_k, sums (c_ijk u_j) g_k over (j, k) in
-    lexicographic order from 0.0 and divides by w_i.  Zero terms, products
-    and quotients by 1.0, and the start from 0.0 are exact and left out;
-    (-a u) g is written -(a u g), which rounds the same.  A factor a u_j
-    or a product (a u_j) g_k that several terms share is computed once.
+    ``einsum`` sums (S_ijk u_j) u_k over (j, k) in lexicographic order from
+    0.0 and divides by w_i.  Zero terms, products and quotients by 1.0, and
+    the start from 0.0 are exact and left out; (-a u) u' is written
+    -(a u u'), which rounds the same.  A factor a u_j or a product
+    (a u_j) u_k that several terms share is computed once.
     """
     d = len(w)
     w = w.tolist()
     lines = []
-    g = list(u)
-    for k in range(d):
-        if w[k] != 1.0:
-            g[k] = f"g{k}"
-            lines.append(f"g{k} = {w[k]!r}*{u[k]}")
-    terms = [(i, j, k, float(c[i, j, k])) for i, j, k in zip(*np.nonzero(c))]
+    terms = [(i, j, k, float(S[i, j, k])) for i, j, k in zip(*np.nonzero(S))]
     uses = Counter((abs(coef), j, k) for _, j, k, coef in terms)
     uses.update((a, j) for a, j, _ in list(uses) if a != 1.0)
     shared = {}
@@ -235,7 +262,7 @@ def _stage_source(c, w, u, out):
     for i, j, k, coef in terms:
         a = abs(coef)
         factor = u[j] if a == 1.0 else share((a, j), f"{a!r}*{u[j]}")
-        term = share((a, j, k), f"{factor}*{g[k]}")
+        term = share((a, j, k), f"{factor}*{u[k]}")
         if sums[i]:
             sums[i] += f" {'-' if coef < 0 else '+'} {term}"
         else:
@@ -262,14 +289,14 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
     """
     w = np.frombuffer(weights)
     d = len(w)
-    c = np.frombuffer(table).reshape(d, d, d)
+    S = np.frombuffer(table).reshape(d, d, d)
     half, sixth = 0.5 * hs, hs / 6.0
     v = [f"v{i}" for i in range(d)]
-    body = _stage_source(c, w, v, "a")
+    body = _stage_source(S, w, v, "a")
     for prev, scale, u, out in (("a", half, "p", "b"), ("b", half, "q", "e"),
                                 ("e", hs, "r", "k")):
         body += [f"{u}{i} = v{i} + {scale!r}*{prev}{i}" for i in range(d)]
-        body += _stage_source(c, w, [f"{u}{i}" for i in range(d)], out)
+        body += _stage_source(S, w, [f"{u}{i}" for i in range(d)], out)
     body += [f"v{i} = v{i} + {sixth!r}*(a{i} + 2.0*(b{i} + e{i}) + k{i})"
              for i in range(d)]
     state = ", ".join(v) + ","
@@ -292,7 +319,7 @@ def _integrate_field(field: _QuadraticField, states, grid, hs: float) -> None:
     if states.shape[1] != len(field.w):
         raise DimMismatch(
             f"state has dim {states.shape[1]}, field has {len(field.w)}")
-    rows = _compile_rk4(field.c.tobytes(), field.w.tobytes(), hs)
+    rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), hs)
     state = tuple(states[0].tolist())
     n = len(states) - 1
     for start in range(1, n + 1, _CHUNK_ROWS):
@@ -307,19 +334,28 @@ def _integrate_field(field: _QuadraticField, states, grid, hs: float) -> None:
         state = chunk[-1]
 
 
+def _check_finite(v0: np.ndarray) -> None:
+    if not np.isfinite(v0).all():
+        raise ValueError(f"v0 must be finite, got {v0}")
+
+
 def integrate_rk4(fn, v0, h: float):
     """Classical fixed-step RK4 on s in [0, 1]; returns (s_grid, states).
 
     A quadratic field (``solve_numeric``, ``ClosedFormFamily.governing_rhs``)
     runs its compiled step; any other callable runs the loop below, which
-    gives the same states for the same field.
+    gives the same states for the same field.  ``h`` must satisfy
+    0 < h <= ``MAX_STEP``, and ``v0`` must be finite (``ValueError``).
     """
-    n = max(1, int(round(1.0 / h)))
+    if not (0 < h <= MAX_STEP):
+        raise ValueError(f"step size must satisfy 0 < h <= {MAX_STEP}, got {h!r}")
+    V = np.array(v0, dtype=float)
+    _check_finite(V)
+    n = int(round(1.0 / h))
     hs = 1.0 / n
     half, sixth = 0.5 * hs, hs / 6.0
     grid = np.linspace(0.0, 1.0, n + 1)
-    states = np.empty((n + 1, len(v0)))
-    V = np.asarray(v0, dtype=float).copy()
+    states = np.empty((n + 1, len(V)))
     states[0] = V
     if isinstance(fn, _QuadraticField):
         _integrate_field(fn, states, grid, hs)
@@ -374,19 +410,16 @@ def solve_numeric(
     interpolates with a cubic Hermite spline through the exact slopes
     (:func:`_grid_interpolator`).
     """
-    if not (0 < h <= MAX_STEP):
-        raise ValueError(f"step size must satisfy 0 < h <= {MAX_STEP}")
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (algebra.dim,):
         raise DimMismatch(f"v0 must have shape ({algebra.dim},), got {v0.shape}")
-    grid, states = integrate_rk4(_QuadraticField(algebra.f, G.weights), v0, h)
-    W = algebra.f * G.weights[None, None, :]
-    derivs = np.einsum("ijk,nj,nk->ni", W, states, states) / G.weights[None, :]
+    field = _QuadraticField(algebra.f, G.weights)
+    grid, states = integrate_rk4(field, v0, h)
     return VelocitySolution(
         algebra=algebra.name,
         v0=v0,
         kind=f"numeric(h={h:g})",
-        evaluator=_grid_interpolator(grid, states, derivs),
+        evaluator=_grid_interpolator(grid, states, field.rows(states)),
         penalties=G,
         constant_speed=False,
         grid=grid,
@@ -539,6 +572,7 @@ def solve_closed_form(family: ClosedFormFamily, v0,
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (dim,):
         raise FamilyMismatch(f"{family.tag} needs v0 of shape ({dim},), got {v0.shape}")
+    _check_finite(v0)
     if G is None:
         G = PenaltyMatrix.diagonal(defaults)
     if G.dim != dim:

@@ -339,6 +339,22 @@ def test_overflowing_length_raises():
         qb.bound(qb.TargetSpec.displacement(1e308 + 1e308j))
 
 
+@pytest.mark.parametrize("lam", [
+    1e200,      # A, B and C overflow to nan, nan and -inf
+    pytest.param(   # A, B and C are finite, A + sqrt(B^2 + C^2) is not
+        5.6e152, marks=pytest.mark.filterwarnings("ignore:invalid value")),
+])
+def test_cubic_integrand_overflow_raises_in_bound_and_bound_curve(lam):
+    # the matched v0 is finite: the nan length used to pass as a failed
+    # positivity guard, and the curve wrote it as a pole
+    target = qb.TargetSpec.anharm_cubic(1.0, lam, 1.0)
+    assert np.isfinite(qb.match(target).v0).all()
+    with pytest.raises(ValueError, match="arithmetic overflow"):
+        qb.bound(target)
+    with pytest.raises(ValueError, match="arithmetic overflow"):
+        qb.bound_curve(target, np.array([0.5, 0.75, 1.0]))
+
+
 def test_nan_length_from_finite_v0_keeps_the_positivity_caveat(monkeypatch):
     spec = qb.systems.SYSTEMS["anharm_cubic"]
     monkeypatch.setitem(qb.systems.SYSTEMS, "anharm_cubic",

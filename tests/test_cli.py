@@ -221,6 +221,20 @@ def test_nan_bound_never_exits_zero(monkeypatch, capsys):
     assert f"# {qb.bounds.POSITIVITY_CAVEAT}" in out
 
 
+def test_nan_figure_value_is_not_written_as_a_pole(monkeypatch, tmp_path, capsys):
+    spec = qb.systems.SYSTEMS["anharm_cubic"]
+    monkeypatch.setitem(qb.systems.SYSTEMS, "anharm_cubic",
+                        spec._replace(length=lambda p, v0: v0[0] * math.nan))
+    out = tmp_path / "fig7.csv"
+    assert main(["figure", "fig7", "--out", str(out), "--t-min", "0.5",
+                 "--t-max", "1", "--t-steps", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: nan bound at t=0.5: "
+                            f"{qb.bounds.POSITIVITY_CAVEAT}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_algebra_export(capsys):
     code = main(["algebra", "export", "ho4"])
     out = capsys.readouterr().out
@@ -369,6 +383,9 @@ def test_bulk_csv_writer_on_two_point_grid_with_divergent_rows():
     ["bound", "ho_linear", "--lambda", "1e300", "--t", "1e10"],
     ["bound", "displacement", "--re", "1e308", "--im", "1e308"],
     ["figure", "fig6", "--mu-values", "1e200", "--t-min", "0", "--t-max", "1",
+     "--t-steps", "3"],
+    ["bound", "anharm", "--t", "1", "--lambda", "1e200"],
+    ["figure", "fig7", "--lambda", "1e200", "--t-min", "0.5", "--t-max", "1",
      "--t-steps", "3"],
 ])
 def test_overflowing_intermediate_is_a_usage_error(argv, tmp_path, capsys):

@@ -126,6 +126,27 @@ def test_step_size_validation():
         qb.solve_numeric(alg, qb.PenaltyMatrix.identity(3), np.zeros(3), h=0.5)
 
 
+@pytest.mark.parametrize("h", [-0.01, 0.0, 0.7, 2.0, np.inf, np.nan])
+def test_integrate_rk4_rejects_step_sizes_outside_the_range(h):
+    # each used to become one step of size 1, a ZeroDivisionError or a
+    # float-to-int conversion error
+    with pytest.raises(ValueError, match="step size"):
+        integrate_rk4(lambda V: V, [1.0], h)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda v0: qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"), v0),
+    lambda v0: qb.solve_numeric(qb.builtin("sp2_J"), qb.PenaltyMatrix.identity(3),
+                                v0),
+    lambda v0: integrate_rk4(lambda V: V, v0, DEFAULT_STEP),
+], ids=["solve_closed_form", "solve_numeric", "integrate_rk4"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_v0_is_an_input_error(solve, bad):
+    # not a nan velocity, nor a blow-up at the first step
+    with pytest.raises(ValueError, match="v0 must be finite"):
+        solve([0.1, bad, 0.3])
+
+
 # an input on which a kernel with other rounding than rhs drifted 1.4e-13
 # from the reference states within 100 steps
 SP4_T10_DRIFT_EXAMPLE = dict(
@@ -210,6 +231,46 @@ def test_compiled_blowup_reports_the_generic_loop_s():
         rows.append(round(fast.value.s_reached * 1000))
     # the first non-finite row is found inside a chunk, not only at its end
     assert any((row - 1) % _CHUNK_ROWS not in (0, _CHUNK_ROWS - 1) for row in rows)
+
+
+@pytest.mark.parametrize("name", qb.builtin_names())
+def test_symmetric_table_is_the_unsymmetrised_field(name):
+    # sum_jk S_ijk V_j V_k / w_i against sum_jk c_ijk V_j (w_k V_k) / w_i,
+    # to a few ulp of the largest term (plus a floor for subnormal terms)
+    alg = qb.builtin(name)
+
+    @settings(max_examples=25, deadline=None)
+    @given(V=st.lists(st.floats(-2.0, 2.0), min_size=alg.dim, max_size=alg.dim),
+           w=st.lists(st.floats(0.2, 5.0), min_size=alg.dim, max_size=alg.dim))
+    def check(V, w):
+        V, w = np.array(V), np.array(w)
+        terms = alg.f * V[:, None] * (w * V)
+        largest = np.abs(terms).max(axis=(1, 2)) / w
+        err = np.abs(_QuadraticField(alg.f, w)(V) - terms.sum(axis=(1, 2)) / w)
+        assert (err <= 16 * np.finfo(float).eps * largest + 64 * 5e-324).all()
+
+    check()
+
+
+@pytest.mark.parametrize("name", qb.builtin_names())
+def test_field_rows_equal_the_field_at_each_row(name):
+    # the Hermite slopes of solve_numeric are the field at each grid state
+    alg = qb.builtin(name)
+    rng = np.random.default_rng(len(name))
+    field = _QuadraticField(alg.f, rng.uniform(0.2, 5.0, alg.dim))
+    X = rng.uniform(-2.0, 2.0, (50, alg.dim))
+    assert np.array_equal(field.rows(X), [field(x) for x in X])
+
+
+@pytest.mark.parametrize("name,weights,count", [
+    ("sp2_J", [1.0, 1.0, 1.0], 2),       # 6 structure constants
+    ("sp2_J", [2.5, 2.5, 2.5], 2),
+    ("sp4_T10", [1.0] * 10, 38),         # 84 structure constants
+])
+def test_symmetric_table_drops_cancelling_terms(name, weights, count):
+    field = _QuadraticField(qb.builtin(name).f, weights)
+    assert np.count_nonzero(field.S) == count
+    assert not np.tril(field.S, -1).any()
 
 
 def test_field_rejects_non_finite_or_mismatched_tables():
