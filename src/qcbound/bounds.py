@@ -217,7 +217,8 @@ def anharm_length(v0, g11: float, p: float):
     Uses A + B cos x + C sin x = A + R sin(x + phi) with sin(phi) = B/R and
     the antiderivative of sqrt(a + b sin y) in terms of the incomplete
     elliptic integral of the second kind.  Requires A > R for a real
-    integrand; returns ``nan`` when that positivity guard fails.  ``v0`` of
+    integrand; returns ``nan`` when that positivity guard fails, and ``inf``
+    when A + R is not finite (an overflow of the coefficients).  ``v0`` of
     shape (5, n) gives an array, equal element by element to the scalar
     form (masks replace the early returns).
     """
@@ -233,6 +234,8 @@ def anharm_length(v0, g11: float, p: float):
         return math.sqrt((A + B) / 2.0)
     if R == 0.0:
         return math.sqrt(A / 2.0)
+    if not math.isfinite(A + R):
+        return math.inf
     return _elliptic_length(v1, A, R, math.atan2(B, C), math.sqrt(A + R))
 
 
@@ -244,7 +247,11 @@ def _anharm_length_array(v1, A, B, C):
     out[frozen] = np.sqrt((A[frozen] + B[frozen]) / 2.0)
     flat = live & ~frozen & (R == 0.0)
     out[flat] = np.sqrt(A[flat] / 2.0)
-    k = live & ~frozen & ~flat
+    rest = live & ~frozen & ~flat
+    with np.errstate(over="ignore", invalid="ignore"):
+        over = rest & ~np.isfinite(A + R)
+    out[over] = math.inf
+    k = rest & ~over
     A, B, C, R = A[k], B[k], C[k], R[k]
     out[k] = _elliptic_length(v1[k], A, R, apply_math(math.atan2, B, C),
                               np.sqrt(A + R))
@@ -295,19 +302,13 @@ def norm_length(params: dict, v0: np.ndarray):
     return np.sqrt(_sum_squares(v0))
 
 
-def _reject_overflow(target: TargetSpec, value, v0) -> None:
+def _reject_overflow(value, v0) -> None:
     """Raise ``ValueError`` if a non-finite length at a regular point is an
-    overflow: an ``inf`` length, a non-finite matched ``v0``, or a
-    non-finite number among the length's ``intermediates``.  What is left
-    is a ``nan`` from finite inputs, a failed positivity guard."""
-    spec = target.spec
-    parts = [v0]
-    if spec.intermediates is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            parts += spec.intermediates(target.params, v0)
-    if np.isinf(value).any() or not all(np.isfinite(x).all() for x in parts):
-        raise ValueError("arithmetic overflow: the matched v0, the length or "
-                         "a number it is computed from is not finite")
+    overflow: an ``inf`` length, or a non-finite matched ``v0``.  What is
+    left is a ``nan`` from a finite ``v0``, a failed positivity guard."""
+    if np.isinf(value).any() or not np.isfinite(v0).all():
+        raise ValueError("arithmetic overflow: the matched v0 or the length "
+                         "is not finite")
 
 
 def bound(target: TargetSpec) -> BoundResult:
@@ -320,7 +321,7 @@ def bound(target: TargetSpec) -> BoundResult:
     value = spec.length(target.params, res.v0)
     caveats = [STANDARD_CAVEAT, *spec.caveats]
     if not math.isfinite(value):
-        _reject_overflow(target, value, res.v0)
+        _reject_overflow(value, res.v0)
         caveats.append(POSITIVITY_CAVEAT)
     caveats += res.notes
     extras = spec.extras(target.params, res.v0) if spec.extras else {}
@@ -370,7 +371,7 @@ def bound_curve(target: TargetSpec, t_grid) -> BoundCurve:
         value = spec.length(target.params, m.v0)
     lost = ~np.isfinite(value) & ~m.divergent
     if lost.any():
-        _reject_overflow(target, value[lost], m.v0[:, lost])
+        _reject_overflow(value[lost], m.v0[:, lost])
         caveats.append(POSITIVITY_CAVEAT)
     value[m.divergent] = math.inf
     return BoundCurve(t=t, value=value, branch=m.branch,

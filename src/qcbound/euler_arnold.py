@@ -169,16 +169,7 @@ def rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix, V) -> np.ndarray:
         raise DimMismatch(f"state must have shape ({algebra.dim},), got {V.shape}")
     if G.dim != algebra.dim:
         raise DimMismatch(f"penalties have dim {G.dim}, algebra has {algebra.dim}")
-    return _field_of(algebra.f.tobytes(), G.weights.tobytes())(V)
-
-
-@functools.lru_cache(maxsize=32)
-def _field_of(table: bytes, weights: bytes) -> "_QuadraticField":
-    """The field of a (table, weights) pair, built once: the generic RK4
-    loop calls :func:`rhs` four times a step."""
-    w = np.frombuffer(weights)
-    d = len(w)
-    return _QuadraticField(np.frombuffer(table).reshape(d, d, d), w)
+    return _QuadraticField(algebra.f, G.weights)(V)
 
 
 class _QuadraticField:

@@ -66,8 +66,6 @@ class SystemSpec(NamedTuple):
     caveats: tuple[str, ...] = ()
     length: Callable = norm_length
     extras: Callable[[dict, np.ndarray], dict] | None = None
-    # numbers the length computes from v0: a non-finite one is an overflow
-    intermediates: Callable[[dict, np.ndarray], tuple] | None = None
     check: Callable[[dict], None] | None = None
     sign_symmetric: bool = False   # coefficients are matched up to a sign
     flags: tuple[Param, ...] = ()  # CLI options, when not the parameters
@@ -292,12 +290,6 @@ def _anharm_cubic(p, notes):
     return v0, branch, poles, [_NOTE_CUBIC]
 
 
-def _anharm_intermediates(p, v0):
-    """The integrand coefficients (A, B, C) and A + sqrt(B^2 + C^2)."""
-    A, B, C = anharm_integrand_coeffs(v0, p["g11"], p["p"])
-    return A, B, C, A + np.hypot(B, C)
-
-
 ANHARM_CUBIC = SystemSpec(
     "anharm_cubic", "oscillator plus cubic position term",
     (_OMEGA, _LAM, _T,
@@ -307,7 +299,6 @@ ANHARM_CUBIC = SystemSpec(
     "anharm_p", ("p",), "anharm_elliptic", _anharm_cubic,
     lambda p: [_wrap(p["omega"] * p["t"]), p["lam"] * p["t"], 0.0, 0.0, 0.0],
     length=lambda p, v0: anharm_length(v0, p["g11"], p["p"]),
-    intermediates=_anharm_intermediates,
     extras=lambda p, v0: dict(zip("ABC", anharm_integrand_coeffs(
         v0, p["g11"], p["p"]))))
 
