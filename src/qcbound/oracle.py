@@ -13,11 +13,14 @@ truncation edge, so every check is restricted to an interior block.
 
 The path-ordered exponential is approximated by a midpoint product of
 short-time exponentials, and the right-invariant line element is evaluated
-directly from its trace form.  The product is blocked: each block of about
-128 KiB of factors is exponentiated at once by a scaled Taylor polynomial
-and multiplied in a log-depth pairwise tree, so its cost is a few array
+directly from its trace form.  The product runs in real arithmetic: each
+generator -i M with M = X + iY enters as its real 2n x 2n form
+[[X, -Y], [Y, X]], and the running product U is carried as the 2n x n block
+column [Re U; Im U].  The product is blocked: each block of about 128 KiB of
+real factors is exponentiated at once by a scaled Taylor polynomial and
+multiplied in a log-depth pairwise tree, so its cost is a few real array
 operations per block and its memory is bounded whatever the step count.
-The same Taylor exponential serves the single exponentials of
+The same Taylor exponential serves the single (complex) exponentials of
 :func:`exponential_of_coefficients` and :func:`random_group_element`, so
 the module needs numpy only.
 """
@@ -25,6 +28,7 @@ the module needs numpy only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,29 +212,37 @@ def commutator_closure_residual(rep) -> float:
     the interior block; for truncated algebras the open pairs are skipped.
     """
     alg = builtin(rep.algebra)
-    mats = rep.matrices
-    open_set = {frozenset(p) for p in alg.open_pairs}
-    clip = rep.interior_block if isinstance(rep, TruncatedFockRep) else (lambda M: M)
-    worst = 0.0
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if frozenset((i, j)) in open_set:
-                continue
-            want = 1j * sum(alg.f[i, j, k] * mats[k] for k in range(alg.dim))
-            got = mats[i] @ mats[j] - mats[j] @ mats[i]
-            worst = max(worst, float(np.max(np.abs(clip(got - want)))))
-    return worst
+    mats = np.stack(rep.matrices)
+    d, n = len(mats), mats.shape[-1]
+    # d^2 small n x n products rather than one (dn x n)(n x dn) product,
+    # which BLAS would split over threads
+    prods = mats[:, None] @ mats[None, :]
+    want = 1j * (alg.f @ mats.reshape(d, n * n)).reshape(d, d, n, n)
+    defect = prods - prods.swapaxes(0, 1) - want
+    if isinstance(rep, TruncatedFockRep):
+        k = rep.levels - rep.interior
+        defect = defect[..., :k, :k]
+    worst = np.max(np.abs(defect), axis=(-2, -1))
+    for i, j in alg.open_pairs:
+        worst[i, j] = worst[j, i] = 0.0
+    return float(np.max(worst))
 
 
-# Product blocks hold about this many bytes of complex factors, so memory
+# Product blocks hold about this many bytes of real factors, so memory
 # stays bounded for large (Fock) representations whatever the step count.
 _BLOCK_BYTES = 128 * 1024
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _block_length(n: int) -> int:
-    """Number of n x n complex factors in one product block."""
-    return max(1, _BLOCK_BYTES // (16 * n * n))
+    """Number of real 2n x 2n factors in one product block of an n x n rep."""
+    return max(1, _BLOCK_BYTES // (8 * (2 * n) ** 2))
+
+
+def _real_form(M: np.ndarray) -> np.ndarray:
+    """[[X, -Y], [Y, X]] for M = X + iY, for one matrix or a stack."""
+    X, Y = M.real, M.imag
+    return np.block([[X, -Y], [Y, X]])
 
 
 def _expm_taylor(A: np.ndarray) -> np.ndarray:
@@ -254,8 +266,11 @@ def _expm_taylor(A: np.ndarray) -> np.ndarray:
         degree += 1
         term *= theta / (degree + 1)
     eye = np.eye(A.shape[-1], dtype=A.dtype)
-    P = np.broadcast_to(eye, A.shape).copy()
-    for j in range(degree, 0, -1):       # Horner: I + A/1 (I + A/2 (I + ...))
+    if degree == 0:
+        P = np.broadcast_to(eye, A.shape).copy()
+    else:                                # the innermost term A I is A
+        P = A / degree + eye
+    for j in range(degree - 1, 0, -1):   # Horner: I + A/1 (I + A/2 (I + ...))
         P = A @ P
         P /= j
         P += eye
@@ -281,18 +296,20 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     already-accumulated evolution); velocities are sampled at interval
     midpoints, which keeps the splitting error second order in the step.
 
-    The factors are formed and multiplied a block at a time: one contraction
-    builds a block's generators, one batched Taylor exponential gives its
-    factors and a pairwise tree multiplies them, and the block products are
-    chained in order.  A block whose product is not finite is replayed one
+    The product is taken in the real 2n x 2n form and returned as a complex
+    n x n matrix.  The factors are formed and multiplied a block at a time:
+    one matrix product builds a block's generators, one batched Taylor
+    exponential gives its factors and a pairwise tree multiplies them, and
+    the block products are chained in order onto the block column
+    [Re U; Im U].  A block whose product is not finite is replayed one
     factor at a time, so ``NumericBlowup.s_reached`` is the first midpoint
     at which the running product stops being finite.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _step_count(steps)
     mats = np.stack(rep.matrices)
     n = mats.shape[-1]
-    U = np.eye(n, dtype=complex)
+    gens = _real_form(-1j * mats).reshape(len(mats), -1)
+    U = np.eye(2 * n, n)
     ds = 1.0 / steps
     s_mid = (np.arange(steps) + 0.5) * ds
     V = np.atleast_2d(sol(s_mid))
@@ -300,12 +317,23 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     # overflow is detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, block):
-            A = np.einsum("ki,ijl->kjl", V[lo:lo + block], mats) * (-1j * ds)
+            A = ((V[lo:lo + block] * ds) @ gens).reshape(-1, 2 * n, 2 * n)
             U_next = _ordered_product(_expm_taylor(A)) @ U
             if not np.all(np.isfinite(U_next)):
                 U_next = _replay(A, U, s_mid[lo:lo + block])
             U = U_next
-    return U
+    return U[:n] + 1j * U[n:]
+
+
+def _step_count(steps) -> int:
+    """``steps`` as an int >= 1; a bool, a float or a non-number is refused."""
+    try:
+        count = operator.index(steps)
+    except TypeError:
+        count = 0
+    if isinstance(steps, bool) or count < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    return count
 
 
 def _replay(A: np.ndarray, U: np.ndarray, s_mid: np.ndarray) -> np.ndarray:
@@ -334,6 +362,8 @@ def spectrum_period_check(rep: TruncatedFockRep, omega: float,
     """
     if rep.levels < 8:
         raise ValueError("need at least 8 levels for a spectrum check")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     H = rep.matrices[rep.hamiltonian_index]
     k = rep.levels - rep.interior
     eigs = np.linalg.eigvalsh(rep.interior_block(H)[:k, :k])

@@ -89,8 +89,13 @@ def test_path_ordered_unitary_on_hermitian_rep():
 def test_path_ordered_step_validation():
     rep = qb.matrix_rep("sp2_J")
     sol = qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"), np.zeros(3))
-    with pytest.raises(ValueError):
-        qb.path_ordered_exponential(rep, sol, steps=0)
+    for steps in (0, -3, 2.5, 4.0, math.inf, math.nan, True, np.float64(8.0),
+                  "8", None):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            qb.path_ordered_exponential(rep, sol, steps=steps)
+    # an integer of another type is taken as it is
+    assert np.array_equal(qb.path_ordered_exponential(rep, sol, steps=np.int64(7)),
+                          np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +106,13 @@ def test_spectrum_period_is_four_pi():
     rep = qb.fock_rep("sp2_J", levels=16)
     assert qb.spectrum_period_check(rep, omega=1.0) == pytest.approx(4 * PI)
     assert qb.spectrum_period_check(rep, omega=2.0) == pytest.approx(2 * PI)
+
+
+@pytest.mark.parametrize("omega", [-1.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_spectrum_period_rejects_bad_omega(omega):
+    rep = qb.fock_rep("sp2_J", levels=16)
+    with pytest.raises(ValueError, match="omega must be finite and > 0"):
+        qb.spectrum_period_check(rep, omega=omega)
 
 
 def test_interior_spectrum_is_half_integer():
@@ -219,11 +231,14 @@ def _numeric_sol(alg_name):
 BATCH_CASES = {
     "sp2_J": (qb.matrix_rep("sp2_J"), lambda v0: qb.solve_closed_form(
         ClosedFormFamily("sp2_J_equal_penalty"), v0)),
+    "sp2_K": (qb.matrix_rep("sp2_K"), _numeric_sol("sp2_K")),
     "coupled_M4": (qb.matrix_rep("coupled_M4"), lambda v0: qb.solve_closed_form(
         ClosedFormFamily("coupled_pq", q=1.0, p=10.0), v0)),
     "sp4_T10": (qb.matrix_rep("sp4_T10"), _numeric_sol("sp4_T10")),
     "fock_ho4": (qb.fock_rep("ho4", levels=16), lambda v0: qb.solve_closed_form(
         ClosedFormFamily("ho4_equal_penalty"), v0)),
+    "fock_sp2_J": (qb.fock_rep("sp2_J", levels=16), lambda v0: qb.solve_closed_form(
+        ClosedFormFamily("sp2_J_equal_penalty"), v0)),
 }
 
 
@@ -236,6 +251,7 @@ def _step_cases(rep):
 def test_batched_product_matches_serial_reference(name):
     rep, make_sol = BATCH_CASES[name]
     n_gen = len(rep.matrices)
+    n = rep.matrices[0].shape[0]
 
     @settings(max_examples=4, deadline=None)
     @given(v0=st.lists(st.floats(-2.0, 2.0), min_size=n_gen, max_size=n_gen))
@@ -244,7 +260,9 @@ def test_batched_product_matches_serial_reference(name):
         for steps in _step_cases(rep):
             want, _ = serial_path_ordered(rep, sol, steps)
             got = qb.path_ordered_exponential(rep, sol, steps=steps)
+            assert got.dtype == np.complex128 and got.shape == (n, n)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(qb.path_ordered_exponential(rep, sol, steps=steps), got)
 
     check()
 
@@ -271,12 +289,15 @@ def test_batched_product_unimodular():
 # blow-up: the first non-finite midpoint is reported
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("v1,steps", [
-    (2000.0, 4000),    # block 0's own product overflows
-    (1000.0, 4000),    # block 1 is finite alone, overflows when chained
-    (2000.0, 2049),    # two blocks, overflow inside the first
+@pytest.mark.parametrize("v1,steps,first_bad_block", [
+    # block 0's own product overflows
+    pytest.param(2000.0, 2049, 0, id="2000.0-2049"),
+    # block 1 is finite alone, overflows when chained
+    pytest.param(2000.0, 4000, 1, id="2000.0-4000"),
+    # two finite blocks are chained before it
+    pytest.param(1000.0, 4000, 2, id="1000.0-4000"),
 ])
-def test_blowup_reports_first_non_finite_midpoint(v1, steps):
+def test_blowup_reports_first_non_finite_midpoint(v1, steps, first_bad_block):
     # constant hyperbolic velocity along J1: U(s) = exp(v1 s sigma_x)
     rep = qb.matrix_rep("sp2_J")
     sol = qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"),
@@ -284,7 +305,8 @@ def test_blowup_reports_first_non_finite_midpoint(v1, steps):
     _, s_want = serial_path_ordered(rep, sol, steps)
     assert s_want is not None
     k = round(s_want * steps - 0.5)
-    assert k % oracle._block_length(2) != 0       # overflow starts mid-block
+    block, offset = divmod(k, oracle._block_length(2))
+    assert block == first_bad_block and offset != 0     # starts mid-block
     with pytest.raises(qb.NumericBlowup) as info:
         qb.path_ordered_exponential(rep, sol, steps=steps)
     assert info.value.s_reached == s_want
