@@ -298,12 +298,13 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
 
     The product is taken in the real 2n x 2n form and returned as a complex
     n x n matrix.  The factors are formed and multiplied a block at a time:
-    one matrix product builds a block's generators, one batched Taylor
-    exponential gives its factors and a pairwise tree multiplies them, and
-    the block products are chained in order onto the block column
-    [Re U; Im U].  A block whose product is not finite is replayed one
-    factor at a time, so ``NumericBlowup.s_reached`` is the first midpoint
-    at which the running product stops being finite.
+    the velocity is sampled at the block's midpoints, one matrix product
+    builds the block's generators, one batched Taylor exponential gives its
+    factors and a pairwise tree multiplies them, and the block products are
+    chained in order onto the block column [Re U; Im U].  A block whose
+    product is not finite is replayed one factor at a time, so
+    ``NumericBlowup.s_reached`` is the first midpoint at which the running
+    product stops being finite.
     """
     steps = _step_count(steps)
     mats = np.stack(rep.matrices)
@@ -311,16 +312,16 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     gens = _real_form(-1j * mats).reshape(len(mats), -1)
     U = np.eye(2 * n, n)
     ds = 1.0 / steps
-    s_mid = (np.arange(steps) + 0.5) * ds
-    V = np.atleast_2d(sol(s_mid))
     block = _block_length(n)
     # overflow is detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, block):
-            A = ((V[lo:lo + block] * ds) @ gens).reshape(-1, 2 * n, 2 * n)
+            s_mid = (np.arange(lo, min(lo + block, steps)) + 0.5) * ds
+            V = np.atleast_2d(sol(s_mid))
+            A = ((V * ds) @ gens).reshape(-1, 2 * n, 2 * n)
             U_next = _ordered_product(_expm_taylor(A)) @ U
             if not np.all(np.isfinite(U_next)):
-                U_next = _replay(A, U, s_mid[lo:lo + block])
+                U_next = _replay(A, U, s_mid)
             U = U_next
     return U[:n] + 1j * U[n:]
 

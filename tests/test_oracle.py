@@ -1,6 +1,7 @@
 """Matrix-level verification of the algebraic machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,20 @@ def test_zero_velocity_gives_identity_across_blocks(name):
     for steps in _step_cases(rep):
         U = qb.path_ordered_exponential(rep, sol, steps=steps)
         assert np.array_equal(U, np.eye(n))
+
+
+def test_product_memory_does_not_grow_with_steps():
+    # velocities are sampled a block at a time, so 400k steps need no more
+    # memory than a few blocks
+    rep, make_sol = BATCH_CASES["sp2_J"]
+    sol = make_sol(np.array([0.3, -0.2, 0.5]))
+    tracemalloc.start()
+    try:
+        qb.path_ordered_exponential(rep, sol, steps=400_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * oracle._BLOCK_BYTES
 
 
 def test_batched_product_unimodular():
