@@ -26,7 +26,13 @@ straight-line RK4 step in Python floats.  Each stage does what the field's
 division by w_I; the update is the expression of the generic loop.  IEEE
 arithmetic rounds each of these operations the same in numpy and in
 Python, so the states equal (``==``) those of the generic loop over
-``rhs``, which stays the reference.
+``rhs``, which stays the reference.  A conserved component (S_I all zero,
+e.g. V^E and V^H of ``ho4``) gets no stage, stage input or update, since
+each would add 0.0 to its state; the stages read the state itself, and
+products of conserved components alone are computed once per call.  The
+only trace of this is the sign of a zero: the generic loop can turn a
+conserved -0.0 into 0.0, the compiled step keeps it.  Each chunk of rows
+comes back as one flat list of floats, read by ``np.fromiter``.
 
 Every closed-form family is one :class:`TrigFamily`: the velocity is a
 fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
@@ -186,7 +192,11 @@ class _QuadraticField:
     The compiled step leaves out the zeros of S, which ``einsum``
     multiplies out; that changes nothing while the state is finite, and
     the first non-finite row is the same unless a stage state overflows in
-    a component that no nonzero S_ijk reads.
+    a component that no nonzero S_ijk reads.  A component i whose row S_i
+    is all zero is conserved: the compiled step carries its state through
+    unchanged (keeping the sign of a -0.0, which the generic loop may drop)
+    and computes once per call the products that read only such
+    components.
     """
 
     __slots__ = ("S", "w")
@@ -224,7 +234,7 @@ class _QuadraticField:
         return (out / self.w[:, None]).T
 
 
-def _stage_source(S, w, u, out):
+def _stage_source(S, w, u, out, conserved):
     """Lines computing ``out_i`` = field(u)_i with the rounding of ``rhs``.
 
     ``einsum`` sums (S_ijk u_j) u_k over (j, k) in lexicographic order from
@@ -232,16 +242,28 @@ def _stage_source(S, w, u, out):
     the start from 0.0 are exact and left out; (-a u) u' is written
     -(a u u'), which rounds the same.  A factor a u_j or a product
     (a u_j) u_k that several terms share is computed once.
+
+    A ``conserved`` component i (S_i all zero) gets no line: its value is
+    0.0 at every stage.  Its input u_i is the step's own state, so a factor
+    or product that reads only conserved components is the same in every
+    stage and every step; it is named ``c<n>`` and its line goes to the
+    first list returned, (invariant lines, stage lines), to run once before
+    the loop.  Its name and line are the same for every ``u``.
     """
     d = len(w)
     w = w.tolist()
-    lines = []
+    invariant, lines = [], []
     terms = [(i, j, k, float(S[i, j, k])) for i, j, k in zip(*np.nonzero(S))]
     uses = Counter((abs(coef), j, k) for _, j, k, coef in terms)
     uses.update((a, j) for a, j, _ in list(uses) if a != 1.0)
-    shared = {}
+    shared, hoisted = {}, {}
 
     def share(key, expr):
+        if conserved.issuperset(key[1:]):
+            if key not in hoisted:
+                hoisted[key] = f"c{len(hoisted)}"
+                invariant.append(f"{hoisted[key]} = {expr}")
+            return hoisted[key]
         if uses[key] < 2:
             return expr
         if key not in shared:
@@ -259,43 +281,56 @@ def _stage_source(S, w, u, out):
         else:
             sums[i] = f"-{term}" if coef < 0 else term
     for i in range(d):
-        expr = sums[i] or "0.0"
+        if i in conserved:
+            continue
+        expr = sums[i]
         if w[i] != 1.0:
             expr = f"({expr})/{w[i]!r}"
         lines.append(f"{out}{i} = {expr}")
-    return lines
+    return invariant, lines
 
 
 @functools.lru_cache(maxsize=32)
 def _compile_rk4(table: bytes, weights: bytes, hs: float):
     """Generate and compile ``rows(v, count)`` for one (table, weights, step).
 
-    ``rows`` returns the ``count`` RK4 states after the state ``v`` as a
-    list of tuples.
+    ``rows`` returns the ``count`` RK4 states after the state ``v`` as one
+    flat list, row after row.
 
     The step body is straight-line float code: four stages from
     :func:`_stage_source` and the update of :func:`integrate_rk4`'s loop,
-    written out per component.  The source holds only identifiers and the
-    reprs of finite floats, which read back as the same doubles.
+    written out per component.  A conserved component (its row of S is all
+    zero) has stage values 0.0, so its stage inputs and its update are its
+    state: the step computes no stage, stage input or update for it, the
+    stages read its state, and the products that read only conserved
+    components are computed once before the loop.  The generic loop adds
+    those zeros, which can turn a -0.0 into 0.0; the states stay ``==``.
+    The source holds only identifiers and the reprs of finite floats, which
+    read back as the same doubles.
     """
     w = np.frombuffer(weights)
     d = len(w)
     S = np.frombuffer(table).reshape(d, d, d)
+    conserved = frozenset(i for i in range(d) if not S[i].any())
+    moving = [i for i in range(d) if i not in conserved]
     half, sixth = 0.5 * hs, hs / 6.0
     v = [f"v{i}" for i in range(d)]
-    body = _stage_source(S, w, v, "a")
+    invariant, body = _stage_source(S, w, v, "a", conserved)
     for prev, scale, u, out in (("a", half, "p", "b"), ("b", half, "q", "e"),
                                 ("e", hs, "r", "k")):
-        body += [f"{u}{i} = v{i} + {scale!r}*{prev}{i}" for i in range(d)]
-        body += _stage_source(S, w, [f"{u}{i}" for i in range(d)], out)
+        body += [f"{u}{i} = v{i} + {scale!r}*{prev}{i}" for i in moving]
+        body += _stage_source(
+            S, w, [v[i] if i in conserved else f"{u}{i}" for i in range(d)],
+            out, conserved)[1]
     body += [f"v{i} = v{i} + {sixth!r}*(a{i} + 2.0*(b{i} + e{i}) + k{i})"
-             for i in range(d)]
+             for i in moving]
     state = ", ".join(v) + ","
     src = "\n".join(
-        ["def rows(v, count):", f"    {state} = v", "    out = []",
-         "    append = out.append", "    for _ in range(count):"]
+        ["def rows(v, count):", f"    {state} = v"]
+        + [f"    {line}" for line in invariant]
+        + ["    out = []", "    extend = out.extend", "    for _ in range(count):"]
         + [f"        {line}" for line in body]
-        + [f"        append(({state}))", "    return out"])
+        + [f"        extend(({state}))", "    return out"])
     namespace = {}
     exec(compile(src, f"<rk4 step, dim {d}>", "exec"), namespace)
     return namespace["rows"]
@@ -307,22 +342,22 @@ _CHUNK_ROWS = 256
 
 def _integrate_field(field: _QuadraticField, states, grid, hs: float) -> None:
     """Fill ``states[1:]`` from ``states[0]`` with the field's compiled step."""
-    if states.shape[1] != len(field.w):
-        raise DimMismatch(
-            f"state has dim {states.shape[1]}, field has {len(field.w)}")
+    d = len(field.w)
+    if states.shape[1] != d:
+        raise DimMismatch(f"state has dim {states.shape[1]}, field has {d}")
     rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), hs)
-    state = tuple(states[0].tolist())
+    state = states[0].tolist()
     n = len(states) - 1
     for start in range(1, n + 1, _CHUNK_ROWS):
         block = states[start:start + _CHUNK_ROWS]
         chunk = rows(state, len(block))
-        block[...] = chunk
+        block[...] = np.fromiter(chunk, float, block.size).reshape(block.shape)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             bad = start + int(np.argmin(finite))
             raise NumericBlowup(
                 f"non-finite state at s={grid[bad]:.6f}", s_reached=grid[bad])
-        state = chunk[-1]
+        state = chunk[-d:]
 
 
 def _check_finite(v0: np.ndarray) -> None:
@@ -336,11 +371,14 @@ def integrate_rk4(fn, v0, h: float):
     A quadratic field (``solve_numeric``, ``ClosedFormFamily.governing_rhs``)
     runs its compiled step; any other callable runs the loop below, which
     gives the same states for the same field.  ``h`` must satisfy
-    0 < h <= ``MAX_STEP``, and ``v0`` must be finite (``ValueError``).
+    0 < h <= ``MAX_STEP``, and ``v0`` must be finite (``ValueError``) and
+    1-d (``DimMismatch``).
     """
     if not (0 < h <= MAX_STEP):
         raise ValueError(f"step size must satisfy 0 < h <= {MAX_STEP}, got {h!r}")
     V = np.array(v0, dtype=float)
+    if V.ndim != 1:
+        raise DimMismatch(f"v0 must be a vector, got shape {V.shape}")
     _check_finite(V)
     n = int(round(1.0 / h))
     hs = 1.0 / n

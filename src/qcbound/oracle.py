@@ -169,10 +169,10 @@ def fock_rep(name: str, levels: int = DEFAULT_LEVELS) -> TruncatedFockRep:
 
     Supported: ``ho4`` (E, P, Q, H with H = a^dag a + 1/2), ``sp2_J`` and
     ``sp2_K`` built from single-mode quadratics, and ``anharm5`` built from
-    cubics (with a correspondingly wider excluded edge).
+    cubics (with a correspondingly wider excluded edge).  ``levels`` must be
+    an integer >= 8; a bool, a float or a non-number raises ``ValueError``.
     """
-    if levels < 8:
-        raise ValueError("need at least 8 levels")
+    levels = _whole(levels, "levels", 8)
     a = ladder(levels)
     ad = a.conj().T
     E = np.eye(levels, dtype=complex)
@@ -306,7 +306,7 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     ``NumericBlowup.s_reached`` is the first midpoint at which the running
     product stops being finite.
     """
-    steps = _step_count(steps)
+    steps = _whole(steps, "steps", 1)
     mats = np.stack(rep.matrices)
     n = mats.shape[-1]
     gens = _real_form(-1j * mats).reshape(len(mats), -1)
@@ -326,14 +326,15 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     return U[:n] + 1j * U[n:]
 
 
-def _step_count(steps) -> int:
-    """``steps`` as an int >= 1; a bool, a float or a non-number is refused."""
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``; a bool, a float or a non-number is
+    refused with ``ValueError``."""
     try:
-        count = operator.index(steps)
+        count = operator.index(value)
     except TypeError:
-        count = 0
-    if isinstance(steps, bool) or count < 1:
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+        count = least - 1
+    if isinstance(value, bool) or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return count
 
 

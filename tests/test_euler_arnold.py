@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qcbound as qb
 from qcbound.euler_arnold import (_CHUNK_ROWS, DEFAULT_STEP, ClosedFormFamily,
-                                  _QuadraticField, integrate_rk4)
+                                  _compile_rk4, _QuadraticField, integrate_rk4)
 
 RNG = np.random.default_rng(42)
 
@@ -134,6 +134,16 @@ def test_integrate_rk4_rejects_step_sizes_outside_the_range(h):
         integrate_rk4(lambda V: V, [1.0], h)
 
 
+@pytest.mark.parametrize("fn", [
+    _QuadraticField(qb.builtin("sp2_J").f, np.ones(3)), lambda V: V,
+], ids=["field", "generic"])
+@pytest.mark.parametrize("v0", [1.0, [[1.0, 2.0, 3.0]]], ids=["scalar", "row"])
+def test_integrate_rk4_rejects_v0_that_is_not_a_vector(fn, v0):
+    # used to end in "len() of unsized object" or a numpy broadcast error
+    with pytest.raises(qb.DimMismatch, match="v0 must be a vector"):
+        integrate_rk4(fn, v0, 1e-2)
+
+
 @pytest.mark.parametrize("solve", [
     lambda v0: qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"), v0),
     lambda v0: qb.solve_numeric(qb.builtin("sp2_J"), qb.PenaltyMatrix.identity(3),
@@ -231,6 +241,80 @@ def test_compiled_blowup_reports_the_generic_loop_s():
         rows.append(round(fast.value.s_reached * 1000))
     # the first non-finite row is found inside a chunk, not only at its end
     assert any((row - 1) % _CHUNK_ROWS not in (0, _CHUNK_ROWS - 1) for row in rows)
+
+
+# each closed-form family's governing field and the components it conserves
+CONSERVED = [pytest.param(fam, conserved, id=fam.tag) for fam, conserved in (
+    (ClosedFormFamily("ho4_equal_penalty"), [0, 3]),
+    (ClosedFormFamily("sp2_J_equal_penalty"), [2]),
+    (ClosedFormFamily("coupled_pq", q=1.0, p=10.0), [0, 1]),
+    (ClosedFormFamily("anharm_p", p=100.0), [0]),
+)]
+
+
+def _conserved(field):
+    return [i for i in range(len(field.w)) if not field.S[i].any()]
+
+
+@pytest.mark.parametrize("fam,conserved", CONSERVED)
+@pytest.mark.parametrize("fill", [0.0, -0.0, 0.75, -1.5, "mixed"])
+def test_compiled_step_with_conserved_components_matches_generic_loop(
+        fam, conserved, fill):
+    field = fam.governing_rhs()
+    assert _conserved(field) == conserved
+    rng = np.random.default_rng(len(fam.tag))
+    v0 = rng.uniform(-2.0, 2.0, len(field.w))
+    for n, i in enumerate(conserved):
+        v0[i] = (-0.0, 0.6)[n % 2] if fill == "mixed" else fill
+    _, got = integrate_rk4(field, v0, 1e-3)
+    _, want = integrate_rk4(lambda V: field(V), v0, 1e-3)
+    assert np.array_equal(got, want)
+    for i in conserved:
+        # the step carries the state itself: no update adds a zero to a -0.0
+        assert np.all(got[:, i] == v0[i])
+        assert np.all(np.signbit(got[:, i]) == np.signbit(v0[i]))
+
+
+@pytest.mark.parametrize("fam,conserved", CONSERVED)
+def test_compiled_step_has_no_stage_for_a_conserved_component(fam, conserved):
+    field = fam.governing_rhs()
+    rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), 1e-3)
+    names = set(rows.__code__.co_varnames)
+    moving = set(range(len(field.w))) - set(conserved)
+    for stage in "apbqerk":
+        assert {f"{stage}{i}" for i in moving} <= names
+        assert not {f"{stage}{i}" for i in conserved} & names
+
+
+def test_all_zero_table_gives_constant_states():
+    field = _QuadraticField(np.zeros((2, 2, 2)), [1.0, 1.0])
+    rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), 1e-2)
+    # the loop body is the extend alone
+    assert set(rows.__code__.co_varnames) == {"v", "count", "v0", "v1", "out",
+                                              "extend", "_"}
+    grid, states = integrate_rk4(field, [0.3, -0.0], 1e-2)
+    assert states.shape == (101, 2)
+    assert np.all(states == [0.3, 0.0]) and np.all(np.signbit(states[:, 1]))
+
+
+@pytest.mark.parametrize("entry,v0", [
+    ((0, 0, 0), [3.0, 0.5]),      # dV0 = V0^2 beside a conserved V1
+    ((0, 0, 0), [50.0, -0.0]),
+    ((0, 0, 1), [1.0, 900.0]),    # dV0 = V0 V1: the conserved V1 drives it
+    ((0, 0, 1), [-2.0, 720.0]),
+])
+def test_compiled_blowup_with_a_conserved_component(entry, v0):
+    c = np.zeros((2, 2, 2))
+    c[entry] = 1.0
+    field = _QuadraticField(c, [1.0, 1.0])
+    assert _conserved(field) == [1]
+    with pytest.raises(qb.NumericBlowup) as fast:
+        integrate_rk4(field, v0, 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(qb.NumericBlowup) as slow:
+            integrate_rk4(lambda V: field(V), v0, 1e-3)
+    assert fast.value.s_reached == slow.value.s_reached
+    assert 0.0 < fast.value.s_reached < 1.0
 
 
 @pytest.mark.parametrize("name", qb.builtin_names())

@@ -58,6 +58,21 @@ def test_unknown_rep_names():
         qb.fock_rep("sp4_T10")
 
 
+@pytest.mark.parametrize("levels", [16.5, 16.0, math.nan, math.inf, True, 7, 0, -16,
+                                    pytest.param(np.float64(16.0), id="float64"),
+                                    "16", None])
+def test_fock_rep_rejects_levels_that_are_not_an_integer_of_at_least_8(levels):
+    # 16.5 used to end in a TypeError from np.eye, nan in numpy's arange
+    with pytest.raises(ValueError, match="levels must be an integer >= 8"):
+        qb.fock_rep("ho4", levels=levels)
+
+
+def test_fock_rep_takes_an_integer_of_another_type():
+    rep = qb.fock_rep("sp2_J", levels=np.int64(12))
+    assert rep.levels == 12 and type(rep.levels) is int
+    assert rep.matrices[0].shape == (12, 12)
+
+
 # ---------------------------------------------------------------------------
 # path-ordered exponential
 # ---------------------------------------------------------------------------
