@@ -286,6 +286,29 @@ def test_compiled_step_has_no_stage_for_a_conserved_component(fam, conserved):
         assert not {f"{stage}{i}" for i in conserved} & names
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compiled_step_on_tables_with_conserved_rows(data):
+    # random 3-d tables with some rows zeroed, so that products of conserved
+    # components alone (hoisted out of the loop) occur; |v0| <= 0.01 keeps
+    # every state far from a blow-up
+    d = 3
+    coef = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0])
+    c = np.array(data.draw(st.lists(coef, min_size=d ** 3, max_size=d ** 3)))
+    c = c.reshape(d, d, d)
+    c[[data.draw(st.booleans()) for _ in range(d)]] = 0.0
+    w = data.draw(st.lists(st.sampled_from([1.0, 0.5, 2.0]), min_size=d, max_size=d))
+    small = st.sampled_from([0.0, -0.0, 0.01, -0.0075]) | st.floats(-0.01, 0.01)
+    v0 = data.draw(st.lists(small, min_size=d, max_size=d))
+    field = _QuadraticField(c, w)
+    _, got = integrate_rk4(field, v0, 1e-2)
+    _, want = integrate_rk4(lambda V: field(V), v0, 1e-2)
+    assert np.array_equal(got, want)
+    for i in _conserved(field):
+        assert np.all(got[:, i] == v0[i])
+        assert np.all(np.signbit(got[:, i]) == np.signbit(v0[i]))
+
+
 def test_all_zero_table_gives_constant_states():
     field = _QuadraticField(np.zeros((2, 2, 2)), [1.0, 1.0])
     rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), 1e-2)
