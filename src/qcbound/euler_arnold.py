@@ -50,6 +50,7 @@ mix to the integrals of those functions.  One ``_FAMILIES`` entry per tag:
 from __future__ import annotations
 
 import functools
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -75,6 +76,7 @@ __all__ = [
 
 DEFAULT_STEP = 2.0e-4
 MAX_STEP = 1.0e-2
+MIN_STEP = 1.0e-6       # at most a million steps: 8 MB of states per component
 
 
 @dataclass(frozen=True)
@@ -370,12 +372,15 @@ def integrate_rk4(fn, v0, h: float):
 
     A quadratic field (``solve_numeric``, ``ClosedFormFamily.governing_rhs``)
     runs its compiled step; any other callable runs the loop below, which
-    gives the same states for the same field.  ``h`` must satisfy
-    0 < h <= ``MAX_STEP``, and ``v0`` must be finite (``ValueError``) and
-    1-d (``DimMismatch``).
+    gives the same states for the same field.  ``h`` must be a real number
+    (not a bool) with ``MIN_STEP`` <= h <= ``MAX_STEP``, and ``v0`` must be
+    finite (``ValueError``) and 1-d (``DimMismatch``); both are checked
+    before anything is allocated.
     """
-    if not (0 < h <= MAX_STEP):
-        raise ValueError(f"step size must satisfy 0 < h <= {MAX_STEP}, got {h!r}")
+    if (isinstance(h, bool) or not isinstance(h, numbers.Real)
+            or not (MIN_STEP <= h <= MAX_STEP)):
+        raise ValueError(f"step size must be a real number with "
+                         f"{MIN_STEP} <= h <= {MAX_STEP}, got {h!r}")
     V = np.array(v0, dtype=float)
     if V.ndim != 1:
         raise DimMismatch(f"v0 must be a vector, got shape {V.shape}")

@@ -11,18 +11,25 @@ checks them against explicit matrices:
 Truncated ladder matrices violate the commutation relations near the
 truncation edge, so every check is restricted to an interior block.
 
-The path-ordered exponential is approximated by a midpoint product of
-short-time exponentials, and the right-invariant line element is evaluated
-directly from its trace form.  The product runs in real arithmetic: each
-generator -i M with M = X + iY enters as its real 2n x 2n form
-[[X, -Y], [Y, X]], and the running product U is carried as the 2n x n block
-column [Re U; Im U].  The product is blocked: each block of about 128 KiB of
-real factors is exponentiated at once by a scaled Taylor polynomial and
-multiplied in a log-depth pairwise tree, so its cost is a few real array
-operations per block and its memory is bounded whatever the step count.
-The same Taylor exponential serves the single (complex) exponentials of
+The path-ordered exponential is a product of fourth-order Magnus factors,
+one per step: exp(Omega_k) with Omega_k built from the generators at the
+step's two Gauss points and their commutator (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470 (2009) 151).  The product runs in the smallest real form
+the representation allows.  In the representation's frame T (identity by
+default) the generators are T^-1 (-i M_I) T; when all of them are exactly
+real (sp(4,R) directly, sp(2,R) in the Cayley frame) the product runs on
+those real n x n matrices and returns T U T^-1.  Otherwise each generator
+-i M with M = X + iY enters as its real 2n x 2n form [[X, -Y], [Y, X]],
+and the running product U is carried as the 2n x n block column
+[Re U; Im U].  The product is blocked: each block's factors are
+exponentiated at once by a scaled Taylor polynomial and multiplied in a
+log-depth pairwise tree, so its cost is a few real array operations per
+block and its memory is bounded whatever the step count.  The same Taylor
+exponential serves the single (complex) exponentials of
 :func:`exponential_of_coefficients` and :func:`random_group_element`, so
 the module needs numpy only.
+
+The right-invariant line element is evaluated directly from its trace form.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import builtin
-from .errors import DegenerateDirection, NotRegistered, NumericBlowup
+from .errors import DegenerateDirection, DimMismatch, NotRegistered, NumericBlowup
 from .euler_arnold import PenaltyMatrix, VelocitySolution
 
 __all__ = [
@@ -49,17 +56,23 @@ __all__ = [
     "random_group_element",
 ]
 
-DEFAULT_STEPS = 4000
+DEFAULT_STEPS = 400
 DEFAULT_LEVELS = 32
 
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Finite-dimensional matrices M_I with [M_I, M_J] = i f_IJ^K M_K."""
+    """Finite-dimensional matrices M_I with [M_I, M_J] = i f_IJ^K M_K.
+
+    ``frame`` is an invertible n x n matrix T in which the oracle's product
+    runs (None for the identity); it is chosen so that every T^-1 (-i M_I) T
+    is real.
+    """
 
     algebra: str
     dim: int
     matrices: tuple
+    frame: np.ndarray | None = None
 
     @property
     def hermitian(self) -> bool:
@@ -80,6 +93,7 @@ class TruncatedFockRep:
     matrices: tuple
     interior: int
     hamiltonian_index: int
+    frame = None        # the number basis; its -i M_I are never all real
 
     @property
     def dim(self) -> int:
@@ -100,6 +114,10 @@ def _pauli():
 def _sp2_J_matrices():
     sx, sy, sz = _pauli()
     return (1j * sx, 1j * sy, sz)
+
+
+# Cayley frame: C^-1 (-i M) C is real for every M in su(1,1)
+_CAYLEY = np.array([[1, 1j], [1j, 1]])
 
 
 def _sp4_quadratic_forms():
@@ -141,16 +159,17 @@ def matrix_rep(name: str) -> MatrixRep:
     """Finite-dimensional representation registry.
 
     ``sp2_J``/``sp2_K`` are 2x2 (the energy generator is diag(1, -1), so the
-    matrix-level period of its exponential is 2 pi); ``sp4_T10`` and
-    ``coupled_M4`` are 4x4.  The oscillator group and the truncated cubic
-    algebra have no finite-dimensional Hermitian representation; use
-    :func:`fock_rep` for those.
+    matrix-level period of its exponential is 2 pi) with the Cayley frame;
+    ``sp4_T10`` and ``coupled_M4`` are 4x4 and already real (-i M = Omega S).
+    The oscillator group and the truncated cubic algebra have no
+    finite-dimensional Hermitian representation; use :func:`fock_rep` for
+    those.
     """
     if name == "sp2_J":
-        return MatrixRep("sp2_J", 2, _sp2_J_matrices())
+        return MatrixRep("sp2_J", 2, _sp2_J_matrices(), _CAYLEY)
     if name == "sp2_K":
         J1, J2, J3 = _sp2_J_matrices()
-        return MatrixRep("sp2_K", 2, ((J3 + J2) / 2, (J3 - J2) / 2, J1))
+        return MatrixRep("sp2_K", 2, ((J3 + J2) / 2, (J3 - J2) / 2, J1), _CAYLEY)
     if name == "sp4_T10":
         return MatrixRep("sp4_T10", 4, _sp4_matrices())
     if name == "coupled_M4":
@@ -235,7 +254,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _block_length(n: int) -> int:
-    """Number of real 2n x 2n factors in one product block of an n x n rep."""
+    """Number of steps in one product block of an n x n rep: about
+    ``_BLOCK_BYTES`` of real 2n x 2n factors, whichever real form it runs in."""
     return max(1, _BLOCK_BYTES // (8 * (2 * n) ** 2))
 
 
@@ -288,42 +308,82 @@ def _ordered_product(F: np.ndarray) -> np.ndarray:
     return F[0]
 
 
+# Gauss points s_k -/+ _GAUSS h about each midpoint s_k, and the weight of
+# the commutator in the fourth-order Magnus exponent
+_GAUSS = math.sqrt(3.0) / 6.0
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+
+
+def _real_generators(rep):
+    """The product's real generators and the frame (T, T^-1) they are real in.
+
+    In the rep's frame T (None for the identity) the generators are
+    T^-1 (-i M_I) T.  If all of them are exactly real they are returned as a
+    (d, n, n) stack; otherwise in the real 2n x 2n form.
+    """
+    gens = -1j * np.stack(rep.matrices)
+    frame = None
+    if rep.frame is not None:
+        frame = rep.frame, np.linalg.inv(rep.frame)
+        gens = frame[1] @ gens @ frame[0]
+    return (_real_form(gens) if np.any(gens.imag) else gens.real), frame
+
+
 def path_ordered_exponential(rep, sol: VelocitySolution,
                              steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Ordered product of short-time exponentials along the velocity field.
+    """Ordered product of fourth-order Magnus factors along the velocity field.
 
-    Later factors multiply from the left (the generator acts before the
-    already-accumulated evolution); velocities are sampled at interval
-    midpoints, which keeps the splitting error second order in the step.
+    With A(s) = sum_I V^I(s) (-i M_I), h = 1/steps and midpoints
+    s_k = (k + 1/2) h, step k contributes exp(Omega_k) with
 
-    The product is taken in the real 2n x 2n form and returned as a complex
-    n x n matrix.  The factors are formed and multiplied a block at a time:
-    the velocity is sampled at the block's midpoints, one matrix product
-    builds the block's generators, one batched Taylor exponential gives its
-    factors and a pairwise tree multiplies them, and the block products are
-    chained in order onto the block column [Re U; Im U].  A block whose
-    product is not finite is replayed one factor at a time, so
-    ``NumericBlowup.s_reached`` is the first midpoint at which the running
-    product stops being finite.
+        Omega_k = (h/2)(A_1 + A_2) + (sqrt(3)/12) h^2 [A_2, A_1],
+        A_1,2 = A(s_k -/+ (sqrt(3)/6) h),
+
+    and later factors multiply from the left (the generator acts before the
+    already-accumulated evolution).  The error is fourth order in h.
+
+    The product runs in the smallest real form of the representation (see
+    :func:`_real_generators`): on real n x n matrices U, returned as
+    T U T^-1 in the rep's frame T, or on the 2n x n block column
+    [Re U; Im U], returned as T (Re U + i Im U) T^-1.
+    The factors are formed and multiplied a block at a time: one call
+    samples the velocity at both Gauss points of every step in the block,
+    one matrix product builds A_1 and A_2, two batched products give the
+    commutators, one batched Taylor exponential gives the factors and a
+    pairwise tree multiplies them, and the block products are chained in
+    order.  A block whose product is not finite is replayed one factor at a
+    time, so ``NumericBlowup.s_reached`` is the midpoint s_k of the first
+    step at which the running product stops being finite.  A solution whose
+    dimension is not the number of generators raises ``DimMismatch``.
     """
     steps = _whole(steps, "steps", 1)
-    mats = np.stack(rep.matrices)
-    n = mats.shape[-1]
-    gens = _real_form(-1j * mats).reshape(len(mats), -1)
-    U = np.eye(2 * n, n)
-    ds = 1.0 / steps
+    gens, frame = _real_generators(rep)
+    d, m = gens.shape[:2]
+    if np.shape(sol.v0) != (d,):
+        raise DimMismatch(f"velocity has shape {np.shape(sol.v0)}, but the "
+                          f"representation has {d} generators")
+    gens = gens.reshape(d, -1)
+    n = rep.matrices[0].shape[-1]
+    U = np.eye(m, n)
+    h = 1.0 / steps
     block = _block_length(n)
     # overflow is detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, block):
-            s_mid = (np.arange(lo, min(lo + block, steps)) + 0.5) * ds
-            V = np.atleast_2d(sol(s_mid))
-            A = ((V * ds) @ gens).reshape(-1, 2 * n, 2 * n)
-            U_next = _ordered_product(_expm_taylor(A)) @ U
+            s_mid = (np.arange(lo, min(lo + block, steps)) + 0.5) * h
+            s_gauss = np.concatenate([s_mid - _GAUSS * h, s_mid + _GAUSS * h])
+            V = np.atleast_2d(sol(s_gauss))
+            hA1, hA2 = ((V * h) @ gens).reshape(2, len(s_mid), m, m)
+            omega = 0.5 * (hA1 + hA2) + _COMMUTATOR * (hA2 @ hA1 - hA1 @ hA2)
+            U_next = _ordered_product(_expm_taylor(omega)) @ U
             if not np.all(np.isfinite(U_next)):
-                U_next = _replay(A, U, s_mid)
+                U_next = _replay(omega, U, s_mid)
             U = U_next
-    return U[:n] + 1j * U[n:]
+    U = U[:n] + 1j * U[n:] if m > n else U.astype(complex)
+    if frame is not None:
+        T, T_inv = frame
+        U = T @ U @ T_inv
+    return U
 
 
 def _whole(value, name: str, least: int) -> int:
@@ -349,8 +409,14 @@ def _replay(A: np.ndarray, U: np.ndarray, s_mid: np.ndarray) -> np.ndarray:
 
 
 def exponential_of_coefficients(rep, coeffs_at_1) -> np.ndarray:
-    """Single exponential exp(-i sum_I c_I M_I) for comparison."""
+    """Single exponential exp(-i sum_I c_I M_I) for comparison.
+
+    One coefficient per generator; any other count raises ``DimMismatch``.
+    """
     mats = rep.matrices
+    if np.shape(coeffs_at_1) != (len(mats),):
+        raise DimMismatch(f"coefficients have shape {np.shape(coeffs_at_1)}, "
+                          f"but the representation has {len(mats)} generators")
     A = sum(c * M for c, M in zip(coeffs_at_1, mats))
     return _expm_taylor((-1j * A)[None])[0]
 
@@ -385,8 +451,12 @@ def line_element(rep: MatrixRep, U: np.ndarray, dU: np.ndarray,
     ds^2 = sum_IJ G_IJ Tr[i U^{-1} M_I^dag dU] Tr[i U^{-1} M_J^dag dU]
            / (Tr[M_I M_I^dag] Tr[M_J M_J^dag]),
     with diagonal G.  Right-invariance is exact: replacing (U, dU) by
-    (U g, dU g) leaves every trace unchanged.
+    (U g, dU g) leaves every trace unchanged.  ``G`` must have one weight
+    per generator (``DimMismatch``).
     """
+    if G.dim != len(rep.matrices):
+        raise DimMismatch(f"penalty matrix has dimension {G.dim}, but the "
+                          f"representation has {len(rep.matrices)} generators")
     Uinv = np.linalg.inv(U)
     comps = []
     for M in rep.matrices:

@@ -212,7 +212,7 @@ def _suite_oracle():
     radii = (0.02, 0.04, 0.08)
     for r in radii:
         sol = euler_arnold.solve_closed_form(fam, r * direction)
-        U_po = oracle.path_ordered_exponential(rep2, sol, steps=4000)
+        U_po = oracle.path_ordered_exponential(rep2, sol)
         c1 = geodesic.leading_order_coeffs(sol)(1.0)
         U_lo = oracle.exponential_of_coefficients(rep2, c1)
         errs.append(np.linalg.norm(U_po - U_lo, 2))
@@ -223,7 +223,7 @@ def _suite_oracle():
     # exact gap at this point is 3.96e-3 (checked against a tight-tolerance
     # ODE integration), so the threshold only guards against regressions
     sol = euler_arnold.solve_closed_form(fam, np.array([0.1, 0.0, 0.2]))
-    U_po = oracle.path_ordered_exponential(rep2, sol, steps=4000)
+    U_po = oracle.path_ordered_exponential(rep2, sol)
     U_lo = oracle.exponential_of_coefficients(
         rep2, geodesic.leading_order_coeffs(sol)(1.0))
     checks.append(_check("dyson_error_moderate_velocity",

@@ -6,14 +6,17 @@ for the genuine table flows.  The compiled RK4 step of a quadratic field is
 checked for equality (``==``) with the generic loop over ``rhs``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
-from qcbound.euler_arnold import (_CHUNK_ROWS, DEFAULT_STEP, ClosedFormFamily,
-                                  _compile_rk4, _QuadraticField, integrate_rk4)
+from qcbound.euler_arnold import (_CHUNK_ROWS, DEFAULT_STEP, MIN_STEP,
+                                  ClosedFormFamily, _compile_rk4, _QuadraticField,
+                                  integrate_rk4)
 
 RNG = np.random.default_rng(42)
 
@@ -132,6 +135,30 @@ def test_integrate_rk4_rejects_step_sizes_outside_the_range(h):
     # float-to-int conversion error
     with pytest.raises(ValueError, match="step size"):
         integrate_rk4(lambda V: V, [1.0], h)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda h: integrate_rk4(_QuadraticField(qb.builtin("sp2_J").f, np.ones(3)),
+                            [0.1, 0.2, 0.3], h),
+    lambda h: integrate_rk4(lambda V: V, [0.1, 0.2, 0.3], h),
+    lambda h: qb.solve_numeric(qb.builtin("sp2_J"), qb.PenaltyMatrix.identity(3),
+                               [0.1, 0.2, 0.3], h=h),
+], ids=["field", "generic", "solve_numeric"])
+@pytest.mark.parametrize("h", [
+    "0.01", None, True, 1e-300, float(np.nextafter(MIN_STEP, 0.0)),
+], ids=["string", "None", "bool", "1e-300", "below-MIN_STEP"])
+def test_integrate_rk4_rejects_a_step_that_is_not_a_number_or_too_small(solve, h):
+    # "0.01" and None used to end in a TypeError from '<' and 1e-300 in
+    # numpy's "Maximum allowed size exceeded"; each is refused before the
+    # grid and the states are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="step size must be a real number"):
+            solve(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("fn", [

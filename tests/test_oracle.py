@@ -114,6 +114,71 @@ def test_path_ordered_step_validation():
                           np.eye(2))
 
 
+def test_path_ordered_error_is_fourth_order():
+    # a smooth closed-form case: the error falls 16-fold per halving of h
+    rep = qb.matrix_rep("coupled_M4")
+    sol = qb.solve_closed_form(ClosedFormFamily("coupled_pq", q=1.0, p=10.0),
+                               np.array([1.5, -1.0, 2.0, 1.2]))
+    ref = qb.path_ordered_exponential(rep, sol, steps=3200)
+    errs = [np.linalg.norm(qb.path_ordered_exponential(rep, sol, steps=steps) - ref)
+            for steps in (50, 100, 200)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 <= coarse / fine <= 18.0
+
+
+@pytest.mark.parametrize("name", ["sp4_T10", "coupled_M4"])
+def test_sp4_generators_are_real(name):
+    # -i M = Omega S: the product runs on real n x n matrices in the identity frame
+    rep = qb.matrix_rep(name)
+    assert rep.frame is None
+    assert not np.any((-1j * np.stack(rep.matrices)).imag)
+    gens, frame = oracle._real_generators(rep)
+    assert frame is None
+    assert gens.dtype == np.float64 and gens.shape == (len(rep.matrices), 4, 4)
+
+
+@pytest.mark.parametrize("name", ["sp2_J", "sp2_K"])
+def test_sp2_generators_are_real_in_the_cayley_frame(name):
+    rep = qb.matrix_rep(name)
+    C = np.array([[1, 1j], [1j, 1]])
+    C_inv = 0.5 * np.array([[1, -1j], [-1j, 1]])
+    assert np.array_equal(rep.frame, C)
+    in_frame = C_inv @ (-1j * np.stack(rep.matrices)) @ C
+    assert not np.any(in_frame.imag)
+    gens, (T, T_inv) = oracle._real_generators(rep)
+    assert np.array_equal(T, C) and np.array_equal(T_inv, C_inv)
+    assert gens.dtype == np.float64 and np.array_equal(gens, in_frame.real)
+
+
+@pytest.mark.parametrize("name", ["ho4", "sp2_J"])
+def test_fock_rep_keeps_the_2n_form(name):
+    rep = qb.fock_rep(name, levels=12)
+    gens, frame = oracle._real_generators(rep)
+    assert rep.frame is None and frame is None
+    M = -1j * np.stack(rep.matrices)
+    assert np.array_equal(gens, np.block([[M.real, -M.imag], [M.imag, M.real]]))
+
+
+@pytest.mark.parametrize("rep_name,sol", [
+    ("sp2_J", qb.solve_closed_form(ClosedFormFamily("ho4_equal_penalty"),
+                                   np.array([0.1, 0.2, 0.3, 0.4]))),
+    ("sp4_T10", qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"),
+                                     np.array([0.1, 0.2, 0.3]))),
+], ids=["ho4-on-sp2_J", "sp2_J-on-sp4_T10"])
+def test_path_ordered_rejects_a_solution_of_another_dimension(rep_name, sol):
+    # used to end in numpy's matmul "mismatch in its core dimension"
+    with pytest.raises(qb.DimMismatch, match="generators"):
+        qb.path_ordered_exponential(qb.matrix_rep(rep_name), sol)
+
+
+@pytest.mark.parametrize("coeffs", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], []],
+                         ids=["too-few", "too-many", "none"])
+def test_exponential_of_coefficients_rejects_a_wrong_count(coeffs):
+    # 2 coefficients used to return a matrix, a 4th was silently dropped
+    with pytest.raises(qb.DimMismatch, match="3 generators"):
+        oracle.exponential_of_coefficients(qb.matrix_rep("sp2_J"), coeffs)
+
+
 # ---------------------------------------------------------------------------
 # periodicity: matrix level vs spectrum level
 # ---------------------------------------------------------------------------
@@ -181,6 +246,15 @@ def test_line_element_right_invariance_sweep():
         assert abs(moved - base) <= 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_line_element_rejects_penalties_of_another_dimension(dim):
+    # used to end in a numpy broadcast error
+    rep = qb.matrix_rep("sp2_J")
+    with pytest.raises(qb.DimMismatch, match="3 generators"):
+        qb.line_element(rep, np.eye(2, dtype=complex), -1e-3j * rep.matrices[0],
+                        qb.PenaltyMatrix.identity(dim))
+
+
 def test_line_element_degenerate_direction():
     rep = qb.MatrixRep("fake", 2, (np.zeros((2, 2), dtype=complex),))
     with pytest.raises(qb.DegenerateDirection):
@@ -218,21 +292,26 @@ def test_dyson_gap_scales_cubically():
 # ---------------------------------------------------------------------------
 
 def serial_path_ordered(rep, sol, steps):
-    """Reference: one expm per midpoint, later factors on the left.
+    """Reference: one fourth-order Magnus factor per step, later factors on
+    the left, each a complex expm of the exponent at the two Gauss points.
 
-    Returns (U, None), or (None, s) with s the first midpoint at which the
-    running product is not finite.
+    Returns (U, None), or (None, s) with s the midpoint of the first step at
+    which the running product is not finite.
     """
-    mats = rep.matrices
-    U = np.eye(mats[0].shape[0], dtype=complex)
-    ds = 1.0 / steps
-    s_mid = (np.arange(steps) + 0.5) * ds
-    V = np.atleast_2d(sol(s_mid))
+    gens = [-1j * M for M in rep.matrices]
+    U = np.eye(gens[0].shape[0], dtype=complex)
+    h = 1.0 / steps
+    s_mid = (np.arange(steps) + 0.5) * h
+    V1 = np.atleast_2d(sol(s_mid - math.sqrt(3) / 6 * h))
+    V2 = np.atleast_2d(sol(s_mid + math.sqrt(3) / 6 * h))
     with np.errstate(all="ignore"):
         for k in range(steps):
-            A = sum(V[k, i] * mats[i] for i in range(len(mats)))
-            U = expm(-1j * A * ds) @ U
-            if not np.all(np.isfinite(U)):
+            A1 = sum(V1[k, i] * gens[i] for i in range(len(gens)))
+            A2 = sum(V2[k, i] * gens[i] for i in range(len(gens)))
+            omega = h / 2 * (A1 + A2) + math.sqrt(3) / 12 * h ** 2 * (A2 @ A1 - A1 @ A2)
+            if np.all(np.isfinite(omega)):
+                U = expm(omega) @ U
+            if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(U))):
                 return None, float(s_mid[k])
     return U, None
 
