@@ -64,15 +64,15 @@ DEFAULT_LEVELS = 32
 class MatrixRep:
     """Finite-dimensional matrices M_I with [M_I, M_J] = i f_IJ^K M_K.
 
-    ``frame`` is an invertible n x n matrix T in which the oracle's product
-    runs (None for the identity); it is chosen so that every T^-1 (-i M_I) T
-    is real.
+    ``frame`` is the pair (T, T^-1) of the n x n frame in which the oracle's
+    product runs (None for the identity); it is chosen so that every
+    T^-1 (-i M_I) T is real.
     """
 
     algebra: str
     dim: int
     matrices: tuple
-    frame: np.ndarray | None = None
+    frame: tuple | None = None
 
     @property
     def hermitian(self) -> bool:
@@ -116,8 +116,8 @@ def _sp2_J_matrices():
     return (1j * sx, 1j * sy, sz)
 
 
-# Cayley frame: C^-1 (-i M) C is real for every M in su(1,1)
-_CAYLEY = np.array([[1, 1j], [1j, 1]])
+# Cayley frame (C, C^-1): C^-1 (-i M) C is real for every M in su(1,1)
+_CAYLEY = (np.array([[1, 1j], [1j, 1]]), 0.5 * np.array([[1, -1j], [-1j, 1]]))
 
 
 def _sp4_quadratic_forms():
@@ -315,18 +315,16 @@ _COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
 def _real_generators(rep):
-    """The product's real generators and the frame (T, T^-1) they are real in.
+    """The generators T^-1 (-i M_I) T in the rep's frame T, as real matrices.
 
-    In the rep's frame T (None for the identity) the generators are
-    T^-1 (-i M_I) T.  If all of them are exactly real they are returned as a
-    (d, n, n) stack; otherwise in the real 2n x 2n form.
+    If all of them are exactly real they are returned as a (d, n, n) stack;
+    otherwise in the real 2n x 2n form.
     """
     gens = -1j * np.stack(rep.matrices)
-    frame = None
     if rep.frame is not None:
-        frame = rep.frame, np.linalg.inv(rep.frame)
-        gens = frame[1] @ gens @ frame[0]
-    return (_real_form(gens) if np.any(gens.imag) else gens.real), frame
+        T, T_inv = rep.frame
+        gens = T_inv @ gens @ T
+    return _real_form(gens) if np.any(gens.imag) else gens.real
 
 
 def path_ordered_exponential(rep, sol: VelocitySolution,
@@ -357,7 +355,7 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     dimension is not the number of generators raises ``DimMismatch``.
     """
     steps = _whole(steps, "steps", 1)
-    gens, frame = _real_generators(rep)
+    gens = _real_generators(rep)
     d, m = gens.shape[:2]
     if np.shape(sol.v0) != (d,):
         raise DimMismatch(f"velocity has shape {np.shape(sol.v0)}, but the "
@@ -380,8 +378,8 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
                 U_next = _replay(omega, U, s_mid)
             U = U_next
     U = U[:n] + 1j * U[n:] if m > n else U.astype(complex)
-    if frame is not None:
-        T, T_inv = frame
+    if rep.frame is not None:
+        T, T_inv = rep.frame
         U = T @ U @ T_inv
     return U
 

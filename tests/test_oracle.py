@@ -132,8 +132,7 @@ def test_sp4_generators_are_real(name):
     rep = qb.matrix_rep(name)
     assert rep.frame is None
     assert not np.any((-1j * np.stack(rep.matrices)).imag)
-    gens, frame = oracle._real_generators(rep)
-    assert frame is None
+    gens = oracle._real_generators(rep)
     assert gens.dtype == np.float64 and gens.shape == (len(rep.matrices), 4, 4)
 
 
@@ -142,19 +141,20 @@ def test_sp2_generators_are_real_in_the_cayley_frame(name):
     rep = qb.matrix_rep(name)
     C = np.array([[1, 1j], [1j, 1]])
     C_inv = 0.5 * np.array([[1, -1j], [-1j, 1]])
-    assert np.array_equal(rep.frame, C)
+    T, T_inv = rep.frame
+    assert np.array_equal(T, C) and np.array_equal(T_inv, C_inv)
+    assert np.array_equal(C @ C_inv, np.eye(2))
     in_frame = C_inv @ (-1j * np.stack(rep.matrices)) @ C
     assert not np.any(in_frame.imag)
-    gens, (T, T_inv) = oracle._real_generators(rep)
-    assert np.array_equal(T, C) and np.array_equal(T_inv, C_inv)
+    gens = oracle._real_generators(rep)
     assert gens.dtype == np.float64 and np.array_equal(gens, in_frame.real)
 
 
 @pytest.mark.parametrize("name", ["ho4", "sp2_J"])
 def test_fock_rep_keeps_the_2n_form(name):
     rep = qb.fock_rep(name, levels=12)
-    gens, frame = oracle._real_generators(rep)
-    assert rep.frame is None and frame is None
+    gens = oracle._real_generators(rep)
+    assert rep.frame is None
     M = -1j * np.stack(rep.matrices)
     assert np.array_equal(gens, np.block([[M.real, -M.imag], [M.imag, M.real]]))
 
