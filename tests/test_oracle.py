@@ -309,9 +309,10 @@ def serial_path_ordered(rep, sol, steps):
             A1 = sum(V1[k, i] * gens[i] for i in range(len(gens)))
             A2 = sum(V2[k, i] * gens[i] for i in range(len(gens)))
             omega = h / 2 * (A1 + A2) + math.sqrt(3) / 12 * h ** 2 * (A2 @ A1 - A1 @ A2)
-            if np.all(np.isfinite(omega)):
-                U = expm(omega) @ U
-            if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(U))):
+            if not np.all(np.isfinite(omega)):
+                return None, float(s_mid[k])
+            U = expm(omega) @ U
+            if not np.all(np.isfinite(U)):
                 return None, float(s_mid[k])
     return U, None
 
