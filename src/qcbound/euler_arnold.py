@@ -161,13 +161,14 @@ class ClosedFormFamily:
     def default_penalties(self) -> PenaltyMatrix:
         return PenaltyMatrix.diagonal(_FAMILIES[self.tag].penalties(self.q, self.p))
 
-    def governing_rhs(self, G: PenaltyMatrix | None = None):
-        """Right-hand side of the ODE system this family actually solves."""
+    def governing_rhs(self):
+        """Right-hand side of the ODE system this family actually solves,
+        under its default penalties."""
         table = _FAMILIES[self.tag].table
         if table is not None:
             return _QuadraticField(table, np.ones(len(table)))
-        G = G if G is not None else self.default_penalties()
-        return _QuadraticField(builtin(self.algebra_name).f, G.weights)
+        return _QuadraticField(builtin(self.algebra_name).f,
+                               self.default_penalties().weights)
 
 
 def rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix, V) -> np.ndarray:

@@ -123,18 +123,15 @@ def product_form_coeffs_ho4(v0) -> ProductFormCoefficients:
     return ProductFormCoefficients(v0=v0, coeffs=fn)
 
 
-def residual_product_form(
-    coeffs: ProductFormCoefficients,
-    sol: VelocitySolution,
-    s_grid,
-    eps: float = 1.0e-4,
-) -> float:
+def residual_product_form(coeffs: ProductFormCoefficients,
+                          sol: VelocitySolution, s_grid) -> float:
     """Max defect of the product-form coefficient ODEs on a grid.
 
     Derivatives are taken by a fourth-order central stencil with step
-    ``eps`` (noise floor ~1e-12); the coefficient functions are entire, so
+    1e-4 (noise floor ~1e-12); the coefficient functions are entire, so
     endpoint evaluation is safe.
     """
+    eps = 1.0e-4
     if sol.algebra != "ho4":
         raise FamilyMismatch("product-form residual is defined for ho4 only")
     _, vP, vQ, vH = sol.v0

@@ -14,20 +14,17 @@ truncation edge, so every check is restricted to an interior block.
 The path-ordered exponential is a product of fourth-order Magnus factors,
 one per step: exp(Omega_k) with Omega_k built from the generators at the
 step's two Gauss points and their commutator (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470 (2009) 151).  The product runs in the smallest real form
-the representation allows.  In the representation's frame T (identity by
-default) the generators are T^-1 (-i M_I) T; when all of them are exactly
-real (sp(4,R) directly, sp(2,R) in the Cayley frame) the product runs on
-those real n x n matrices and returns T U T^-1.  Otherwise each generator
--i M with M = X + iY enters as its real 2n x 2n form [[X, -Y], [Y, X]],
-and the running product U is carried as the 2n x n block column
-[Re U; Im U].  The product is blocked: each block's factors are
-exponentiated at once by a scaled Taylor polynomial and multiplied in a
-log-depth pairwise tree, so its cost is a few real array operations per
-block and its memory is bounded whatever the step count.  The same Taylor
-exponential serves the single (complex) exponentials of
-:func:`exponential_of_coefficients` and :func:`random_group_element`, so
-the module needs numpy only.
+Phys. Rep. 470 (2009) 151).  The product runs in the representation's own
+numbers: in its frame T (identity by default) the generators are
+T^-1 (-i M_I) T, real n x n matrices when all of them are exactly real
+(sp(4,R) directly, sp(2,R) in the Cayley frame) and complex n x n
+otherwise (the Fock representations), and the result is T U T^-1.  The
+product is blocked: each block's factors are exponentiated at once by a
+scaled Taylor polynomial and multiplied in a log-depth pairwise tree, so
+its cost is a few array operations per block and its memory is bounded
+whatever the step count.  The same Taylor exponential serves the single
+(complex) exponentials of :func:`exponential_of_coefficients` and
+:func:`random_group_element`, so the module needs numpy only.
 
 The right-invariant line element is evaluated directly from its trace form.
 """
@@ -247,22 +244,16 @@ def commutator_closure_residual(rep) -> float:
     return float(np.max(worst))
 
 
-# Product blocks hold about this many bytes of real factors, so memory
+# Product blocks hold at most this many bytes of factors, so memory
 # stays bounded for large (Fock) representations whatever the step count.
 _BLOCK_BYTES = 128 * 1024
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _block_length(n: int) -> int:
-    """Number of steps in one product block of an n x n rep: about
-    ``_BLOCK_BYTES`` of real 2n x 2n factors, whichever real form it runs in."""
+    """Number of steps in one product block of an n x n rep, budgeting
+    32 n^2 bytes a step (twice a complex n x n factor) in ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // (8 * (2 * n) ** 2))
-
-
-def _real_form(M: np.ndarray) -> np.ndarray:
-    """[[X, -Y], [Y, X]] for M = X + iY, for one matrix or a stack."""
-    X, Y = M.real, M.imag
-    return np.block([[X, -Y], [Y, X]])
 
 
 def _expm_taylor(A: np.ndarray) -> np.ndarray:
@@ -314,17 +305,14 @@ _GAUSS = math.sqrt(3.0) / 6.0
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
-def _real_generators(rep):
-    """The generators T^-1 (-i M_I) T in the rep's frame T, as real matrices.
-
-    If all of them are exactly real they are returned as a (d, n, n) stack;
-    otherwise in the real 2n x 2n form.
-    """
+def _generators(rep):
+    """The generators T^-1 (-i M_I) T in the rep's frame T as a (d, n, n)
+    stack: real if every entry is exactly real, complex otherwise."""
     gens = -1j * np.stack(rep.matrices)
     if rep.frame is not None:
         T, T_inv = rep.frame
         gens = T_inv @ gens @ T
-    return _real_form(gens) if np.any(gens.imag) else gens.real
+    return gens if np.any(gens.imag) else gens.real
 
 
 def path_ordered_exponential(rep, sol: VelocitySolution,
@@ -340,10 +328,9 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     and later factors multiply from the left (the generator acts before the
     already-accumulated evolution).  The error is fourth order in h.
 
-    The product runs in the smallest real form of the representation (see
-    :func:`_real_generators`): on real n x n matrices U, returned as
-    T U T^-1 in the rep's frame T, or on the 2n x n block column
-    [Re U; Im U], returned as T (Re U + i Im U) T^-1.
+    The product U runs on the generators of :func:`_generators`, real or
+    complex n x n, and T U T^-1 in the rep's frame T is returned as
+    complex.
     The factors are formed and multiplied a block at a time: one call
     samples the velocity at both Gauss points of every step in the block,
     one matrix product builds A_1 and A_2, two batched products give the
@@ -355,14 +342,13 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     dimension is not the number of generators raises ``DimMismatch``.
     """
     steps = _whole(steps, "steps", 1)
-    gens = _real_generators(rep)
-    d, m = gens.shape[:2]
+    gens = _generators(rep)
+    d, n = gens.shape[:2]
     if np.shape(sol.v0) != (d,):
         raise DimMismatch(f"velocity has shape {np.shape(sol.v0)}, but the "
                           f"representation has {d} generators")
+    U = np.eye(n, dtype=gens.dtype)
     gens = gens.reshape(d, -1)
-    n = rep.matrices[0].shape[-1]
-    U = np.eye(m, n)
     h = 1.0 / steps
     block = _block_length(n)
     # overflow is detected and reported below, not warned about
@@ -371,13 +357,13 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
             s_mid = (np.arange(lo, min(lo + block, steps)) + 0.5) * h
             s_gauss = np.concatenate([s_mid - _GAUSS * h, s_mid + _GAUSS * h])
             V = np.atleast_2d(sol(s_gauss))
-            hA1, hA2 = ((V * h) @ gens).reshape(2, len(s_mid), m, m)
+            hA1, hA2 = ((V * h) @ gens).reshape(2, len(s_mid), n, n)
             omega = 0.5 * (hA1 + hA2) + _COMMUTATOR * (hA2 @ hA1 - hA1 @ hA2)
             U_next = _ordered_product(_expm_taylor(omega)) @ U
             if not np.all(np.isfinite(U_next)):
                 U_next = _replay(omega, U, s_mid)
             U = U_next
-    U = U[:n] + 1j * U[n:] if m > n else U.astype(complex)
+    U = U.astype(complex)
     if rep.frame is not None:
         T, T_inv = rep.frame
         U = T @ U @ T_inv
@@ -409,37 +395,38 @@ def _replay(A: np.ndarray, U: np.ndarray, s_mid: np.ndarray) -> np.ndarray:
 def exponential_of_coefficients(rep, coeffs_at_1) -> np.ndarray:
     """Single exponential exp(-i sum_I c_I M_I) for comparison.
 
-    One coefficient per generator; any other count raises ``DimMismatch``.
+    One coefficient per generator; any other count raises ``DimMismatch``,
+    and a ``nan`` or infinite coefficient raises ``ValueError``.
     """
     mats = rep.matrices
     if np.shape(coeffs_at_1) != (len(mats),):
         raise DimMismatch(f"coefficients have shape {np.shape(coeffs_at_1)}, "
                           f"but the representation has {len(mats)} generators")
+    if not np.all(np.isfinite(coeffs_at_1)):
+        raise ValueError(f"coefficients must be finite, got {list(coeffs_at_1)!r}")
     A = sum(c * M for c, M in zip(coeffs_at_1, mats))
     return _expm_taylor((-1j * A)[None])[0]
 
 
-def spectrum_period_check(rep: TruncatedFockRep, omega: float,
-                          tol: float = 1e-6, max_multiples: int = 16) -> float:
+def spectrum_period_check(rep: TruncatedFockRep, omega: float) -> float:
     """Smallest T > 0 with exp(-i omega T H) = identity on the interior block.
 
-    Scans integer multiples of pi/omega.  The half-integer interior spectrum
-    of the oscillator energy yields 4 pi / omega.
+    Scans the first 16 integer multiples of pi/omega for a largest defect of
+    at most 1e-6.  The half-integer interior spectrum of the oscillator
+    energy yields 4 pi / omega.
     """
     if rep.levels < 8:
         raise ValueError("need at least 8 levels for a spectrum check")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     H = rep.matrices[rep.hamiltonian_index]
-    k = rep.levels - rep.interior
-    eigs = np.linalg.eigvalsh(rep.interior_block(H)[:k, :k])
-    for mult in range(1, max_multiples + 1):
+    eigs = np.linalg.eigvalsh(rep.interior_block(H))
+    for mult in range(1, 17):
         T = mult * np.pi / omega
         defect = np.max(np.abs(np.exp(-1j * omega * T * eigs) - 1.0))
-        if defect <= tol:
+        if defect <= 1e-6:
             return float(T)
-    raise ValueError(f"no period found among the first {max_multiples} "
-                     f"multiples of pi/omega")
+    raise ValueError("no period found among the first 16 multiples of pi/omega")
 
 
 def line_element(rep: MatrixRep, U: np.ndarray, dU: np.ndarray,
@@ -450,12 +437,18 @@ def line_element(rep: MatrixRep, U: np.ndarray, dU: np.ndarray,
            / (Tr[M_I M_I^dag] Tr[M_J M_J^dag]),
     with diagonal G.  Right-invariance is exact: replacing (U, dU) by
     (U g, dU g) leaves every trace unchanged.  ``G`` must have one weight
-    per generator (``DimMismatch``).
+    per generator (``DimMismatch``); a non-finite ``U`` or ``dU`` and a
+    singular ``U`` raise ``ValueError``.
     """
     if G.dim != len(rep.matrices):
         raise DimMismatch(f"penalty matrix has dimension {G.dim}, but the "
                           f"representation has {len(rep.matrices)} generators")
-    Uinv = np.linalg.inv(U)
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(dU))):
+        raise ValueError("U and dU must be finite")
+    try:
+        Uinv = np.linalg.inv(U)
+    except np.linalg.LinAlgError:
+        raise ValueError("U is singular") from None
     comps = []
     for M in rep.matrices:
         norm = np.trace(M @ M.conj().T)
@@ -467,9 +460,10 @@ def line_element(rep: MatrixRep, U: np.ndarray, dU: np.ndarray,
     return float(np.real(val))
 
 
-def random_group_element(rep: MatrixRep, rng, scale: float = 0.5) -> np.ndarray:
-    """Product of a few random one-parameter exponentials in the group."""
-    A = np.stack([-1j * float(rng.uniform(-scale, scale)) * M
+def random_group_element(rep: MatrixRep, rng) -> np.ndarray:
+    """Product of one random one-parameter exponential per generator, each
+    coefficient uniform in [-1/2, 1/2]."""
+    A = np.stack([-1j * float(rng.uniform(-0.5, 0.5)) * M
                   for M in rep.matrices])
     g = np.eye(rep.dim, dtype=complex)
     for factor in _expm_taylor(A):

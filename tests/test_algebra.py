@@ -8,6 +8,8 @@ entries.  All Jacobi checks are exact -- no tolerances.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcbound as qb
 from qcbound.algebra import jacobi_tensor
@@ -172,6 +174,79 @@ def test_validate_anharm_truncation():
     assert sorted(report.open_pairs) == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     assert report.max_jacobi_residual == 0.0
+
+
+def _jacobi_residual_loop(spec):
+    """Reference: max Jacobi residual over the triples untouched by any open
+    pair, one triple at a time."""
+    f = spec.f
+    open_set = {frozenset(p) for p in spec.open_pairs}
+
+    def closed(a, b):
+        return frozenset((a, b)) not in open_set
+
+    dim = spec.dim
+    worst = 0.0
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                pairs_ok = closed(i, j) and closed(j, k) and closed(k, i)
+                if not pairs_ok:
+                    continue
+                # intermediate brackets must be closed as well
+                ok = True
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m in np.nonzero(f[a, b])[0]:
+                        if not closed(m, c):
+                            ok = False
+                if not ok:
+                    continue
+                res = (
+                    np.einsum("m,ml->l", f[i, j], f[:, k, :])
+                    + np.einsum("m,ml->l", f[j, k], f[:, i, :])
+                    + np.einsum("m,ml->l", f[k, i], f[:, j, :])
+                )
+                worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+def _truncated_spec(upper, open_pairs):
+    """Truncated table from the upper-triangle rows upper[(i, j)] = f[i, j]."""
+    dim = len(next(iter(upper.values())))
+    f = np.zeros((dim, dim, dim))
+    for (i, j), row in upper.items():
+        f[i, j] = row
+        f[j, i] = -f[i, j]
+    return qb.LieAlgebraSpec(name="t", dim=dim,
+                             generator_labels=tuple(f"g{k}" for k in range(dim)),
+                             f=f, truncated=True, open_pairs=tuple(open_pairs))
+
+
+@st.composite
+def _truncated_tables(draw):
+    # sparse small-integer entries, so every residual is exact
+    dim = draw(st.integers(3, 6))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    entry = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.0])
+    upper = {p: draw(st.lists(entry, min_size=dim, max_size=dim)) for p in pairs}
+    open_pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return _truncated_spec(upper, open_pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_truncated_tables())
+def test_validate_jacobi_residual_matches_the_per_triple_loop(spec):
+    assert qb.validate(spec).max_jacobi_residual == _jacobi_residual_loop(spec)
+
+
+def test_validate_reports_a_nonzero_residual_away_from_the_open_pairs():
+    # [a, b] = a + c and [b, c] = a + b break Jacobi on (a, b, c), which the
+    # open pair (a, d) does not reach
+    spec = _truncated_spec({(0, 1): [1, 0, 1, 0], (1, 2): [1, 1, 0, 0]},
+                           open_pairs=[(0, 3)])
+    want = _jacobi_residual_loop(spec)
+    assert want > 0.0
+    assert qb.validate(spec).max_jacobi_residual == want
 
 
 def test_anharm_bracket_rows():

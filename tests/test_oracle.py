@@ -132,7 +132,7 @@ def test_sp4_generators_are_real(name):
     rep = qb.matrix_rep(name)
     assert rep.frame is None
     assert not np.any((-1j * np.stack(rep.matrices)).imag)
-    gens = oracle._real_generators(rep)
+    gens = oracle._generators(rep)
     assert gens.dtype == np.float64 and gens.shape == (len(rep.matrices), 4, 4)
 
 
@@ -146,17 +146,23 @@ def test_sp2_generators_are_real_in_the_cayley_frame(name):
     assert np.array_equal(C @ C_inv, np.eye(2))
     in_frame = C_inv @ (-1j * np.stack(rep.matrices)) @ C
     assert not np.any(in_frame.imag)
-    gens = oracle._real_generators(rep)
+    gens = oracle._generators(rep)
     assert gens.dtype == np.float64 and np.array_equal(gens, in_frame.real)
 
 
 @pytest.mark.parametrize("name", ["ho4", "sp2_J"])
-def test_fock_rep_keeps_the_2n_form(name):
+def test_fock_rep_runs_in_complex_n_form(name):
+    # the number basis has no real form: the product runs on the complex
+    # n x n generators -i M themselves
     rep = qb.fock_rep(name, levels=12)
-    gens = oracle._real_generators(rep)
+    gens = oracle._generators(rep)
     assert rep.frame is None
-    M = -1j * np.stack(rep.matrices)
-    assert np.array_equal(gens, np.block([[M.real, -M.imag], [M.imag, M.real]]))
+    assert gens.dtype == np.complex128
+    assert np.array_equal(gens, -1j * np.stack(rep.matrices))
+    sol = qb.solve_closed_form(ClosedFormFamily(f"{name}_equal_penalty"),
+                               np.linspace(0.3, -0.2, len(rep.matrices)))
+    U = qb.path_ordered_exponential(rep, sol, steps=7)
+    assert U.dtype == np.complex128 and U.shape == (12, 12)
 
 
 @pytest.mark.parametrize("rep_name,sol", [
@@ -177,6 +183,13 @@ def test_exponential_of_coefficients_rejects_a_wrong_count(coeffs):
     # 2 coefficients used to return a matrix, a 4th was silently dropped
     with pytest.raises(qb.DimMismatch, match="3 generators"):
         oracle.exponential_of_coefficients(qb.matrix_rep("sp2_J"), coeffs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exponential_of_coefficients_rejects_a_non_finite_coefficient(bad):
+    # used to return an all-nan matrix
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        oracle.exponential_of_coefficients(qb.matrix_rep("sp2_J"), [bad, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +266,24 @@ def test_line_element_rejects_penalties_of_another_dimension(dim):
     with pytest.raises(qb.DimMismatch, match="3 generators"):
         qb.line_element(rep, np.eye(2, dtype=complex), -1e-3j * rep.matrices[0],
                         qb.PenaltyMatrix.identity(dim))
+
+
+def test_line_element_rejects_a_singular_U():
+    # used to end in numpy's LinAlgError
+    rep = qb.matrix_rep("sp2_J")
+    with pytest.raises(ValueError, match="singular"):
+        qb.line_element(rep, np.zeros((2, 2)), -1e-3j * rep.matrices[0],
+                        qb.PenaltyMatrix.identity(3))
+
+
+@pytest.mark.parametrize("which", ["U", "dU"])
+def test_line_element_rejects_a_non_finite_point(which):
+    # a nan used to give a silent nan
+    rep = qb.matrix_rep("sp2_J")
+    U, dU = np.eye(2, dtype=complex), -1e-3j * rep.matrices[0]
+    (U if which == "U" else dU)[0, 1] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        qb.line_element(rep, U, dU, qb.PenaltyMatrix.identity(3))
 
 
 def test_line_element_degenerate_direction():
