@@ -52,8 +52,6 @@ from .euler_arnold import (
     solve_numeric,
 )
 from .geodesic import (
-    ExponentCoefficients,
-    ProductFormCoefficients,
     leading_order_coeffs,
     product_form_coeffs_ho4,
     residual_product_form,
@@ -62,7 +60,6 @@ from .matching import (
     MatchResult,
     match,
     match_displacement_product_form,
-    reduce_periodic,
     reduce_periodic_signed,
     verify_match,
 )
@@ -89,10 +86,9 @@ __all__ = [
     "Unsupported", "UnsupportedCenterVelocity",
     "ClosedFormFamily", "PenaltyMatrix", "VelocitySolution", "integrate_rk4",
     "rhs", "solve_closed_form", "solve_numeric",
-    "ExponentCoefficients", "ProductFormCoefficients", "leading_order_coeffs",
-    "product_form_coeffs_ho4", "residual_product_form",
+    "leading_order_coeffs", "product_form_coeffs_ho4", "residual_product_form",
     "MatchResult", "TargetSpec", "match", "match_displacement_product_form",
-    "reduce_periodic", "reduce_periodic_signed", "verify_match",
+    "reduce_periodic_signed", "verify_match",
     "MatrixRep", "TruncatedFockRep", "commutator_closure_residual", "fock_rep",
     "line_element", "matrix_rep", "path_ordered_exponential",
     "spectrum_period_check",

@@ -91,13 +91,6 @@ class LieAlgebraSpec:
     def index(self, label: str) -> int:
         return self.generator_labels.index(label)
 
-    def bracket(self, i: int, j: int) -> np.ndarray:
-        """Coefficients of [O_i, O_j] / i in the generator basis."""
-        return self.f[i, j]
-
-    def param(self, name: str) -> float:
-        return dict(self.params)[name]
-
 
 @dataclass(frozen=True)
 class BasisChange:

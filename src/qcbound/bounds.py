@@ -11,9 +11,9 @@ an incomplete elliptic integral of the second kind, evaluated here in
 closed form with a Gauss-Legendre cross-check.
 
 The module needs numpy only, apart from SciPy's ``ellipeinc``, which the
-cubic length imports when it first runs.  Simpson's rule (:func:`simpson`)
-is a port of SciPy's and gives equal results; other non-constant speeds
-are integrated by adaptive composite Gauss-Legendre.
+first cubic length imports and the module keeps.  Simpson's rule
+(:func:`simpson`) is a port of SciPy's and gives equal results; other
+non-constant speeds are integrated by adaptive composite Gauss-Legendre.
 
 All values produced by :func:`bound` are upper bounds on the true
 complexity; poles of the matching equations yield an infinite value, which
@@ -258,10 +258,16 @@ def _anharm_length_array(v1, A, B, C):
     return out
 
 
+@functools.cache
+def _ellipeinc():
+    """SciPy's ``ellipeinc``, imported by the first cubic length and kept."""
+    from scipy.special import ellipeinc
+    return ellipeinc
+
+
 def _elliptic_length(v1, A, R, phi, root):
     """Elliptic-integral length for v1 != 0 and R > 0; ``root`` = sqrt(A + R)."""
-    from scipy.special import ellipeinc
-
+    ellipeinc = _ellipeinc()
     m = 2.0 * R / (A + R)
 
     def antideriv(y):

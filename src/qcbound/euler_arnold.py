@@ -10,29 +10,31 @@ the weighted speed  sum_I G_II V^I(s)^2  an exact constant of motion for any
 antisymmetric table, truncated or not.
 
 The module provides the generic right-hand side, a fixed-step fourth-order
-integrator, and the closed-form solution families for the systems where the
-equations decouple into rotations.  A numeric solution is evaluated off its
-grid by a cubic Hermite interpolant through the grid states and their exact
-slopes, written in numpy (the module needs no SciPy).
+integrator of that equation, and the closed-form solution families for the
+systems where the equations decouple into rotations.  A numeric solution
+is evaluated off its grid by a cubic Hermite interpolant through the grid
+states and their exact slopes, written in numpy (the module needs no
+SciPy).
 
 ``rhs``, ``solve_numeric`` and ``ClosedFormFamily.governing_rhs`` describe
 their equation as a quadratic field: a coefficient table c_IJK and weights
 w, folded into one symmetrised table S_IJK (J <= K) with
-dV^I/ds = sum_{J<=K} S_IJK V^J V^K / w_I.  For such a field
-``integrate_rk4`` generates, once per (table, weights, step), a
-straight-line RK4 step in Python floats.  Each stage does what the field's
-``einsum`` does, term by term and in the same order: the sum of
-(S_IJK V^J) V^K over the nonzero (J, K) in lexicographic order, then the
-division by w_I; the update is the expression of the generic loop.  IEEE
-arithmetic rounds each of these operations the same in numpy and in
-Python, so the states equal (``==``) those of the generic loop over
-``rhs``, which stays the reference.  A conserved component (S_I all zero,
-e.g. V^E and V^H of ``ho4``) gets no stage, stage input or update, since
-each would add 0.0 to its state; the stages read the state itself, and
-products of conserved components alone are computed once per call.  The
-only trace of this is the sign of a zero: the generic loop can turn a
-conserved -0.0 into 0.0, the compiled step keeps it.  Each chunk of rows
-comes back as one flat list of floats, read by ``np.fromiter``.
+dV^I/ds = sum_{J<=K} S_IJK V^J V^K / w_I.  ``integrate_rk4`` takes
+such a field and nothing else; it generates, once per (table, weights,
+step), a straight-line RK4 step in Python floats.  Each stage does what
+the field's ``einsum`` does, term by term and in the same order: the sum
+of (S_IJK V^J) V^K over the nonzero (J, K) in lexicographic order, then
+the division by w_I; the update is the classical
+V + (h/6)(k1 + 2 (k2 + k3) + k4).  IEEE arithmetic rounds each of these
+operations the same in numpy and in Python, so the states equal (``==``)
+those of a plain numpy RK4 loop over ``rhs``, which the tests keep as the
+reference.  A conserved component (S_I all zero, e.g. V^E and V^H of
+``ho4``) gets no stage, stage input or update, since each would add 0.0 to
+its state; the stages read the state itself, and products of conserved
+components alone are computed once per call.  The only trace of this is
+the sign of a zero: the numpy loop can turn a conserved -0.0 into 0.0, the
+compiled step keeps it.  Each chunk of rows comes back as one flat list of
+floats, read by ``np.fromiter``.
 
 Every closed-form family is one :class:`TrigFamily`: the velocity is a
 fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
@@ -197,7 +199,7 @@ class _QuadraticField:
     the first non-finite row is the same unless a stage state overflows in
     a component that no nonzero S_ijk reads.  A component i whose row S_i
     is all zero is conserved: the compiled step carries its state through
-    unchanged (keeping the sign of a -0.0, which the generic loop may drop)
+    unchanged (keeping the sign of a -0.0, which a numpy loop may drop)
     and computes once per call the products that read only such
     components.
     """
@@ -301,13 +303,14 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
     flat list, row after row.
 
     The step body is straight-line float code: four stages from
-    :func:`_stage_source` and the update of :func:`integrate_rk4`'s loop,
-    written out per component.  A conserved component (its row of S is all
-    zero) has stage values 0.0, so its stage inputs and its update are its
-    state: the step computes no stage, stage input or update for it, the
-    stages read its state, and the products that read only conserved
-    components are computed once before the loop.  The generic loop adds
-    those zeros, which can turn a -0.0 into 0.0; the states stay ``==``.
+    :func:`_stage_source` and the classical RK4 update
+    v + (h/6)(a + 2 (b + e) + k), written out per component.  A conserved
+    component (its row of S is all zero) has stage values 0.0, so its stage
+    inputs and its update are its state: the step computes no stage, stage
+    input or update for it, the stages read its state, and the products
+    that read only conserved components are computed once before the loop.
+    A numpy loop adds those zeros, which can turn a -0.0 into 0.0; the
+    states stay ``==``.
     The source holds only identifiers and the reprs of finite floats, which
     read back as the same doubles.
     """
@@ -343,14 +346,45 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
 _CHUNK_ROWS = 256
 
 
-def _integrate_field(field: _QuadraticField, states, grid, hs: float) -> None:
-    """Fill ``states[1:]`` from ``states[0]`` with the field's compiled step."""
+def _check_finite(v0: np.ndarray) -> None:
+    if not np.isfinite(v0).all():
+        raise ValueError(f"v0 must be finite, got {v0}")
+
+
+def integrate_rk4(field, v0, h: float):
+    """Classical fixed-step RK4 of a quadratic field on s in [0, 1];
+    returns (s_grid, states).
+
+    ``field`` is a quadratic field, as ``ClosedFormFamily.governing_rhs``
+    returns and ``solve_numeric`` builds; anything else is a ``TypeError``.
+    ``h`` must be a real number (not a bool) with ``MIN_STEP`` <= h <=
+    ``MAX_STEP``, and ``v0`` must be finite (``ValueError``) and 1-d with
+    the field's dimension (``DimMismatch``); all are checked before
+    anything is allocated.  The states come from the field's compiled step
+    (:func:`_compile_rk4`), one chunk of rows at a time.
+    """
+    if not isinstance(field, _QuadraticField):
+        raise TypeError(f"integrate_rk4 takes a quadratic field, such as "
+                        f"ClosedFormFamily.governing_rhs(), not "
+                        f"{type(field).__name__}")
+    if (isinstance(h, bool) or not isinstance(h, numbers.Real)
+            or not (MIN_STEP <= h <= MAX_STEP)):
+        raise ValueError(f"step size must be a real number with "
+                         f"{MIN_STEP} <= h <= {MAX_STEP}, got {h!r}")
+    V = np.array(v0, dtype=float)
+    if V.ndim != 1:
+        raise DimMismatch(f"v0 must be a vector, got shape {V.shape}")
+    _check_finite(V)
     d = len(field.w)
-    if states.shape[1] != d:
-        raise DimMismatch(f"state has dim {states.shape[1]}, field has {d}")
+    if len(V) != d:
+        raise DimMismatch(f"state has dim {len(V)}, field has {d}")
+    n = int(round(1.0 / h))
+    hs = 1.0 / n
+    grid = np.linspace(0.0, 1.0, n + 1)
+    states = np.empty((n + 1, d))
+    states[0] = V
     rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), hs)
-    state = states[0].tolist()
-    n = len(states) - 1
+    state = V.tolist()
     for start in range(1, n + 1, _CHUNK_ROWS):
         block = states[start:start + _CHUNK_ROWS]
         chunk = rows(state, len(block))
@@ -361,51 +395,6 @@ def _integrate_field(field: _QuadraticField, states, grid, hs: float) -> None:
             raise NumericBlowup(
                 f"non-finite state at s={grid[bad]:.6f}", s_reached=grid[bad])
         state = chunk[-d:]
-
-
-def _check_finite(v0: np.ndarray) -> None:
-    if not np.isfinite(v0).all():
-        raise ValueError(f"v0 must be finite, got {v0}")
-
-
-def integrate_rk4(fn, v0, h: float):
-    """Classical fixed-step RK4 on s in [0, 1]; returns (s_grid, states).
-
-    A quadratic field (``solve_numeric``, ``ClosedFormFamily.governing_rhs``)
-    runs its compiled step; any other callable runs the loop below, which
-    gives the same states for the same field.  ``h`` must be a real number
-    (not a bool) with ``MIN_STEP`` <= h <= ``MAX_STEP``, and ``v0`` must be
-    finite (``ValueError``) and 1-d (``DimMismatch``); both are checked
-    before anything is allocated.
-    """
-    if (isinstance(h, bool) or not isinstance(h, numbers.Real)
-            or not (MIN_STEP <= h <= MAX_STEP)):
-        raise ValueError(f"step size must be a real number with "
-                         f"{MIN_STEP} <= h <= {MAX_STEP}, got {h!r}")
-    V = np.array(v0, dtype=float)
-    if V.ndim != 1:
-        raise DimMismatch(f"v0 must be a vector, got shape {V.shape}")
-    _check_finite(V)
-    n = int(round(1.0 / h))
-    hs = 1.0 / n
-    half, sixth = 0.5 * hs, hs / 6.0
-    grid = np.linspace(0.0, 1.0, n + 1)
-    states = np.empty((n + 1, len(V)))
-    states[0] = V
-    if isinstance(fn, _QuadraticField):
-        _integrate_field(fn, states, grid, hs)
-        return grid, states
-    for k in range(n):
-        k1 = fn(V)
-        k2 = fn(V + half * k1)
-        k3 = fn(V + half * k2)
-        k4 = fn(V + hs * k3)
-        V = V + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(V).all():
-            raise NumericBlowup(
-                f"non-finite state at s={grid[k + 1]:.6f}", s_reached=grid[k + 1]
-            )
-        states[k + 1] = V
     return grid, states
 
 

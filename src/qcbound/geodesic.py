@@ -20,7 +20,6 @@ truncation), valid for vanishing central velocity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,35 +28,10 @@ from .errors import FamilyMismatch, UnsupportedCenterVelocity
 from .euler_arnold import VelocitySolution
 
 __all__ = [
-    "ExponentCoefficients",
-    "ProductFormCoefficients",
     "leading_order_coeffs",
     "product_form_coeffs_ho4",
     "residual_product_form",
 ]
-
-
-@dataclass(frozen=True)
-class ExponentCoefficients:
-    """Coefficients c_I(s) with U(s) ~ exp(-i sum_I c_I(s) O_I)."""
-
-    algebra: str
-    v0: np.ndarray
-    coeffs: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, s):
-        return self.coeffs(s)
-
-
-@dataclass(frozen=True)
-class ProductFormCoefficients:
-    """Coefficients (a1..a4) of the ordered product of exponentials."""
-
-    v0: np.ndarray
-    coeffs: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, s):
-        return self.coeffs(s)
 
 
 def _shape(out, s):
@@ -80,23 +54,24 @@ def _numeric_coeffs(sol: VelocitySolution):
     return fn
 
 
-def leading_order_coeffs(sol: VelocitySolution) -> ExponentCoefficients:
-    """Integrate the velocity components into exponent coefficients.
+def leading_order_coeffs(sol: VelocitySolution) -> Callable:
+    """The exponent coefficients c(s) of ``sol``, as a function of s.
 
-    Closed-form solutions get their construct's antiderivative; numeric
-    solutions get the trapezoid rule on the integrator grid.
+    The function takes a scalar or 1-d array of s and returns shape (dim,)
+    or (len(s), dim).  Closed-form solutions get their construct's
+    antiderivative; numeric solutions get the trapezoid rule on the
+    integrator grid.
     """
     if sol.trig is not None:
-        fn = sol.trig.antiderivative
-    elif sol.grid is not None:
-        fn = _numeric_coeffs(sol)
-    else:
-        raise FamilyMismatch("solution carries neither a closed form nor a dense grid")
-    return ExponentCoefficients(algebra=sol.algebra, v0=sol.v0, coeffs=fn)
+        return sol.trig.antiderivative
+    if sol.grid is not None:
+        return _numeric_coeffs(sol)
+    raise FamilyMismatch("solution carries neither a closed form nor a dense grid")
 
 
-def product_form_coeffs_ho4(v0) -> ProductFormCoefficients:
-    """Exact ordered-product coefficients for the oscillator group.
+def product_form_coeffs_ho4(v0) -> Callable:
+    """Exact ordered-product coefficients (a1..a4) for the oscillator group,
+    as a function of s shaped like :func:`leading_order_coeffs`'s.
 
     Requires v_E = 0; the central generator only contributes a phase and the
     parametrization is solved with it switched off.
@@ -120,10 +95,10 @@ def product_form_coeffs_ho4(v0) -> ProductFormCoefficients:
         a4 = s_arr * vH
         out = np.column_stack([a1, a2, a3, a4])
         return _shape(out, s)
-    return ProductFormCoefficients(v0=v0, coeffs=fn)
+    return fn
 
 
-def residual_product_form(coeffs: ProductFormCoefficients,
+def residual_product_form(coeffs: Callable,
                           sol: VelocitySolution, s_grid) -> float:
     """Max defect of the product-form coefficient ODEs on a grid.
 

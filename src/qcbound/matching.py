@@ -48,7 +48,6 @@ __all__ = [
     "TargetSpec",
     "MatchResult",
     "MatchCurve",
-    "reduce_periodic",
     "reduce_periodic_signed",
     "match",
     "match_curve",
@@ -77,26 +76,13 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def reduce_periodic(x, period: float):
-    """Distance of x to the nearest multiple of ``period``.
-
-    Returns |x - period * floor((x + period/2)/period)|, which lies in
-    [0, period/2] and equals |x| inside the first half-period.
-    """
-    if period <= 0:
-        raise ValueError("period must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.abs(x - period * np.floor((x + 0.5 * period) / period))
-    return float(out) if out.ndim == 0 else out
-
-
 def reduce_periodic_signed(x, period: float):
     """Signed reduction of x into [-period/2, period/2) plus winding index.
 
     ``x`` is a float, giving ``(float, int)``, or a 1-d array, giving
     ``(array, int64 array)`` equal element by element to the scalar form.
     Raises :class:`PrecisionLoss` when ulp(x) >= period (see the module
-    docstring).
+    docstring), or, as an arithmetic overflow, when x is not finite.
     """
     if period <= 0:
         raise ValueError("period must be positive")
@@ -112,6 +98,9 @@ def reduce_periodic_signed(x, period: float):
 
 
 def _precision_error(x: float, period: float) -> PrecisionLoss:
+    if not math.isfinite(x):
+        return PrecisionLoss(f"arithmetic overflow: the periodic coordinate "
+                             f"is {abs(x)}, not a finite number")
     return PrecisionLoss(
         f"ulp({abs(x):.6g}) = {math.ulp(x):.3g} is at least the period "
         f"{period:.6g}: the periodic reduction keeps no digits")

@@ -71,10 +71,6 @@ class MatrixRep:
     matrices: tuple
     frame: tuple | None = None
 
-    @property
-    def hermitian(self) -> bool:
-        return all(np.allclose(M, M.conj().T, atol=1e-12) for M in self.matrices)
-
 
 @dataclass(frozen=True)
 class TruncatedFockRep:

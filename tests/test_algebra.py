@@ -36,7 +36,7 @@ def test_ho4_general_scales_with_parameters():
     E, P, Q, H = range(4)
     assert alg.f[H, Q, P] == -0.5          # -1/m
     assert alg.f[H, P, Q] == 18.0          # m omega^2
-    assert alg.param("m") == 2.0
+    assert dict(alg.params)["m"] == 2.0
     assert qb.validate(alg).max_jacobi_residual == 0.0
 
 

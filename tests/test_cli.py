@@ -129,8 +129,8 @@ def test_fig6_zero_coupling_series_matches_uncoupled_formula(tmp_path):
     assert lines[0] == "t,value,branch,divergent"
     for ln in lines[1:]:
         t, val = float(ln.split(",")[0]), float(ln.split(",")[1])
-        sp = qb.reduce_periodic((2.0 + 1.0) * t, 4 * PI)
-        sm = qb.reduce_periodic((2.0 - 1.0) * t, 4 * PI)
+        sp = abs(qb.reduce_periodic_signed((2.0 + 1.0) * t, 4 * PI)[0])
+        sm = abs(qb.reduce_periodic_signed((2.0 - 1.0) * t, 4 * PI)[0])
         assert val == pytest.approx(math.sqrt(0.5 * (sp ** 2 + sm ** 2)),
                                     abs=1e-9)
 
@@ -386,6 +386,9 @@ def test_bulk_csv_writer_on_two_point_grid_with_divergent_rows():
      "--t-steps", "3"],
     ["bound", "anharm", "--t", "1", "--lambda", "1e200"],
     ["figure", "fig7", "--lambda", "1e200", "--t-min", "0.5", "--t-max", "1",
+     "--t-steps", "3"],
+    ["bound", "ho", "--omega", "1e300", "--t", "1e300"],    # omega * t
+    ["figure", "fig2", "--omega", "1e300", "--t-min", "1e9", "--t-max", "1e10",
      "--t-steps", "3"],
 ])
 def test_overflowing_intermediate_is_a_usage_error(argv, tmp_path, capsys):

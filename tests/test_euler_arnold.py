@@ -3,9 +3,11 @@
 Closed-form families are checked against fixed-step RK4 on their governing
 systems, and the weighted speed is verified as an exact constant of motion
 for the genuine table flows.  The compiled RK4 step of a quadratic field is
-checked for equality (``==``) with the generic loop over ``rhs``.
+checked for equality (``==``) with the plain numpy loop :func:`rk4_loop`
+over ``rhs``, which stays here as the reference.
 """
 
+import numbers
 import tracemalloc
 
 import numpy as np
@@ -14,11 +16,44 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
-from qcbound.euler_arnold import (_CHUNK_ROWS, DEFAULT_STEP, MIN_STEP,
+from qcbound.euler_arnold import (_CHUNK_ROWS, DEFAULT_STEP, MAX_STEP, MIN_STEP,
                                   ClosedFormFamily, _compile_rk4, _QuadraticField,
                                   integrate_rk4)
 
 RNG = np.random.default_rng(42)
+
+
+def rk4_loop(fn, v0, h: float):
+    """Classical fixed-step RK4 of any callable on s in [0, 1], in numpy;
+    returns (s_grid, states) and checks ``h`` and ``v0`` as
+    ``integrate_rk4`` does.  The reference for the compiled step."""
+    if (isinstance(h, bool) or not isinstance(h, numbers.Real)
+            or not (MIN_STEP <= h <= MAX_STEP)):
+        raise ValueError(f"step size must be a real number with "
+                         f"{MIN_STEP} <= h <= {MAX_STEP}, got {h!r}")
+    V = np.array(v0, dtype=float)
+    if V.ndim != 1:
+        raise qb.DimMismatch(f"v0 must be a vector, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise ValueError(f"v0 must be finite, got {V}")
+    n = int(round(1.0 / h))
+    hs = 1.0 / n
+    half, sixth = 0.5 * hs, hs / 6.0
+    grid = np.linspace(0.0, 1.0, n + 1)
+    states = np.empty((n + 1, len(V)))
+    states[0] = V
+    for k in range(n):
+        k1 = fn(V)
+        k2 = fn(V + half * k1)
+        k3 = fn(V + half * k2)
+        k4 = fn(V + hs * k3)
+        V = V + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.isfinite(V).all():
+            raise qb.NumericBlowup(
+                f"non-finite state at s={grid[k + 1]:.6f}", s_reached=grid[k + 1]
+            )
+        states[k + 1] = V
+    return grid, states
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +169,23 @@ def test_integrate_rk4_rejects_step_sizes_outside_the_range(h):
     # each used to become one step of size 1, a ZeroDivisionError or a
     # float-to-int conversion error
     with pytest.raises(ValueError, match="step size"):
-        integrate_rk4(lambda V: V, [1.0], h)
+        integrate_rk4(_QuadraticField([[[1.0]]], [1.0]), [1.0], h)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda V: V, qb.rhs, np.zeros((1, 1, 1)), None,
+], ids=["lambda", "rhs", "table", "None"])
+def test_integrate_rk4_takes_only_a_quadratic_field(fn):
+    # the field's compiled step is the only integrator; rk4_loop above is
+    # the numpy reference for it
+    with pytest.raises(TypeError, match="quadratic field"):
+        integrate_rk4(fn, [1.0], 1e-2)
 
 
 @pytest.mark.parametrize("solve", [
     lambda h: integrate_rk4(_QuadraticField(qb.builtin("sp2_J").f, np.ones(3)),
                             [0.1, 0.2, 0.3], h),
-    lambda h: integrate_rk4(lambda V: V, [0.1, 0.2, 0.3], h),
+    lambda h: rk4_loop(lambda V: V, [0.1, 0.2, 0.3], h),
     lambda h: qb.solve_numeric(qb.builtin("sp2_J"), qb.PenaltyMatrix.identity(3),
                                [0.1, 0.2, 0.3], h=h),
 ], ids=["field", "generic", "solve_numeric"])
@@ -162,20 +207,29 @@ def test_integrate_rk4_rejects_a_step_that_is_not_a_number_or_too_small(solve, h
 
 
 @pytest.mark.parametrize("fn", [
-    _QuadraticField(qb.builtin("sp2_J").f, np.ones(3)), lambda V: V,
+    lambda v0: integrate_rk4(_QuadraticField(qb.builtin("sp2_J").f, np.ones(3)),
+                             v0, 1e-2),
+    lambda v0: rk4_loop(lambda V: V, v0, 1e-2),
 ], ids=["field", "generic"])
 @pytest.mark.parametrize("v0", [1.0, [[1.0, 2.0, 3.0]]], ids=["scalar", "row"])
 def test_integrate_rk4_rejects_v0_that_is_not_a_vector(fn, v0):
     # used to end in "len() of unsized object" or a numpy broadcast error
     with pytest.raises(qb.DimMismatch, match="v0 must be a vector"):
-        integrate_rk4(fn, v0, 1e-2)
+        fn(v0)
+
+
+def test_integrate_rk4_rejects_v0_of_another_dimension():
+    field = _QuadraticField(qb.builtin("sp2_J").f, np.ones(3))
+    with pytest.raises(qb.DimMismatch, match="field has 3"):
+        integrate_rk4(field, [0.1, 0.2], 1e-2)
 
 
 @pytest.mark.parametrize("solve", [
     lambda v0: qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"), v0),
     lambda v0: qb.solve_numeric(qb.builtin("sp2_J"), qb.PenaltyMatrix.identity(3),
                                 v0),
-    lambda v0: integrate_rk4(lambda V: V, v0, DEFAULT_STEP),
+    lambda v0: integrate_rk4(ClosedFormFamily("sp2_J_equal_penalty").governing_rhs(),
+                             v0, DEFAULT_STEP),
 ], ids=["solve_closed_form", "solve_numeric", "integrate_rk4"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_v0_is_an_input_error(solve, bad):
@@ -204,7 +258,7 @@ def test_solve_numeric_matches_reference_rhs(name):
     def check(v0, weights):
         G = qb.PenaltyMatrix.diagonal(weights)
         sol = qb.solve_numeric(alg, G, v0, h=1e-2)
-        _, want = integrate_rk4(lambda V: qb.rhs(alg, G, V), v0, 1e-2)
+        _, want = rk4_loop(lambda V: qb.rhs(alg, G, V), v0, 1e-2)
         assert np.array_equal(sol.states, want)
 
     if name == "sp4_T10":
@@ -223,7 +277,7 @@ def test_compiled_step_matches_generic_loop(name):
     def check(v0, weights):
         field = _QuadraticField(alg.f, weights)
         grid, got = integrate_rk4(field, v0, DEFAULT_STEP)
-        want_grid, want = integrate_rk4(lambda V: field(V), v0, DEFAULT_STEP)
+        want_grid, want = rk4_loop(field, v0, DEFAULT_STEP)
         assert np.array_equal(grid, want_grid)
         assert np.array_equal(got, want)
 
@@ -248,7 +302,7 @@ def test_anharm_field_is_the_reduced_system(v0):
     field = ClosedFormFamily("anharm_p", p=100.0).governing_rhs()
     assert np.array_equal(field(np.array(v0)), _anharm_reduced_rhs(v0))
     _, got = integrate_rk4(field, v0, DEFAULT_STEP)
-    _, want = integrate_rk4(_anharm_reduced_rhs, v0, DEFAULT_STEP)
+    _, want = rk4_loop(_anharm_reduced_rhs, v0, DEFAULT_STEP)
     assert np.array_equal(got, want)
 
 
@@ -262,7 +316,7 @@ def test_compiled_blowup_reports_the_generic_loop_s():
             integrate_rk4(field, [v0], 1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(qb.NumericBlowup) as slow:
-                integrate_rk4(lambda V: field(V), [v0], 1e-3)
+                rk4_loop(field, [v0], 1e-3)
         assert fast.value.s_reached == slow.value.s_reached
         assert fast.value.s_reached == pytest.approx(s_near, abs=1e-9)
         rows.append(round(fast.value.s_reached * 1000))
@@ -294,7 +348,7 @@ def test_compiled_step_with_conserved_components_matches_generic_loop(
     for n, i in enumerate(conserved):
         v0[i] = (-0.0, 0.6)[n % 2] if fill == "mixed" else fill
     _, got = integrate_rk4(field, v0, 1e-3)
-    _, want = integrate_rk4(lambda V: field(V), v0, 1e-3)
+    _, want = rk4_loop(field, v0, 1e-3)
     assert np.array_equal(got, want)
     for i in conserved:
         # the step carries the state itself: no update adds a zero to a -0.0
@@ -329,7 +383,7 @@ def test_compiled_step_on_tables_with_conserved_rows(data):
     v0 = data.draw(st.lists(small, min_size=d, max_size=d))
     field = _QuadraticField(c, w)
     _, got = integrate_rk4(field, v0, 1e-2)
-    _, want = integrate_rk4(lambda V: field(V), v0, 1e-2)
+    _, want = rk4_loop(field, v0, 1e-2)
     assert np.array_equal(got, want)
     for i in _conserved(field):
         assert np.all(got[:, i] == v0[i])
@@ -362,7 +416,7 @@ def test_compiled_blowup_with_a_conserved_component(entry, v0):
         integrate_rk4(field, v0, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(qb.NumericBlowup) as slow:
-            integrate_rk4(lambda V: field(V), v0, 1e-3)
+            rk4_loop(field, v0, 1e-3)
     assert fast.value.s_reached == slow.value.s_reached
     assert 0.0 < fast.value.s_reached < 1.0
 
@@ -425,11 +479,11 @@ def test_solve_numeric_dim_mismatch():
 
 
 def test_integrator_raises_on_blowup():
-    # dV/ds = V^3 with large v0 escapes to infinity inside [0, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(qb.NumericBlowup) as err:
-            integrate_rk4(lambda V: V ** 3, np.array([50.0]), 1e-3)
-    assert 0.0 < err.value.s_reached <= 1.0
+    # dV/ds = V^2 from v0 = 50 escapes to infinity at s = 0.02
+    field = _QuadraticField([[[1.0]]], [1.0])
+    with pytest.raises(qb.NumericBlowup) as err:
+        integrate_rk4(field, np.array([50.0]), 1e-3)
+    assert 0.02 < err.value.s_reached <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,16 @@ def _solve(tag, v0, **kw):
 # leading-order coefficients
 # ---------------------------------------------------------------------------
 
+def test_coefficients_are_the_functions_themselves():
+    # no wrapper object: the closed form's antiderivative is returned as is
+    sol = _solve("sp2_J_equal_penalty", [0.3, -0.2, 0.5])
+    assert qb.leading_order_coeffs(sol) == sol.trig.antiderivative
+    for gone in ("ExponentCoefficients", "ProductFormCoefficients",
+                 "reduce_periodic"):
+        assert not hasattr(qb, gone)
+    assert all(hasattr(qb, name) for name in qb.__all__)
+
+
 def test_pure_energy_coefficients_are_linear():
     sol = _solve("ho4_equal_penalty", [0, 0, 0, 1.7])
     c = qb.leading_order_coeffs(sol)
@@ -173,8 +183,7 @@ def test_product_form_residual_detects_perturbation():
         a[:, 1] += 0.1
         return a[0] if np.ndim(s) == 0 else a
 
-    bad = qb.ProductFormCoefficients(v0=v0, coeffs=perturbed)
-    assert qb.residual_product_form(bad, sol, np.linspace(0, 1, 101)) >= 0.05
+    assert qb.residual_product_form(perturbed, sol, np.linspace(0, 1, 101)) >= 0.05
 
 
 def test_product_form_agrees_with_single_exponential_at_zero_rotation():

@@ -15,20 +15,25 @@ PI = math.pi
 # periodicity reduction
 # ---------------------------------------------------------------------------
 
+def _distance(x, period):
+    # distance of x to the nearest multiple of the period
+    return abs(reduce_periodic_signed(x, period)[0])
+
+
 def test_reduce_periodic_reference_points():
-    assert qb.reduce_periodic(3 * PI, 4 * PI) == pytest.approx(PI, abs=1e-15)
-    assert qb.reduce_periodic(4 * PI, 4 * PI) == 0.0
-    assert qb.reduce_periodic(0.5, 4 * PI) == 0.5
+    assert _distance(3 * PI, 4 * PI) == pytest.approx(PI, abs=1e-15)
+    assert _distance(4 * PI, 4 * PI) == 0.0
+    assert _distance(0.5, 4 * PI) == 0.5
 
 
 def test_reduce_periodic_properties():
     rng = np.random.default_rng(0)
     x = rng.uniform(-100, 100, size=500)
     period = 4 * PI
-    r = qb.reduce_periodic(x, period)
+    r = _distance(x, period)
     assert np.all(r >= 0) and np.all(r <= period / 2 + 1e-12)
-    assert np.allclose(qb.reduce_periodic(-x, period), r, atol=1e-9)
-    assert np.allclose(qb.reduce_periodic(x + 3 * period, period), r, atol=1e-9)
+    assert np.allclose(_distance(-x, period), r, atol=1e-9)
+    assert np.allclose(_distance(x + 3 * period, period), r, atol=1e-9)
 
 
 def test_reduce_signed_branch_bookkeeping():
@@ -76,8 +81,12 @@ def test_reduction_without_digits_raises():
             qb.match(qb.TargetSpec.ho(1.0, t))
     with pytest.raises(qb.PrecisionLoss):
         reduce_periodic_signed(np.array([0.0, 1e17]), 4 * PI)
-    with pytest.raises(qb.PrecisionLoss):  # omega * t overflows to inf
+    with pytest.raises(qb.PrecisionLoss,  # omega * t overflows to inf
+                       match="^arithmetic overflow"):
         qb.match(qb.TargetSpec.anharm_cubic(1e200, 0.1, 1e200))
+    for x in (math.inf, -math.inf, math.nan, np.array([0.0, math.inf])):
+        with pytest.raises(qb.PrecisionLoss, match="^arithmetic overflow"):
+            reduce_periodic_signed(x, 4 * PI)
 
 
 # ---------------------------------------------------------------------------

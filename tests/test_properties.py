@@ -7,6 +7,8 @@ invariants the bounds rely on.
 * every bound is non-negative (``inf`` at poles, never ``nan``);
 * the oscillator bound has period 4 pi / omega in t, to 1e-9;
 * matched cubic-oscillator velocities satisfy A > hypot(B, C);
+* the closed-form cubic length agrees with its quadrature to 1e-9 as
+  v1 -> 0 (a known defect, marked ``xfail``);
 * each closed-form family's length agrees with the length of its RK4
   trajectory to 1e-7.
 """
@@ -16,7 +18,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
@@ -143,6 +145,25 @@ def test_anharm_integrand_positive_on_matched_velocities(omega, lam, t, g11, p):
     assume(not res.is_divergent)
     A, B, C = anharm_integrand_coeffs(res.v0, g11, p)
     assert A > math.hypot(B, C)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: the elliptic length divides antideriv(4 v1 + phi) - "
+    "antideriv(phi) by 4 v1, a cancellation that loses about 1e-16/|v1| "
+    "relative as v1 -> 0 (ROADMAP item 1)"))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          report_multiple_bugs=False,
+          phases=(Phase.explicit, Phase.generate))   # no shrinking: stays fast
+@given(log_v1=floats(-16.0, -2.0), sign=st.sampled_from([1.0, -1.0]),
+       rest=st.lists(floats(-1.0, 1.0), min_size=4, max_size=4),
+       g11=floats(0.5, 2.0), p=floats(1.0, 200.0))
+def test_anharm_length_agrees_with_quadrature_as_v1_vanishes(log_v1, sign, rest,
+                                                            g11, p):
+    v0 = [sign * 10.0 ** log_v1, *rest]
+    A, B, C = anharm_integrand_coeffs(v0, g11, p)
+    assume(A > math.hypot(B, C))
+    exact = qb.anharm_length_quadrature(v0, g11, p)
+    assert abs(qb.anharm_length(v0, g11, p) - exact) <= 1e-9 * exact
 
 
 FAMILIES = [qb.ClosedFormFamily("ho4_equal_penalty"),
