@@ -25,7 +25,6 @@ from .bounds import (
     BoundCurve,
     BoundResult,
     anharm_length,
-    anharm_length_quadrature,
     bound,
     bound_curve,
     length,
@@ -79,8 +78,8 @@ from .verification import run_suite
 __all__ = [
     "BasisChange", "KJ_BASIS_CHANGE", "LieAlgebraSpec", "ValidationReport",
     "builtin", "builtin_names", "change_basis", "table_to_json", "validate",
-    "BoundCurve", "BoundResult", "anharm_length", "anharm_length_quadrature",
-    "bound", "bound_curve", "length",
+    "BoundCurve", "BoundResult", "anharm_length", "bound",
+    "bound_curve", "length",
     "DegenerateDirection", "DimMismatch", "FamilyMismatch", "NotRegistered",
     "NumericBlowup", "PrecisionLoss", "QcBoundError", "SingularBasisChange",
     "Unsupported", "UnsupportedCenterVelocity",

@@ -8,7 +8,9 @@ For the rotation families the integrand is constant and L reduces to the
 weighted norm of the initial velocity.  The truncated cubic oscillator is
 the exception: its integrand oscillates at frequency 4 v1 and integrates to
 an incomplete elliptic integral of the second kind, evaluated here in
-closed form with a Gauss-Legendre cross-check.
+closed form: one ``ellipeinc`` call per length, on the stacked angles of
+both ends of the integral, for a float and for an array alike (the tests
+check it against a Gauss-Legendre quadrature).
 
 The module needs numpy only, apart from SciPy's ``ellipeinc``, which the
 first cubic length imports and the module keeps.  Simpson's rule
@@ -22,7 +24,10 @@ curve emitters record as gaps.
 :func:`bound` and :func:`bound_curve` take the formula id, caveats and
 length from the target's registry entry (:mod:`qcbound.systems`); the curve
 runs the same kernel and length on the whole grid, so each value equals
-``bound(target.with_time(t)).value`` exactly (``==``).
+``bound(target.with_time(t)).value`` exactly (``==``).  :func:`bound` shares
+the solve step of :func:`matching.match` and stays in Python floats: the
+length and the extras take the kernel's list of velocities, and the
+result's ``v0`` array is built once, from that list.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .euler_arnold import PenaltyMatrix, VelocitySolution
-from .matching import apply_math, match, match_curve
+from .matching import apply_math, match_curve, solve_point
 
 if TYPE_CHECKING:
     from .systems import TargetSpec
@@ -48,7 +53,6 @@ __all__ = [
     "bound_curve",
     "anharm_integrand_coeffs",
     "anharm_length",
-    "anharm_length_quadrature",
 ]
 
 STANDARD_CAVEAT = "upper bound only: leading-order Dyson, truncated group"
@@ -194,11 +198,13 @@ def anharm_integrand_coeffs(v0, g11: float, p: float):
 
     With penalties diag(g11, p, p, p, p) the squared speed of the reduced
     cubic solution is  speed^2(s) = (A + B cos(4 s v1) + C sin(4 s v1)) / 2.
-    ``v0`` has shape (5,), giving floats, or (5, n), giving arrays; both
-    shapes run the same arithmetic.
+    ``v0`` is five floats (a list or an array of shape (5,)), giving
+    floats, or an array of shape (5, n), giving arrays; both run the same
+    arithmetic.
     """
-    v = np.asarray(v0, dtype=float)
-    v1, v4, v5, v6, v7 = v.tolist() if v.ndim == 1 else v
+    if isinstance(v0, np.ndarray) and v0.ndim == 1:
+        v0 = v0.tolist()
+    v1, v4, v5, v6, v7 = v0
     A = 2 * g11 * (v1 * v1) + 0.5 * p * (
         7 * (v4 * v4) - 2 * v4 * v7 + 7 * (v5 * v5) - 2 * v5 * v6
         + 3 * (v6 * v6 + v7 * v7)
@@ -266,31 +272,17 @@ def _ellipeinc():
 
 
 def _elliptic_length(v1, A, R, phi, root):
-    """Elliptic-integral length for v1 != 0 and R > 0; ``root`` = sqrt(A + R)."""
-    ellipeinc = _ellipeinc()
-    m = 2.0 * R / (A + R)
+    """Elliptic-integral length for v1 != 0 and R > 0; ``root`` = sqrt(A + R).
 
-    def antideriv(y):
-        return -2.0 * root * ellipeinc((math.pi - 2.0 * y) / 4.0, m)
-
-    raw = antideriv(4.0 * v1 + phi) - antideriv(phi)
-    return raw / (4.0 * v1 * math.sqrt(2.0))
-
-
-def anharm_length_quadrature(v0, g11: float, p: float) -> float:
-    """Gauss-Legendre evaluation of the cubic-oscillator length.
-
-    Independent of the elliptic reduction; used to cross-check conventions.
-    The starting panels are about one period of the integrand wide.
+    The antiderivative -2 root E((pi - 2 y) / 4 | m) is taken at both ends,
+    y = 4 v1 + phi and y = phi, in one ``ellipeinc`` call on the two
+    stacked angles; floats (giving ``np.float64``) and 1-d arrays alike.
     """
-    v1 = float(v0[0])
-    A, B, C = anharm_integrand_coeffs(v0, g11, p)
-
-    def integrand(s):
-        return np.sqrt((A + B * np.cos(4 * s * v1) + C * np.sin(4 * s * v1)) / 2.0)
-
-    panels = math.ceil(abs(4 * v1) / (2 * math.pi)) if math.isfinite(v1) else 1
-    return _gauss_legendre(integrand, epsabs=1e-13, epsrel=1e-11, panels=panels)
+    m = 2.0 * R / (A + R)
+    e_end, e_start = _ellipeinc()(np.array(
+        [(math.pi - 2.0 * (4.0 * v1 + phi)) / 4.0, (math.pi - 2.0 * phi) / 4.0]), m)
+    c = -2.0 * root
+    return (c * e_end - c * e_start) / (4.0 * v1 * math.sqrt(2.0))
 
 
 def _sum_squares(components):
@@ -301,11 +293,12 @@ def _sum_squares(components):
     return total
 
 
-def norm_length(params: dict, v0: np.ndarray):
-    """Unit-weight norm of ``v0``: a float for shape (k,), an array for (k, n)."""
-    if v0.ndim == 1:
-        return math.sqrt(_sum_squares(v0.tolist()))
-    return np.sqrt(_sum_squares(v0))
+def norm_length(params: dict, v0):
+    """Unit-weight norm of ``v0``: a float for a list of floats, an array
+    for a (k, n) array."""
+    if isinstance(v0, np.ndarray):
+        return np.sqrt(_sum_squares(v0))
+    return math.sqrt(_sum_squares(v0))
 
 
 def _reject_overflow(value, v0) -> None:
@@ -319,19 +312,20 @@ def _reject_overflow(value, v0) -> None:
 
 def bound(target: TargetSpec) -> BoundResult:
     """Complexity bound of a target: match, reduce, evaluate the length."""
-    res = match(target)
-    if res.is_divergent:
-        return BoundResult(math.inf, f"{target.system}_pole", None, res.branch,
-                           [STANDARD_CAVEAT, f"divergent: {res.divergent}", *res.notes])
-    spec = target.spec
-    value = spec.length(target.params, res.v0)
+    v0, branch, notes, divergent = solve_point(target)
+    if divergent is not None:
+        return BoundResult(math.inf, f"{target.system}_pole", None, branch,
+                           [STANDARD_CAVEAT, f"divergent: {divergent}", *notes])
+    spec, params = target.spec, target.params
+    value = spec.length(params, v0)
     caveats = [STANDARD_CAVEAT, *spec.caveats]
     if not math.isfinite(value):
-        _reject_overflow(value, res.v0)
+        _reject_overflow(value, v0)
         caveats.append(POSITIVITY_CAVEAT)
-    caveats += res.notes
-    extras = spec.extras(target.params, res.v0) if spec.extras else {}
-    return BoundResult(value, spec.formula_id, res.v0, res.branch, caveats, extras)
+    caveats += notes
+    extras = spec.extras(params, v0) if spec.extras else {}
+    return BoundResult(value, spec.formula_id, np.array(v0), branch, caveats,
+                       extras)
 
 
 @dataclass

@@ -188,14 +188,26 @@ def match(target: TargetSpec) -> MatchResult:
     ``RELIABLE_DIGITS`` digits adds a ``precision:`` note; one that keeps
     none raises :class:`PrecisionLoss`.
     """
+    v0, branch, notes, divergent = solve_point(target)
+    return MatchResult(None if v0 is None else np.array(v0), branch, notes,
+                       divergent)
+
+
+def solve_point(target: TargetSpec):
+    """The solve step of :func:`match`, shared with :func:`bounds.bound`.
+
+    Returns ``(v0, branch, notes, divergent)``: the kernel's list of float
+    velocities (``None`` at a pole), the winding index, the notes and the
+    text of the first pole that holds (``None`` at a regular point).
+    """
     notes: list[str] = []
     v0, branch, poles, regular_notes = target.spec.kernel(target.params, notes)
     for at, text in poles:
         if at:
-            return MatchResult(None, branch, notes,
-                               text if isinstance(text, str) else text(at))
+            return (None, branch, notes,
+                    text if isinstance(text, str) else text(at))
     notes += regular_notes
-    return MatchResult(np.array(v0), branch, notes)
+    return v0, branch, notes, None
 
 
 @dataclass

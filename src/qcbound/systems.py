@@ -313,28 +313,28 @@ CLI_NAMES: dict[str, SystemSpec] = {**SYSTEMS, "anharm": ANHARM_CUBIC}
 
 # -- targets ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TargetSpec:
     """Target unitary, identified by a system tag and its parameters.
 
     Build one with the constructor named after the system, e.g.
-    ``TargetSpec.ho(omega, t)``; the constructors follow ``SYSTEMS``.
-    Every parameter must be finite; ``inf`` and ``nan`` raise ``ValueError``.
+    ``TargetSpec.ho(omega, t)``, or as ``TargetSpec("ho", {"omega": omega,
+    "t": t})``; the constructors follow ``SYSTEMS``.  Both routes run the
+    same checks, once: the parameters by name, optional ones with their
+    defaults, positivity, the system's own check, and finiteness (``inf``
+    and ``nan`` raise ``ValueError``).  ``params`` holds the parameters
+    cast to their types, in constructor order.
     """
 
     system: str
     params: dict
     spec: SystemSpec = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        spec = SYSTEMS.get(self.system)
-        if spec is None:
+    def __init__(self, system: str, params: dict):
+        if system not in SYSTEMS:
             raise Unsupported(
-                f"unknown system {self.system!r}; choose from {tuple(SYSTEMS)}")
-        for name, value in self.params.items():
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        object.__setattr__(self, "spec", spec)
+                f"unknown system {system!r}; choose from {tuple(SYSTEMS)}")
+        _INIT[system](self, **params)
 
     def with_time(self, t: float) -> "TargetSpec":
         if "t" not in self.params:
@@ -346,29 +346,50 @@ class TargetSpec:
                                 **{k: self.params[k] for k in self.spec.penalties})
 
 
-def _constructor(spec: SystemSpec):
-    """``TargetSpec.<tag>`` as straight-line code (a generic binder costs a
-    scalar ``bound`` about 0.5 us more): the parameters in order, optional
-    ones with their defaults; positivity checked in order, then the cast
-    ``params`` and ``spec.check``."""
+def _generate(spec: SystemSpec):
+    """``TargetSpec.<tag>`` and the initialiser of a target of ``spec``, as
+    straight-line code (a generic binder costs a scalar ``bound`` about
+    0.5 us more).  Both take the parameters in order, optional ones with
+    their defaults, and carry the qualified name ``TargetSpec.<tag>``, so a
+    missing or unknown parameter raises the same ``TypeError`` on either
+    route.  The initialiser tests positivity in order, casts, runs
+    ``spec.check``, tests finiteness in order, and sets the fields, reading
+    the spec from ``SYSTEMS``."""
     ps = spec.params
-    lines = [f"def {spec.tag}(cls, " + ", ".join(
-        f"{p.name}={p.default!r}" if p.optional else p.name for p in ps) + "):"]
+    names = [p.name for p in ps]
+    signature = ", ".join(
+        f"{p.name}={p.default!r}" if p.optional else p.name for p in ps)
+    lines = [f"def make(cls, {signature}):",
+             "    self = _new(cls)",
+             f"    init(self, {', '.join(names)})",
+             "    return self",
+             f"def init(self, {signature}):"]
     lines += [f"    if not {p.name} > 0: raise ValueError("
               f"f'{p.name} must be positive, got {{{p.name}!r}}')"
               for p in ps if p.positive]
-    lines.append("    params = {" + ", ".join(
-        f"{p.name!r}: {type(p.default).__name__}({p.name})" for p in ps) + "}")
+    lines.append(f"    {', '.join(names)}, = " + "".join(
+        f"{type(p.default).__name__}({p.name}), " for p in ps))
+    lines.append("    params = {" + ", ".join(f"{n!r}: {n}" for n in names) + "}")
     if spec.check is not None:
         lines.append("    _check(params)")
-    lines.append(f"    return cls({spec.tag!r}, params)")
-    scope = {"_check": spec.check}
+    lines += [f"    if not {'cmath' if isinstance(p.default, complex) else 'math'}"
+              f".isfinite({p.name}): raise ValueError("
+              f"f'{p.name} must be finite, got {{{p.name}!r}}')" for p in ps]
+    lines += [f"    _set(self, 'system', {spec.tag!r})",
+              "    _set(self, 'params', params)",
+              f"    _set(self, 'spec', SYSTEMS[{spec.tag!r}])"]
+    scope = {"_check": spec.check, "math": math, "cmath": cmath,
+             "_new": object.__new__, "_set": object.__setattr__,
+             "SYSTEMS": SYSTEMS}
     exec("\n".join(lines), scope)
-    make = scope[spec.tag]
-    make.__qualname__ = f"TargetSpec.{spec.tag}"
+    make, init = scope["make"], scope["init"]
+    make.__qualname__ = init.__qualname__ = f"TargetSpec.{spec.tag}"
     make.__doc__ = f"Target: {spec.summary}."
-    return classmethod(make)
+    return classmethod(make), init
 
 
+# the initialiser of each system's targets, by tag
+_INIT: dict[str, Callable[..., None]] = {}
 for _spec in SYSTEMS.values():
-    setattr(TargetSpec, _spec.tag, _constructor(_spec))
+    _make, _INIT[_spec.tag] = _generate(_spec)
+    setattr(TargetSpec, _spec.tag, _make)

@@ -5,6 +5,8 @@ invariants the bounds rely on.
   value, branch, divergence and pole text, on grids that step onto the
   documented poles.
 * every bound is non-negative (``inf`` at poles, never ``nan``);
+* ``bound`` agrees with ``match`` on v0, branch, divergence and notes, and
+  its value keeps its type;
 * the oscillator bound has period 4 pi / omega in t, to 1e-9;
 * matched cubic-oscillator velocities satisfy A > hypot(B, C);
 * the closed-form cubic length agrees with its quadrature to 1e-9 as
@@ -24,6 +26,8 @@ from hypothesis import strategies as st
 import qcbound as qb
 from qcbound.bounds import anharm_integrand_coeffs
 from qcbound.euler_arnold import DEFAULT_STEP
+
+from quadrature_reference import anharm_length_quadrature
 
 PI = math.pi
 T = qb.TargetSpec
@@ -129,6 +133,46 @@ def test_bound_is_non_negative(target):
     assert qb.bound(target).value >= 0.0
 
 
+@st.composite
+def any_point(draw):
+    """A target of any of the nine systems; for the systems with poles,
+    sometimes exactly on a documented pole, and sometimes at a time whose
+    reduction carries a ``precision:`` note."""
+    system = draw(st.sampled_from(sorted(qb.systems.SYSTEMS)))
+    if system == "displacement":
+        return T.displacement(draw(st.complex_numbers(
+            max_magnitude=10.0, allow_nan=False, allow_infinity=False)))
+    target = draw(SWEEPABLE[system])
+    poles = documented_poles(target)
+    times = st.one_of(floats(-60.0, 60.0), floats(-1e6, 1e6))
+    if poles:
+        times = st.one_of(times, st.sampled_from(poles))
+    return target.with_time(draw(times))
+
+
+@settings(max_examples=500, deadline=None)
+@given(target=any_point())
+def test_bound_agrees_with_match(target):
+    # bound() shares match()'s solve step but builds no MatchResult
+    res, m = qb.bound(target), qb.match(target)
+    assert res.branch == m.branch
+    assert res.is_divergent == m.is_divergent
+    if m.is_divergent:
+        assert res.v0 is None
+        assert res.caveats == [qb.bounds.STANDARD_CAVEAT,
+                               f"divergent: {m.divergent}", *m.notes]
+    else:
+        assert res.v0.dtype == m.v0.dtype and res.v0.tobytes() == m.v0.tobytes()
+        assert res.caveats[len(res.caveats) - len(m.notes):] == m.notes
+    # the elliptic branch of the cubic length gives SciPy's np.float64 (the
+    # golden file stores its repr); every other value is a float
+    elliptic = (target.system == "anharm_cubic" and not res.is_divergent
+                and res.v0[0] != 0.0
+                and math.hypot(res.extras["B"], res.extras["C"]) != 0.0)
+    assert type(res.value) is (np.float64 if elliptic else float)
+    assert all(type(x) is float for x in res.extras.values())
+
+
 @settings(max_examples=300, deadline=None)
 @given(omega=floats(0.1, 10.0), t=floats(-50.0, 50.0))
 def test_ho_bound_has_period_4pi_over_omega(omega, t):
@@ -162,7 +206,7 @@ def test_anharm_length_agrees_with_quadrature_as_v1_vanishes(log_v1, sign, rest,
     v0 = [sign * 10.0 ** log_v1, *rest]
     A, B, C = anharm_integrand_coeffs(v0, g11, p)
     assume(A > math.hypot(B, C))
-    exact = qb.anharm_length_quadrature(v0, g11, p)
+    exact = anharm_length_quadrature(v0, g11, p)
     assert abs(qb.anharm_length(v0, g11, p) - exact) <= 1e-9 * exact
 
 

@@ -105,3 +105,50 @@ def test_constructors_follow_the_registry():
         qb.TargetSpec.ho(0.0, 1.0)
     assert str(inspect.signature(qb.TargetSpec.coupled)) == \
         "(omega1, omega2, mu, t, q=1.0, p=1.0)"
+
+
+_COUPLED = {"omega1": 2.0, "omega2": 1.0, "mu": 3.0, "t": 0.4}
+
+# (system, params, error, message): both routes raise this error
+BAD_TARGETS = [
+    ("ho", {"omega": -1.0, "t": 2.0}, ValueError, "omega must be positive, got -1.0"),
+    ("coupled", {**_COUPLED, "q": 10.0, "p": 1.0}, ValueError,
+     "coupled requires penalties p >= q"),
+    ("ho", {"omega": 1.0, "t": 2.0, "lam": 0.3}, TypeError,
+     "TargetSpec.ho() got an unexpected keyword argument 'lam'"),
+    ("ho", {"omega": 1.0}, TypeError,
+     "TargetSpec.ho() missing 1 required positional argument: 't'"),
+    # in constructor order: positivity, cast, the system's check, finiteness
+    ("iho", {"Omega": 0.0, "t": math.nan}, ValueError, "Omega must be positive, got 0.0"),
+    ("ho", {"omega": "1", "t": 2.0}, TypeError,
+     "'>' not supported between instances of 'str' and 'int'"),
+    ("coupled", {**_COUPLED, "mu": math.inf, "q": 10.0, "p": 1.0}, ValueError,
+     "coupled requires penalties p >= q"),
+    ("anharm_cubic", {"omega": 1.0, "lam": math.nan, "t": 1.0}, ValueError,
+     "lam must be finite, got nan"),
+    ("displacement", {"alpha": complex(0.0, math.inf)}, ValueError,
+     "alpha must be finite, got infj"),
+    ("ho", {"omega": math.inf, "t": 1.0}, ValueError, "omega must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("system, params, error, message", BAD_TARGETS,
+                         ids=[f"{b[0]}-{i}" for i, b in enumerate(BAD_TARGETS)])
+def test_direct_construction_rejects_what_the_constructor_rejects(
+        system, params, error, message):
+    for make in (lambda: getattr(qb.TargetSpec, system)(**params),
+                 lambda: qb.TargetSpec(system, params)):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_direct_construction_casts_and_fills_defaults_like_the_constructor():
+    direct = qb.TargetSpec("coupled", {"omega1": 2, "omega2": 1, "mu": 3, "t": 0.4})
+    named = qb.TargetSpec.coupled(2, 1, 3, 0.4)
+    assert direct == named
+    assert direct.params == {**_COUPLED, "q": 1.0, "p": 1.0}
+    assert all(type(v) is float for v in direct.params.values())
+    assert direct.spec is SYSTEMS["coupled"]
+    assert qb.bound(direct).value == qb.bound(named).value
+    assert qb.TargetSpec("displacement", {"alpha": 1}).params == {"alpha": 1 + 0j}
