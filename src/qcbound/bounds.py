@@ -364,16 +364,16 @@ def bound_curve(target: TargetSpec, t_grid) -> BoundCurve:
     if np.any(np.diff(t) < 0):
         raise ValueError("t_grid must be sorted")
 
-    m = match_curve(target, t)
+    v0, branch, divergent, pole, notes = match_curve(target, t)
     spec = target.spec
     caveats = [STANDARD_CAVEAT, *spec.caveats]
     with np.errstate(invalid="ignore", over="ignore"):
-        value = spec.length(target.params, m.v0)
-    lost = ~np.isfinite(value) & ~m.divergent
+        value = spec.length(target.params, v0)
+    lost = ~np.isfinite(value) & ~divergent
     if lost.any():
-        _reject_overflow(value[lost], m.v0[:, lost])
+        _reject_overflow(value[lost], v0[:, lost])
         caveats.append(POSITIVITY_CAVEAT)
-    value[m.divergent] = math.inf
-    return BoundCurve(t=t, value=value, branch=m.branch,
-                      divergent=np.isinf(value), pole=m.pole,
-                      formula_id=spec.formula_id, caveats=caveats + m.notes)
+    value[divergent] = math.inf
+    return BoundCurve(t=t, value=value, branch=branch,
+                      divergent=np.isinf(value), pole=pole,
+                      formula_id=spec.formula_id, caveats=caveats + notes)

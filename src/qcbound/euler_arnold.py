@@ -39,7 +39,9 @@ floats, read by ``np.fromiter``.
 Every closed-form family is one :class:`TrigFamily`: the velocity is a
 fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
 and frequencies taken from v0, and the exponent coefficients apply the same
-mix to the integrals of those functions.  One ``_FAMILIES`` entry per tag:
+mix to the integrals of those functions.  A closed-form solution's
+evaluator is that :class:`TrigFamily` itself.  One ``_FAMILIES`` entry per
+tag:
 
 ``ho4_equal_penalty``    (V^P, V^Q) rotate at rate v_H + (G_EE/G_PP) v_E
 ``sp2_J_equal_penalty``  (V^1, V^2) rotate at rate 4 v_3
@@ -120,18 +122,16 @@ class VelocitySolution:
     ``evaluator`` accepts a scalar or 1-d array of s values and returns the
     velocity components, shape (dim,) or (n, dim).  ``constant_speed`` marks
     solutions whose weighted speed is an exact constant, so that lengths can
-    be evaluated without quadrature.  A closed form carries its
-    :class:`TrigFamily` as ``trig`` (it is also the evaluator); a numeric
+    be evaluated without quadrature.  A closed form's evaluator is its
+    :class:`TrigFamily`, which also gives its antiderivative; a numeric
     solution carries its RK4 ``grid`` and ``states``.
     """
 
     algebra: str
     v0: np.ndarray
-    kind: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     penalties: PenaltyMatrix
     constant_speed: bool = False
-    trig: "TrigFamily | None" = None
     grid: np.ndarray | None = None
     states: np.ndarray | None = None
 
@@ -442,7 +442,6 @@ def solve_numeric(
     return VelocitySolution(
         algebra=algebra.name,
         v0=v0,
-        kind=f"numeric(h={h:g})",
         evaluator=_grid_interpolator(grid, states, field.rows(states)),
         penalties=G,
         constant_speed=False,
@@ -603,6 +602,6 @@ def solve_closed_form(family: ClosedFormFamily, v0,
         raise FamilyMismatch("penalty dimension does not match the family algebra")
     if not entry.admits(G.weights, defaults):
         raise FamilyMismatch(f"{family.tag} requires {entry.rule}")
-    trig = entry.trig(v0.tolist(), G.weights, family.q, family.p)
-    return VelocitySolution(entry.algebra, v0, f"closed_form({family.tag})", trig, G,
-                            constant_speed=entry.constant_speed, trig=trig)
+    return VelocitySolution(entry.algebra, v0,
+                            entry.trig(v0.tolist(), G.weights, family.q, family.p),
+                            G, constant_speed=entry.constant_speed)

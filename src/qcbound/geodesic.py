@@ -8,9 +8,8 @@ coefficients are plain integrals of the velocity components,
 
 Everything downstream of this truncation is an upper bound, not an exact
 complexity.  A closed-form solution integrates analytically through its
-``TrigFamily.antiderivative`` (sinc-type limits built in, so vanishing
-rates are regular); a numeric solution uses the trapezoid rule on the
-integrator's own grid.
+evaluator's ``TrigFamily.antiderivative`` (sinc-type limits built in, so
+vanishing rates are regular); a numeric solution has no coefficients here.
 
 The product-form parametrization
 U = e^{-i a1 E} e^{-i a2 P} e^{-i a3 Q} e^{-i a4 H} is provided for the
@@ -25,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FamilyMismatch, UnsupportedCenterVelocity
-from .euler_arnold import VelocitySolution
+from .euler_arnold import TrigFamily, VelocitySolution
 
 __all__ = [
     "leading_order_coeffs",
@@ -34,39 +33,16 @@ __all__ = [
 ]
 
 
-def _shape(out, s):
-    return out[0] if np.ndim(s) == 0 else out
-
-
-def _numeric_coeffs(sol: VelocitySolution):
-    grid, states = sol.grid, sol.states
-    dx = np.diff(grid)[:, None]
-    cum = np.vstack([
-        np.zeros((1, states.shape[1])),
-        np.cumsum(0.5 * dx * (states[1:] + states[:-1]), axis=0),
-    ])
-
-    def fn(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.column_stack([np.interp(s_arr, grid, cum[:, i])
-                               for i in range(states.shape[1])])
-        return _shape(out, s)
-    return fn
-
-
 def leading_order_coeffs(sol: VelocitySolution) -> Callable:
     """The exponent coefficients c(s) of ``sol``, as a function of s.
 
     The function takes a scalar or 1-d array of s and returns shape (dim,)
-    or (len(s), dim).  Closed-form solutions get their construct's
-    antiderivative; numeric solutions get the trapezoid rule on the
-    integrator grid.
+    or (len(s), dim).  It is the antiderivative of the closed form that
+    evaluates ``sol``; a numeric solution raises :class:`FamilyMismatch`.
     """
-    if sol.trig is not None:
-        return sol.trig.antiderivative
-    if sol.grid is not None:
-        return _numeric_coeffs(sol)
-    raise FamilyMismatch("solution carries neither a closed form nor a dense grid")
+    if isinstance(sol.evaluator, TrigFamily):
+        return sol.evaluator.antiderivative
+    raise FamilyMismatch("leading-order coefficients need a closed-form solution")
 
 
 def product_form_coeffs_ho4(v0) -> Callable:
@@ -94,7 +70,7 @@ def product_form_coeffs_ho4(v0) -> Callable:
         a3 = s_arr * (vP * sn + vQ * c)
         a4 = s_arr * vH
         out = np.column_stack([a1, a2, a3, a4])
-        return _shape(out, s)
+        return out[0] if np.ndim(s) == 0 else out
     return fn
 
 

@@ -47,7 +47,6 @@ if TYPE_CHECKING:
 __all__ = [
     "TargetSpec",
     "MatchResult",
-    "MatchCurve",
     "reduce_periodic_signed",
     "match",
     "match_curve",
@@ -210,29 +209,18 @@ def solve_point(target: TargetSpec):
     return v0, branch, notes, None
 
 
-@dataclass
-class MatchCurve:
-    """:class:`MatchResult` over a time grid, in columns.
-
-    ``v0`` has one row per generator and one column per grid point.
-    ``pole`` holds the pole location text at divergent points and ``None``
-    elsewhere; ``v0`` is meaningless at divergent points.  ``notes`` are the
-    notes shared by the whole grid; the per-point notes of the coupled
-    match (winding pair, unreduced coordinates) are left to :func:`match`.
-    """
-
-    v0: np.ndarray
-    branch: np.ndarray
-    divergent: np.ndarray
-    pole: np.ndarray
-    notes: list[str] = field(default_factory=list)
-
-
-def match_curve(target: TargetSpec, t: np.ndarray) -> MatchCurve:
+def match_curve(target: TargetSpec, t: np.ndarray):
     """Array form of :func:`match` over the time grid ``t``, one pass.
 
-    Column ``i`` equals ``match(target.with_time(t[i]))`` bit for bit:
-    v0, branch and divergence.  It runs the same kernel on the array.
+    Returns ``(v0, branch, divergent, pole, notes)``, like
+    :func:`solve_point` but in columns: ``v0`` has one row per generator and
+    one column per grid point (meaningless at divergent points), ``pole``
+    the pole location text at divergent points and ``None`` elsewhere, and
+    ``notes`` the notes shared by the whole grid; the per-point notes of the
+    coupled match (winding pair, unreduced coordinates) are left to
+    :func:`match`.  Column ``i`` equals ``match(target.with_time(t[i]))``
+    bit for bit: v0, branch and divergence.  It runs the same kernel on the
+    array.
     """
     if "t" not in target.params:
         raise Unsupported(f"{target.system} has no time parameter to sweep")
@@ -246,9 +234,8 @@ def match_curve(target: TargetSpec, t: np.ndarray) -> MatchCurve:
         divergent |= at
         pole[at] = text if isinstance(text, str) else text(at)
     notes += regular_notes
-    return MatchCurve(v0=np.array(np.broadcast_arrays(t, *v0)[1:]),
-                      branch=np.zeros(t.shape, dtype=np.int64) + branch,
-                      divergent=divergent, pole=pole, notes=notes)
+    return (np.array(np.broadcast_arrays(t, *v0)[1:]),
+            np.zeros(t.shape, dtype=np.int64) + branch, divergent, pole, notes)
 
 
 def target_coefficients(target: TargetSpec) -> np.ndarray:

@@ -63,13 +63,16 @@ class MatrixRep:
 
     ``frame`` is the pair (T, T^-1) of the n x n frame in which the oracle's
     product runs (None for the identity); it is chosen so that every
-    T^-1 (-i M_I) T is real.
+    T^-1 (-i M_I) T is real.  ``dim`` is n, read off the matrices.
     """
 
     algebra: str
-    dim: int
     matrices: tuple
     frame: tuple | None = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrices[0])
 
 
 @dataclass(frozen=True)
@@ -159,15 +162,15 @@ def matrix_rep(name: str) -> MatrixRep:
     those.
     """
     if name == "sp2_J":
-        return MatrixRep("sp2_J", 2, _sp2_J_matrices(), _CAYLEY)
+        return MatrixRep("sp2_J", _sp2_J_matrices(), _CAYLEY)
     if name == "sp2_K":
         J1, J2, J3 = _sp2_J_matrices()
-        return MatrixRep("sp2_K", 2, ((J3 + J2) / 2, (J3 - J2) / 2, J1), _CAYLEY)
+        return MatrixRep("sp2_K", ((J3 + J2) / 2, (J3 - J2) / 2, J1), _CAYLEY)
     if name == "sp4_T10":
-        return MatrixRep("sp4_T10", 4, _sp4_matrices())
+        return MatrixRep("sp4_T10", _sp4_matrices())
     if name == "coupled_M4":
         T = _sp4_matrices()
-        return MatrixRep("coupled_M4", 4, (T[0], T[1], T[6], -T[9]))
+        return MatrixRep("coupled_M4", (T[0], T[1], T[6], -T[9]))
     raise NotRegistered(f"no finite-dimensional representation for {name!r}")
 
 

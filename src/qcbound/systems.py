@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -323,18 +323,23 @@ class TargetSpec:
     same checks, once: the parameters by name, optional ones with their
     defaults, positivity, the system's own check, and finiteness (``inf``
     and ``nan`` raise ``ValueError``).  ``params`` holds the parameters
-    cast to their types, in constructor order.
+    cast to their types, in constructor order.  The two fields are the
+    whole target, so it pickles and copies; ``spec`` looks the system's
+    entry up in ``SYSTEMS`` on each read.
     """
 
     system: str
     params: dict
-    spec: SystemSpec = field(init=False, repr=False, compare=False)
 
     def __init__(self, system: str, params: dict):
         if system not in SYSTEMS:
             raise Unsupported(
                 f"unknown system {system!r}; choose from {tuple(SYSTEMS)}")
         _INIT[system](self, **params)
+
+    @property
+    def spec(self) -> SystemSpec:
+        return SYSTEMS[self.system]
 
     def with_time(self, t: float) -> "TargetSpec":
         if "t" not in self.params:
@@ -353,8 +358,7 @@ def _generate(spec: SystemSpec):
     their defaults, and carry the qualified name ``TargetSpec.<tag>``, so a
     missing or unknown parameter raises the same ``TypeError`` on either
     route.  The initialiser tests positivity in order, casts, runs
-    ``spec.check``, tests finiteness in order, and sets the fields, reading
-    the spec from ``SYSTEMS``."""
+    ``spec.check``, tests finiteness in order, and sets the two fields."""
     ps = spec.params
     names = [p.name for p in ps]
     signature = ", ".join(
@@ -376,11 +380,9 @@ def _generate(spec: SystemSpec):
               f".isfinite({p.name}): raise ValueError("
               f"f'{p.name} must be finite, got {{{p.name}!r}}')" for p in ps]
     lines += [f"    _set(self, 'system', {spec.tag!r})",
-              "    _set(self, 'params', params)",
-              f"    _set(self, 'spec', SYSTEMS[{spec.tag!r}])"]
+              "    _set(self, 'params', params)"]
     scope = {"_check": spec.check, "math": math, "cmath": cmath,
-             "_new": object.__new__, "_set": object.__setattr__,
-             "SYSTEMS": SYSTEMS}
+             "_new": object.__new__, "_set": object.__setattr__}
     exec("\n".join(lines), scope)
     make, init = scope["make"], scope["init"]
     make.__qualname__ = init.__qualname__ = f"TargetSpec.{spec.tag}"

@@ -24,6 +24,9 @@ PI = math.pi
 def test_matrix_rep_closure_exact(name):
     rep = qb.matrix_rep(name)
     assert qb.commutator_closure_residual(rep) <= 1e-12
+    # the dimension is read off the matrices, so it cannot disagree with them
+    assert rep.dim == (2 if name.startswith("sp2") else 4)
+    assert all(M.shape == (rep.dim, rep.dim) for M in rep.matrices)
 
 
 @pytest.mark.parametrize("name,levels", [("ho4", 32), ("sp2_J", 32),
@@ -287,7 +290,7 @@ def test_line_element_rejects_a_non_finite_point(which):
 
 
 def test_line_element_degenerate_direction():
-    rep = qb.MatrixRep("fake", 2, (np.zeros((2, 2), dtype=complex),))
+    rep = qb.MatrixRep("fake", (np.zeros((2, 2), dtype=complex),))
     with pytest.raises(qb.DegenerateDirection):
         qb.line_element(rep, np.eye(2, dtype=complex),
                         np.eye(2, dtype=complex), qb.PenaltyMatrix.identity(1))

@@ -20,12 +20,20 @@ def _run(code: str, tmp_path) -> None:
 
 
 def test_non_cubic_commands_load_no_scipy(tmp_path):
+    # every system but the cubic oscillator, its flags at their defaults
     _run("""
 import sys
-import qcbound
 from qcbound import cli
-assert cli.main(["bound", "ho", "--omega", "1", "--t", "3"]) == 0
+from qcbound.systems import ANHARM_CUBIC, SYSTEMS
+for spec in SYSTEMS.values():
+    if spec is ANHARM_CUBIC:
+        continue
+    argv = ["bound", spec.tag]
+    for f in spec.cli_flags:
+        argv += [f.option, "3" if f.name == "t" else repr(f.default)]
+    assert cli.main(argv) == 0, argv
 assert cli.main(["figure", "fig2", "--t-steps", "5", "--out", "fig2.csv"]) == 0
+assert cli.main(["verify", "all", "--out", "verify.json"]) == 0
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded
 """, tmp_path)

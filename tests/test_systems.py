@@ -1,8 +1,11 @@
 """The system registry: the CLI reads its defaults and flags from it, and the
 README's systems table is generated from it."""
 
+import copy
 import inspect
 import math
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -152,3 +155,33 @@ def test_direct_construction_casts_and_fills_defaults_like_the_constructor():
     assert direct.spec is SYSTEMS["coupled"]
     assert qb.bound(direct).value == qb.bound(named).value
     assert qb.TargetSpec("displacement", {"alpha": 1}).params == {"alpha": 1 + 0j}
+
+
+def test_targets_pickle_copy_and_cross_processes():
+    # a target is its system tag and parameters; the registry entry, with its
+    # lambdas, is looked up and never stored, so targets go to worker processes
+    def fields(res):
+        return (res.value, res.formula_id, res.v0.tolist(), res.branch,
+                res.caveats, res.extras)
+
+    targets = [getattr(qb.TargetSpec, spec.tag)(
+        *[0.7 if p.name != "alpha" else 0.3 - 0.4j
+          for p in spec.params if not p.optional]) for spec in SYSTEMS.values()]
+    want = [fields(qb.bound(target)) for target in targets]
+    assert all(math.isfinite(w[0]) for w in want)
+    for target, w in zip(targets, want):
+        for twin in (pickle.loads(pickle.dumps(target)), copy.deepcopy(target)):
+            assert twin == target
+            assert twin.spec is target.spec
+            assert fields(qb.bound(twin)) == w
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        assert [fields(res) for res in pool.map(qb.bound, targets)] == want
+
+
+def test_target_reads_the_registry_entry_at_use(monkeypatch):
+    # a target built before the registry is patched reads the patched entry
+    target = qb.TargetSpec.ho(1.0, 2.0)
+    patched = SYSTEMS["ho"]._replace(formula_id="patched")
+    monkeypatch.setitem(SYSTEMS, "ho", patched)
+    assert target.spec is patched
+    assert qb.bound(target).formula_id == "patched"

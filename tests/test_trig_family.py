@@ -252,9 +252,8 @@ def test_coefficients_differentiate_to_the_velocity(fam, dim):
 def test_solution_carries_the_construct():
     sol = qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"),
                                np.array([0.5, -0.2, 0.7]))
-    assert isinstance(sol.trig, qb.euler_arnold.TrigFamily)
-    assert sol.evaluator is sol.trig
-    assert sol.trig.rates == ((1, 4.0 * 0.7),)
+    assert isinstance(sol.evaluator, qb.euler_arnold.TrigFamily)
+    assert sol.evaluator.rates == ((1, 4.0 * 0.7),)
     num = qb.solve_numeric(qb.builtin("sp2_J"), qb.PenaltyMatrix.identity(3),
                            np.array([0.5, -0.2, 0.7]), h=0.01)
-    assert num.trig is None
+    assert not isinstance(num.evaluator, qb.euler_arnold.TrigFamily)
