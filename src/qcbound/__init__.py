@@ -64,7 +64,6 @@ from .matching import (
 )
 from .oracle import (
     MatrixRep,
-    TruncatedFockRep,
     commutator_closure_residual,
     fock_rep,
     line_element,
@@ -88,8 +87,7 @@ __all__ = [
     "leading_order_coeffs", "product_form_coeffs_ho4", "residual_product_form",
     "MatchResult", "TargetSpec", "match", "match_displacement_product_form",
     "reduce_periodic_signed", "verify_match",
-    "MatrixRep", "TruncatedFockRep", "commutator_closure_residual", "fock_rep",
-    "line_element", "matrix_rep", "path_ordered_exponential",
-    "spectrum_period_check",
+    "MatrixRep", "commutator_closure_residual", "fock_rep", "line_element",
+    "matrix_rep", "path_ordered_exponential", "spectrum_period_check",
     "run_suite",
 ]

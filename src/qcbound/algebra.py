@@ -88,9 +88,6 @@ class LieAlgebraSpec:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "generator_labels", tuple(self.generator_labels))
 
-    def index(self, label: str) -> int:
-        return self.generator_labels.index(label)
-
 
 @dataclass(frozen=True)
 class BasisChange:
@@ -134,23 +131,32 @@ def _table(dim, entries):
     return f
 
 
-def _ho4(m: float = 1.0, omega: float = 1.0, general: bool = False) -> LieAlgebraSpec:
+def _ho4_table(m: float, omega: float) -> np.ndarray:
     # order (E, P, Q, H); [Q,P]=iE, [H,Q]=-iP/m, [H,P]=i m omega^2 Q
     try:
         omega2 = omega ** 2
     except OverflowError:       # float ** raises where * would give inf
         omega2 = math.inf       # rejected with the other non-finite tables
-    f = _table(4, [
+    return _table(4, [
         (2, 1, {0: 1.0}),
         (3, 2, {1: -1.0 / m}),
         (3, 1, {2: m * omega2}),
     ])
-    if general:
-        return LieAlgebraSpec(
-            name="ho4_general", dim=4, generator_labels=("E", "P", "Q", "H"),
-            f=f, params=(("m", float(m)), ("omega", float(omega))),
-        )
-    return LieAlgebraSpec(name="ho4", dim=4, generator_labels=("E", "P", "Q", "H"), f=f)
+
+
+def _ho4() -> LieAlgebraSpec:
+    return LieAlgebraSpec(name="ho4", dim=4, generator_labels=("E", "P", "Q", "H"),
+                          f=_ho4_table(1.0, 1.0))
+
+
+def _ho4_general(m: float = 1.0, omega: float = 1.0) -> LieAlgebraSpec:
+    m, omega = float(m), float(omega)
+    if m <= 0 or omega <= 0:
+        raise ValueError("ho4_general requires m > 0 and omega > 0")
+    return LieAlgebraSpec(
+        name="ho4_general", dim=4, generator_labels=("E", "P", "Q", "H"),
+        f=_ho4_table(m, omega), params=(("m", m), ("omega", omega)),
+    )
 
 
 def _sp2_K() -> LieAlgebraSpec:
@@ -243,34 +249,26 @@ _BUILTINS = {
     "coupled_M4": _coupled_M4,
     "sp4_T10": _sp4_T10,
     "anharm5": _anharm5,
+    "ho4_general": _ho4_general,
 }
 
 
 def builtin_names() -> tuple[str, ...]:
-    return tuple(_BUILTINS) + ("ho4_general",)
+    return tuple(_BUILTINS)
 
 
 def builtin(name: str, **params) -> LieAlgebraSpec:
     """Return a registered structure-constant table.
 
-    ``ho4_general`` takes keyword parameters ``m`` and ``omega``; all other
-    names take none.
+    ``ho4_general`` takes keyword parameters ``m`` and ``omega`` (each a
+    positive number); all other names take none.  A parameter that the
+    name does not take raises ``TypeError``.
     """
-    if name == "ho4_general":
-        m = float(params.pop("m", 1.0))
-        omega = float(params.pop("omega", 1.0))
-        if params:
-            raise TypeError(f"unexpected parameters {sorted(params)}")
-        if m <= 0 or omega <= 0:
-            raise ValueError("ho4_general requires m > 0 and omega > 0")
-        return _ho4(m=m, omega=omega, general=True)
     if name not in _BUILTINS:
         raise NotRegistered(
             f"unknown algebra {name!r}; choose from {sorted(builtin_names())}"
         )
-    if params:
-        raise TypeError(f"{name} takes no parameters")
-    return _BUILTINS[name]()
+    return _BUILTINS[name](**params)
 
 
 def jacobi_tensor(f: np.ndarray) -> np.ndarray:

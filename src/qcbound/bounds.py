@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import DimMismatch
 from .euler_arnold import PenaltyMatrix, VelocitySolution
 from .matching import apply_math, match_curve, solve_point
 
@@ -177,8 +178,12 @@ def length(sol: VelocitySolution, G: PenaltyMatrix) -> float:
 
     Constant-speed solutions are integrated exactly; numeric solutions are
     integrated on their own dense grid (Simpson); anything else falls back
-    to adaptive Gauss-Legendre quadrature of the speed.
+    to adaptive Gauss-Legendre quadrature of the speed.  ``G`` must have
+    one weight per velocity component (``DimMismatch``).
     """
+    if np.shape(sol.v0) != (G.dim,):
+        raise DimMismatch(f"penalties have dim {G.dim}, but the velocity has "
+                          f"shape {np.shape(sol.v0)}")
     if sol.constant_speed:
         return math.sqrt(G.speed_squared(sol.v0))
     w = G.weights

@@ -80,11 +80,12 @@ def reduce_periodic_signed(x, period: float):
 
     ``x`` is a float, giving ``(float, int)``, or a 1-d array, giving
     ``(array, int64 array)`` equal element by element to the scalar form.
-    Raises :class:`PrecisionLoss` when ulp(x) >= period (see the module
+    ``period`` must be positive and finite (``ValueError``).  Raises
+    :class:`PrecisionLoss` when ulp(x) >= period (see the module
     docstring), or, as an arithmetic overflow, when x is not finite.
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not (period > 0 and math.isfinite(period)):
+        raise ValueError("period must be positive and finite")
     if isinstance(x, np.ndarray):
         if not np.all(np.spacing(np.abs(x)) < period):
             raise _precision_error(float(np.max(np.abs(x))), period)

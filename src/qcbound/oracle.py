@@ -1,15 +1,13 @@
 """Brute-force verification layer on concrete matrix representations.
 
 Closed-form results elsewhere in the package are algebraic; this module
-checks them against explicit matrices:
-
-* finite-dimensional (non-Hermitian) representations of sp(2,R) and
-  sp(4,R) built from Pauli blocks and the symplectic form,
-* truncated harmonic-oscillator ladder matrices for the algebras that have
-  no finite-dimensional Hermitian representation at all.
-
-Truncated ladder matrices violate the commutation relations near the
-truncation edge, so every check is restricted to an interior block.
+checks them against explicit matrices, each representation one
+:class:`MatrixRep` record from a registry table: faithful (non-Hermitian)
+matrices of sp(2,R) and sp(4,R) from :func:`matrix_rep`, and truncated
+harmonic-oscillator ladder matrices from :func:`fock_rep` for the algebras
+with no finite-dimensional Hermitian representation at all.  Ladder
+matrices violate the commutation relations near the truncation edge, so
+every check runs on a record's interior block, all of a faithful one.
 
 The path-ordered exponential is a product of fourth-order Magnus factors,
 one per step: exp(Omega_k) with Omega_k built from the generators at the
@@ -43,7 +41,6 @@ from .euler_arnold import PenaltyMatrix, VelocitySolution
 
 __all__ = [
     "MatrixRep",
-    "TruncatedFockRep",
     "matrix_rep",
     "fock_rep",
     "commutator_closure_residual",
@@ -59,45 +56,31 @@ DEFAULT_LEVELS = 32
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Finite-dimensional matrices M_I with [M_I, M_J] = i f_IJ^K M_K.
+    """n x n matrices M_I with [M_I, M_J] = i f_IJ^K M_K on the interior block.
 
     ``frame`` is the pair (T, T^-1) of the n x n frame in which the oracle's
     product runs (None for the identity); it is chosen so that every
-    T^-1 (-i M_I) T is real.  ``dim`` is n, read off the matrices.
+    T^-1 (-i M_I) T is real.  ``interior`` is the number of edge rows and
+    columns excluded from algebra checks: 0 for a faithful representation,
+    positive for a truncated ladder.  ``hamiltonian_index`` points at the
+    generator that is the energy, whose spectrum fixes periodicity, or is
+    None when no single generator is.  ``dim`` is n, read off the matrices.
     """
 
     algebra: str
     matrices: tuple
     frame: tuple | None = None
+    interior: int = 0
+    hamiltonian_index: int | None = None
 
     @property
     def dim(self) -> int:
         return len(self.matrices[0])
 
-
-@dataclass(frozen=True)
-class TruncatedFockRep:
-    """Ladder-operator matrices truncated to N levels.
-
-    ``interior`` is the number of edge rows/columns excluded from algebra
-    checks; ``hamiltonian_index`` points at the generator whose spectrum
-    fixes periodicity.
-    """
-
-    algebra: str
-    levels: int
-    matrices: tuple
-    interior: int
-    hamiltonian_index: int
-    frame = None        # the number basis; its -i M_I are never all real
-
-    @property
-    def dim(self) -> int:
-        return self.levels
-
     def interior_block(self, M: np.ndarray) -> np.ndarray:
-        k = self.levels - self.interior
-        return M[:k, :k]
+        """The leading n - interior rows and columns of (a stack of) M."""
+        k = self.dim - self.interior
+        return M[..., :k, :k]
 
 
 def _pauli():
@@ -151,27 +134,39 @@ def _sp4_matrices():
     return tuple(1j * (_OMEGA4 @ S) for S in _sp4_quadratic_forms())
 
 
-def matrix_rep(name: str) -> MatrixRep:
-    """Finite-dimensional representation registry.
+def _sp2_K_matrices():
+    J1, J2, J3 = _sp2_J_matrices()
+    return ((J3 + J2) / 2, (J3 - J2) / 2, J1)
 
-    ``sp2_J``/``sp2_K`` are 2x2 (the energy generator is diag(1, -1), so the
-    matrix-level period of its exponential is 2 pi) with the Cayley frame;
-    ``sp4_T10`` and ``coupled_M4`` are 4x4 and already real (-i M = Omega S).
-    The oscillator group and the truncated cubic algebra have no
-    finite-dimensional Hermitian representation; use :func:`fock_rep` for
-    those.
+
+def _coupled_M4_matrices():
+    T = _sp4_matrices()
+    return (T[0], T[1], T[6], -T[9])
+
+
+# name -> (matrices builder, frame)
+_MATRIX_REPS = {
+    "sp2_J": (_sp2_J_matrices, _CAYLEY),
+    "sp2_K": (_sp2_K_matrices, _CAYLEY),
+    "sp4_T10": (_sp4_matrices, None),
+    "coupled_M4": (_coupled_M4_matrices, None),
+}
+
+
+def matrix_rep(name: str) -> MatrixRep:
+    """Faithful finite-dimensional representation registry.
+
+    ``sp2_J``/``sp2_K`` are 2x2 with the Cayley frame (the matrix-level
+    period of exp(-i theta diag(1, -1)) is 2 pi); ``sp4_T10`` and
+    ``coupled_M4`` are 4x4 and already real (-i M = Omega S).  Each record
+    has ``interior`` 0 and no energy generator.  The oscillator group and
+    the truncated cubic algebra have no finite-dimensional Hermitian
+    representation; use :func:`fock_rep` for those.
     """
-    if name == "sp2_J":
-        return MatrixRep("sp2_J", _sp2_J_matrices(), _CAYLEY)
-    if name == "sp2_K":
-        J1, J2, J3 = _sp2_J_matrices()
-        return MatrixRep("sp2_K", ((J3 + J2) / 2, (J3 - J2) / 2, J1), _CAYLEY)
-    if name == "sp4_T10":
-        return MatrixRep("sp4_T10", _sp4_matrices())
-    if name == "coupled_M4":
-        T = _sp4_matrices()
-        return MatrixRep("coupled_M4", (T[0], T[1], T[6], -T[9]))
-    raise NotRegistered(f"no finite-dimensional representation for {name!r}")
+    if name not in _MATRIX_REPS:
+        raise NotRegistered(f"no finite-dimensional representation for {name!r}")
+    build, frame = _MATRIX_REPS[name]
+    return MatrixRep(name, build(), frame)
 
 
 def ladder(levels: int) -> np.ndarray:
@@ -179,14 +174,40 @@ def ladder(levels: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, levels)), 1).astype(complex)
 
 
-def fock_rep(name: str, levels: int = DEFAULT_LEVELS) -> TruncatedFockRep:
+# name -> (generators as a function of (E, P, Q, H), excluded edge,
+# index of the energy generator or None); cubics need a wider edge
+_FOCK_REPS = {
+    "ho4": (lambda E, P, Q, H: (E, P, Q, H), 2, 3),
+    "sp2_J": (lambda E, P, Q, H: ((Q @ P + P @ Q) / 2.0,
+                                  (Q @ Q - P @ P) / 2.0,
+                                  (Q @ Q + P @ P) / 2.0), 4, 2),
+    # the energy (Q^2 + P^2)/2 is K1 + K2, not a single generator
+    "sp2_K": (lambda E, P, Q, H: (Q @ Q / 2.0,
+                                  P @ P / 2.0,
+                                  (Q @ P + P @ Q) / 2.0), 4, None),
+    "anharm5": (lambda E, P, Q, H: ((Q @ Q + P @ P) / 2.0,
+                                    Q @ Q @ Q,
+                                    P @ P @ P,
+                                    Q @ Q @ P + Q @ P @ Q + P @ Q @ Q,
+                                    Q @ P @ P + P @ Q @ P + P @ P @ Q), 8, 0),
+}
+
+
+def fock_rep(name: str, levels: int = DEFAULT_LEVELS) -> MatrixRep:
     """Truncated ladder-matrix representation of the oscillator algebras.
 
     Supported: ``ho4`` (E, P, Q, H with H = a^dag a + 1/2), ``sp2_J`` and
     ``sp2_K`` built from single-mode quadratics, and ``anharm5`` built from
-    cubics (with a correspondingly wider excluded edge).  ``levels`` must be
-    an integer >= 8; a bool, a float or a non-number raises ``ValueError``.
+    cubics (with a correspondingly wider excluded edge).  The record's
+    ``interior`` is that edge and its ``hamiltonian_index`` the energy
+    generator (None for ``sp2_K``, whose energy is K1 + K2).  An unknown
+    name raises ``NotRegistered`` before anything is built; ``levels``
+    must be an integer >= 8, and a bool, a float or a non-number raises
+    ``ValueError``.
     """
+    if name not in _FOCK_REPS:
+        raise NotRegistered(f"no ladder-matrix representation for {name!r}")
+    generators, interior, energy = _FOCK_REPS[name]
     levels = _whole(levels, "levels", 8)
     a = ladder(levels)
     ad = a.conj().T
@@ -194,37 +215,15 @@ def fock_rep(name: str, levels: int = DEFAULT_LEVELS) -> TruncatedFockRep:
     Q = (a + ad) / np.sqrt(2.0)
     P = 1j * (ad - a) / np.sqrt(2.0)
     H = ad @ a + 0.5 * E
-    if name == "ho4":
-        return TruncatedFockRep("ho4", levels, (E, P, Q, H), interior=2,
-                                hamiltonian_index=3)
-    if name == "sp2_J":
-        J1 = (Q @ P + P @ Q) / 2.0
-        J2 = (Q @ Q - P @ P) / 2.0
-        J3 = (Q @ Q + P @ P) / 2.0
-        return TruncatedFockRep("sp2_J", levels, (J1, J2, J3), interior=4,
-                                hamiltonian_index=2)
-    if name == "sp2_K":
-        K1 = Q @ Q / 2.0
-        K2 = P @ P / 2.0
-        K3 = (Q @ P + P @ Q) / 2.0
-        return TruncatedFockRep("sp2_K", levels, (K1, K2, K3), interior=4,
-                                hamiltonian_index=-1)
-    if name == "anharm5":
-        M1 = (Q @ Q + P @ P) / 2.0
-        M4 = Q @ Q @ Q
-        M5 = P @ P @ P
-        M6 = Q @ Q @ P + Q @ P @ Q + P @ Q @ Q
-        M7 = Q @ P @ P + P @ Q @ P + P @ P @ Q
-        return TruncatedFockRep("anharm5", levels, (M1, M4, M5, M6, M7),
-                                interior=8, hamiltonian_index=0)
-    raise NotRegistered(f"no ladder-matrix representation for {name!r}")
+    return MatrixRep(name, generators(E, P, Q, H), interior=interior,
+                     hamiltonian_index=energy)
 
 
-def commutator_closure_residual(rep) -> float:
+def commutator_closure_residual(rep: MatrixRep) -> float:
     """Max deviation of [M_I, M_J] from i f_IJ^K M_K.
 
-    For truncated ladder representations the comparison is restricted to
-    the interior block; for truncated algebras the open pairs are skipped.
+    The comparison is restricted to the rep's interior block (all of a
+    faithful rep); for truncated algebras the open pairs are skipped.
     """
     alg = builtin(rep.algebra)
     mats = np.stack(rep.matrices)
@@ -233,10 +232,7 @@ def commutator_closure_residual(rep) -> float:
     # which BLAS would split over threads
     prods = mats[:, None] @ mats[None, :]
     want = 1j * (alg.f @ mats.reshape(d, n * n)).reshape(d, d, n, n)
-    defect = prods - prods.swapaxes(0, 1) - want
-    if isinstance(rep, TruncatedFockRep):
-        k = rep.levels - rep.interior
-        defect = defect[..., :k, :k]
+    defect = rep.interior_block(prods - prods.swapaxes(0, 1) - want)
     worst = np.max(np.abs(defect), axis=(-2, -1))
     for i, j in alg.open_pairs:
         worst[i, j] = worst[j, i] = 0.0
@@ -407,14 +403,19 @@ def exponential_of_coefficients(rep, coeffs_at_1) -> np.ndarray:
     return _expm_taylor((-1j * A)[None])[0]
 
 
-def spectrum_period_check(rep: TruncatedFockRep, omega: float) -> float:
+def spectrum_period_check(rep: MatrixRep, omega: float) -> float:
     """Smallest T > 0 with exp(-i omega T H) = identity on the interior block.
 
-    Scans the first 16 integer multiples of pi/omega for a largest defect of
-    at most 1e-6.  The half-integer interior spectrum of the oscillator
-    energy yields 4 pi / omega.
+    H is the rep's energy generator; a rep without one (every faithful rep,
+    and ``fock_rep("sp2_K")``) raises ``ValueError``.  Scans the first 16
+    integer multiples of pi/omega for a largest defect of at most 1e-6.
+    The half-integer interior spectrum of the oscillator energy yields
+    4 pi / omega.
     """
-    if rep.levels < 8:
+    if rep.hamiltonian_index is None:
+        raise ValueError(f"the {rep.algebra!r} representation has no energy "
+                         f"generator")
+    if rep.dim < 8:
         raise ValueError("need at least 8 levels for a spectrum check")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")

@@ -20,8 +20,6 @@ from . import algebra, bounds, euler_arnold, geodesic, matching, oracle, systems
 
 __all__ = ["run_suite", "SUITES"]
 
-SUITES = ("algebra", "geodesic", "oracle", "all")
-
 
 def _check(name, residual, threshold):
     margin = float(threshold) - float(residual)
@@ -231,21 +229,19 @@ def _suite_oracle():
     return checks
 
 
+# suite name -> the check functions it runs, in order
 _SUITE_FNS = {
-    "algebra": _suite_algebra,
-    "geodesic": _suite_geodesic,
-    "oracle": _suite_oracle,
+    "algebra": (_suite_algebra,),
+    "geodesic": (_suite_geodesic,),
+    "oracle": (_suite_oracle,),
+    "all": (_suite_algebra, _suite_geodesic, _suite_oracle),
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str) -> dict:
     """Run one suite (or ``all``) and return the JSON-ready report."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    if name == "all":
-        checks = []
-        for key in ("algebra", "geodesic", "oracle"):
-            checks.extend(_SUITE_FNS[key]())
-    else:
-        checks = _SUITE_FNS[name]()
+    checks = [check for suite in _SUITE_FNS[name] for check in suite()]
     return {"suite": name, "checks": checks}

@@ -61,6 +61,13 @@ def test_unknown_name_raises():
         qb.builtin("so3")
 
 
+@pytest.mark.parametrize("name,params", [("ho4", {"m": 2.0}),
+                                         ("ho4_general", {"mass": 2.0})])
+def test_builtin_refuses_a_parameter_it_does_not_take(name, params):
+    with pytest.raises(TypeError):
+        qb.builtin(name, **params)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_structure_constants_rejected(bad):
     f = qb.builtin("sp2_J").f.copy()

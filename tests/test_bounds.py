@@ -54,6 +54,22 @@ def test_length_of_numeric_solution_matches_initial_speed(name, dim):
     assert qb.length(sol, G) == pytest.approx(np.linalg.norm(v0), abs=1e-8)
 
 
+@pytest.mark.parametrize("route", ["constant_speed", "simpson", "gauss_legendre"])
+def test_length_rejects_penalties_of_the_wrong_dimension(route):
+    # each used to end in numpy's "shapes not aligned"
+    if route == "constant_speed":
+        sol = qb.solve_closed_form(ClosedFormFamily("ho4_equal_penalty"),
+                                   np.array([0.0, 0.3, -0.2, 1.0]))
+    elif route == "simpson":
+        sol = qb.solve_numeric(qb.builtin("ho4"), qb.PenaltyMatrix.identity(4),
+                               np.array([0.0, 0.3, -0.2, 1.0]))
+    else:
+        sol = qb.solve_closed_form(ClosedFormFamily("anharm_p", p=10.0),
+                                   np.array([0.5, 0.1, -0.2, 0.3, 0.1]))
+    with pytest.raises(qb.DimMismatch):
+        qb.length(sol, qb.PenaltyMatrix.identity(3))
+
+
 # ---------------------------------------------------------------------------
 # harmonic family bounds
 # ---------------------------------------------------------------------------

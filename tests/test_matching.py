@@ -89,6 +89,15 @@ def test_reduction_without_digits_raises():
             reduce_periodic_signed(x, 4 * PI)
 
 
+@pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("x", [1.0, np.array([1.0, 2.0])])
+def test_reduction_needs_a_positive_finite_period(x, period):
+    # an infinite period used to give nan and windings of -2**63, a nan
+    # period a PrecisionLoss
+    with pytest.raises(ValueError, match="^period must be positive and finite$"):
+        reduce_periodic_signed(x, period)
+
+
 # ---------------------------------------------------------------------------
 # per-system matches
 # ---------------------------------------------------------------------------

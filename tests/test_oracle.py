@@ -59,6 +59,8 @@ def test_unknown_rep_names():
         qb.matrix_rep("ho4")          # no finite-dimensional rep exists
     with pytest.raises(qb.NotRegistered):
         qb.fock_rep("sp4_T10")
+    with pytest.raises(qb.NotRegistered):
+        qb.fock_rep("sp4_T10", levels=7)   # the name is checked first
 
 
 @pytest.mark.parametrize("levels", [16.5, 16.0, math.nan, math.inf, True, 7, 0, -16,
@@ -72,7 +74,7 @@ def test_fock_rep_rejects_levels_that_are_not_an_integer_of_at_least_8(levels):
 
 def test_fock_rep_takes_an_integer_of_another_type():
     rep = qb.fock_rep("sp2_J", levels=np.int64(12))
-    assert rep.levels == 12 and type(rep.levels) is int
+    assert rep.dim == 12 and type(rep.dim) is int
     assert rep.matrices[0].shape == (12, 12)
 
 
@@ -210,6 +212,23 @@ def test_spectrum_period_rejects_bad_omega(omega):
     rep = qb.fock_rep("sp2_J", levels=16)
     with pytest.raises(ValueError, match="omega must be finite and > 0"):
         qb.spectrum_period_check(rep, omega=omega)
+
+
+@pytest.mark.parametrize("rep", [qb.matrix_rep("sp2_J"), qb.fock_rep("sp2_K", 16)],
+                         ids=["matrix_sp2_J", "fock_sp2_K"])
+def test_spectrum_period_needs_an_energy_generator(rep):
+    # the faithful rep used to end in an AttributeError, and sp2_K's energy
+    # K1 + K2 is no single generator (its index used to point at K3)
+    assert rep.hamiltonian_index is None
+    with pytest.raises(ValueError, match=f"'{rep.algebra}' representation has "
+                                         "no energy generator"):
+        qb.spectrum_period_check(rep, omega=1.0)
+
+
+@pytest.mark.parametrize("name", ["ho4", "anharm5"])
+def test_fock_energy_generators_give_four_pi(name):
+    rep = qb.fock_rep(name, 16)
+    assert qb.spectrum_period_check(rep, omega=1.0) == pytest.approx(4 * PI)
 
 
 def test_interior_spectrum_is_half_integer():
