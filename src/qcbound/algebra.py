@@ -18,9 +18,11 @@ Registered algebras
 ``sp4_T10``      full ten-generator sp(4,R) of two-mode quadratics
 ``anharm5``      truncated cubic-oscillator table (M1, M4, M5, M6, M7)
 
-The ``anharm5`` table is marked ``truncated``: brackets among the cubic
-generators produce quartic operators that are dropped, so those pairs are
-recorded as open rather than zero by fiat.
+The ``anharm5`` table is truncated: brackets among the cubic generators
+produce quartic operators that are dropped, so those pairs are recorded as
+open rather than zero by fiat.  A table's size and truncation are not
+stored beside it: ``dim`` is the number of labels and ``truncated`` says
+whether any pair is open.
 """
 
 from __future__ import annotations
@@ -53,40 +55,48 @@ class LieAlgebraSpec:
     ----------
     name : str
         Registry identifier.
-    dim : int
-        Number of generators.
     generator_labels : tuple of str
-        Basis labels, fixing the component order used everywhere else.
+        Basis labels, fixing the component order used everywhere else;
+        their number is the table's ``dim``.
     f : ndarray, shape (dim, dim, dim)
-        Structure constants, ``[O_I, O_J] = i f[I,J,K] O_K``.
-    truncated : bool
-        True when the table closes only after dropping higher-order
-        operators; Jacobi is then meaningful only away from the open pairs.
+        Structure constants, ``[O_I, O_J] = i f[I,J,K] O_K``; any other
+        shape raises ``DimMismatch``.
     open_pairs : tuple of (int, int)
-        Unordered generator pairs whose bracket was truncated to zero.
+        Unordered generator pairs whose bracket was truncated to zero.  A
+        table with open pairs is ``truncated``: it closes only after
+        dropping higher-order operators, and Jacobi is then meaningful only
+        away from those pairs.
     params : tuple of (str, float)
         Numerical parameters baked into the table (e.g. m, omega).
     """
 
     name: str
-    dim: int
     generator_labels: tuple[str, ...]
     f: np.ndarray
-    truncated: bool = False
     open_pairs: tuple[tuple[int, int], ...] = ()
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        labels = tuple(self.generator_labels)
         f = np.asarray(self.f, dtype=float)
-        if f.shape != (self.dim,) * 3:
-            raise DimMismatch(
-                f"structure constants must have shape {(self.dim,)*3}, got {f.shape}"
-            )
+        if f.shape != (len(labels),) * 3:
+            raise DimMismatch(f"{len(labels)} labels need structure constants of "
+                              f"shape {(len(labels),)*3}, got {f.shape}")
         if not np.isfinite(f).all():
             raise ValueError("structure constants must be finite")
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "generator_labels", tuple(self.generator_labels))
+        object.__setattr__(self, "generator_labels", labels)
+
+    @property
+    def dim(self) -> int:
+        """Number of generators."""
+        return len(self.generator_labels)
+
+    @property
+    def truncated(self) -> bool:
+        """True when some bracket was truncated (the table has open pairs)."""
+        return bool(self.open_pairs)
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,7 @@ def _ho4_table(m: float, omega: float) -> np.ndarray:
 
 
 def _ho4() -> LieAlgebraSpec:
-    return LieAlgebraSpec(name="ho4", dim=4, generator_labels=("E", "P", "Q", "H"),
+    return LieAlgebraSpec(name="ho4", generator_labels=("E", "P", "Q", "H"),
                           f=_ho4_table(1.0, 1.0))
 
 
@@ -154,7 +164,7 @@ def _ho4_general(m: float = 1.0, omega: float = 1.0) -> LieAlgebraSpec:
     if m <= 0 or omega <= 0:
         raise ValueError("ho4_general requires m > 0 and omega > 0")
     return LieAlgebraSpec(
-        name="ho4_general", dim=4, generator_labels=("E", "P", "Q", "H"),
+        name="ho4_general", generator_labels=("E", "P", "Q", "H"),
         f=_ho4_table(m, omega), params=(("m", m), ("omega", omega)),
     )
 
@@ -166,7 +176,7 @@ def _sp2_K() -> LieAlgebraSpec:
         (2, 0, {0: -2.0}),
         (2, 1, {1: 2.0}),
     ])
-    return LieAlgebraSpec(name="sp2_K", dim=3, generator_labels=("K1", "K2", "K3"), f=f)
+    return LieAlgebraSpec(name="sp2_K", generator_labels=("K1", "K2", "K3"), f=f)
 
 
 def _sp2_J() -> LieAlgebraSpec:
@@ -176,7 +186,7 @@ def _sp2_J() -> LieAlgebraSpec:
         (1, 2, {0: 2.0}),
         (2, 0, {1: 2.0}),
     ])
-    return LieAlgebraSpec(name="sp2_J", dim=3, generator_labels=("J1", "J2", "J3"), f=f)
+    return LieAlgebraSpec(name="sp2_J", generator_labels=("J1", "J2", "J3"), f=f)
 
 
 def _coupled_M4() -> LieAlgebraSpec:
@@ -189,7 +199,7 @@ def _coupled_M4() -> LieAlgebraSpec:
         (2, 3, {0: -2.0, 1: 2.0}),
     ])
     return LieAlgebraSpec(
-        name="coupled_M4", dim=4, generator_labels=("M1", "M2", "M3", "M4"), f=f
+        name="coupled_M4", generator_labels=("M1", "M2", "M3", "M4"), f=f
     )
 
 
@@ -221,7 +231,7 @@ def _sp4_T10() -> LieAlgebraSpec:
                for i, j, d in _SP4_ENTRIES]
     f = _table(10, entries)
     labels = tuple(f"T{k}" for k in range(1, 11))
-    return LieAlgebraSpec(name="sp4_T10", dim=10, generator_labels=labels, f=f)
+    return LieAlgebraSpec(name="sp4_T10", generator_labels=labels, f=f)
 
 
 def _anharm5() -> LieAlgebraSpec:
@@ -237,8 +247,8 @@ def _anharm5() -> LieAlgebraSpec:
         (i, j) for i in range(1, 5) for j in range(i + 1, 5)
     )
     return LieAlgebraSpec(
-        name="anharm5", dim=5, generator_labels=("M1", "M4", "M5", "M6", "M7"),
-        f=f, truncated=True, open_pairs=open_pairs,
+        name="anharm5", generator_labels=("M1", "M4", "M5", "M6", "M7"),
+        f=f, open_pairs=open_pairs,
     )
 
 
@@ -325,8 +335,8 @@ def change_basis(spec: LieAlgebraSpec, T: BasisChange) -> LieAlgebraSpec:
     f_new = np.einsum("ai,bj,ijk,kc->abc", mat, mat, spec.f, inv)
     labels = tuple(f"{T.to_name}_{a}" for a in range(spec.dim))
     return LieAlgebraSpec(
-        name=T.to_name, dim=spec.dim, generator_labels=labels,
-        f=f_new, truncated=spec.truncated, open_pairs=spec.open_pairs,
+        name=T.to_name, generator_labels=labels, f=f_new,
+        open_pairs=spec.open_pairs,
     )
 
 

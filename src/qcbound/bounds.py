@@ -22,12 +22,14 @@ complexity; poles of the matching equations yield an infinite value, which
 curve emitters record as gaps.
 
 :func:`bound` and :func:`bound_curve` take the formula id, caveats and
-length from the target's registry entry (:mod:`qcbound.systems`); the curve
-runs the same kernel and length on the whole grid, so each value equals
-``bound(target.with_time(t)).value`` exactly (``==``).  :func:`bound` shares
-the solve step of :func:`matching.match` and stays in Python floats: the
-length and the extras take the kernel's list of velocities, and the
-result's ``v0`` array is built once, from that list.
+measurement from the target's registry entry (:mod:`qcbound.systems`).  A
+measurement gives the length and the extras of a matched point in one call;
+:func:`bound` makes that call once and keeps both, and the curve runs the
+same kernel and measurement on the whole grid and keeps the length, so each
+value equals ``bound(target.with_time(t)).value`` exactly (``==``).
+:func:`bound` shares the solve step of :func:`matching.match` and stays in
+Python floats: the measurement takes the kernel's list of velocities, and
+the result's ``v0`` array is built once, from that list.
 """
 
 from __future__ import annotations
@@ -227,17 +229,25 @@ def anharm_length(v0, g11: float, p: float):
 
     Uses A + B cos x + C sin x = A + R sin(x + phi) with sin(phi) = B/R and
     the antiderivative of sqrt(a + b sin y) in terms of the incomplete
-    elliptic integral of the second kind.  Requires A > R for a real
-    integrand; returns ``nan`` when that positivity guard fails, and ``inf``
-    when A + R is not finite (an overflow of the coefficients).  ``v0`` of
+    elliptic integral of the second kind.  Returns ``inf`` when A + R is
+    not finite (an overflow of the coefficients), and otherwise ``nan``
+    when the positivity guard A > R of a real integrand fails.  ``v0`` of
     shape (5, n) gives an array, equal element by element to the scalar
     form (masks replace the early returns).
     """
-    A, B, C = anharm_integrand_coeffs(v0, g11, p)
+    return _anharm_length(v0[0], *anharm_integrand_coeffs(v0, g11, p))
+
+
+def _anharm_length(v1, A, B, C):
+    """:func:`anharm_length` from the phase velocity ``v1`` and the
+    integrand's (A, B, C), for a system whose measurement needs the
+    coefficients too."""
     if isinstance(A, np.ndarray):
-        return _anharm_length_array(np.asarray(v0, dtype=float)[0], A, B, C)
-    v1 = float(v0[0])
+        return _anharm_length_array(np.asarray(v1, dtype=float), A, B, C)
+    v1 = float(v1)
     R = math.hypot(B, C)
+    if not math.isfinite(A + R):
+        return math.inf
     if A - R <= 0 and (A, R) != (0.0, 0.0):
         return math.nan
     if v1 == 0.0:
@@ -245,24 +255,21 @@ def anharm_length(v0, g11: float, p: float):
         return math.sqrt((A + B) / 2.0)
     if R == 0.0:
         return math.sqrt(A / 2.0)
-    if not math.isfinite(A + R):
-        return math.inf
     return _elliptic_length(v1, A, R, math.atan2(B, C), math.sqrt(A + R))
 
 
 def _anharm_length_array(v1, A, B, C):
     R = apply_math(math.hypot, B, C)
     out = np.full(A.shape, math.nan)
-    live = ~((A - R <= 0) & ~((A == 0.0) & (R == 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        over = ~np.isfinite(A + R)
+        live = ~over & ~((A - R <= 0) & ~((A == 0.0) & (R == 0.0)))
+    out[over] = math.inf
     frozen = live & (v1 == 0.0)
     out[frozen] = np.sqrt((A[frozen] + B[frozen]) / 2.0)
     flat = live & ~frozen & (R == 0.0)
     out[flat] = np.sqrt(A[flat] / 2.0)
-    rest = live & ~frozen & ~flat
-    with np.errstate(over="ignore", invalid="ignore"):
-        over = rest & ~np.isfinite(A + R)
-    out[over] = math.inf
-    k = rest & ~over
+    k = live & ~frozen & ~flat
     A, B, C, R = A[k], B[k], C[k], R[k]
     out[k] = _elliptic_length(v1[k], A, R, apply_math(math.atan2, B, C),
                               np.sqrt(A + R))
@@ -298,12 +305,13 @@ def _sum_squares(components):
     return total
 
 
-def norm_length(params: dict, v0):
-    """Unit-weight norm of ``v0``: a float for a list of floats, an array
-    for a (k, n) array."""
+def norm_measure(params: dict, v0):
+    """The default measurement of a matched point: the unit-weight norm of
+    ``v0`` (a float for a list of floats, an array for a (k, n) array) and
+    no extras."""
     if isinstance(v0, np.ndarray):
-        return np.sqrt(_sum_squares(v0))
-    return math.sqrt(_sum_squares(v0))
+        return np.sqrt(_sum_squares(v0)), {}
+    return math.sqrt(_sum_squares(v0)), {}
 
 
 def _reject_overflow(value, v0) -> None:
@@ -321,14 +329,13 @@ def bound(target: TargetSpec) -> BoundResult:
     if divergent is not None:
         return BoundResult(math.inf, f"{target.system}_pole", None, branch,
                            [STANDARD_CAVEAT, f"divergent: {divergent}", *notes])
-    spec, params = target.spec, target.params
-    value = spec.length(params, v0)
+    spec = target.spec
+    value, extras = spec.measure(target.params, v0)
     caveats = [STANDARD_CAVEAT, *spec.caveats]
     if not math.isfinite(value):
         _reject_overflow(value, v0)
         caveats.append(POSITIVITY_CAVEAT)
     caveats += notes
-    extras = spec.extras(params, v0) if spec.extras else {}
     return BoundResult(value, spec.formula_id, np.array(v0), branch, caveats,
                        extras)
 
@@ -373,7 +380,7 @@ def bound_curve(target: TargetSpec, t_grid) -> BoundCurve:
     spec = target.spec
     caveats = [STANDARD_CAVEAT, *spec.caveats]
     with np.errstate(invalid="ignore", over="ignore"):
-        value = spec.length(target.params, v0)
+        value = spec.measure(target.params, v0)[0]
     lost = ~np.isfinite(value) & ~divergent
     if lost.any():
         _reject_overflow(value[lost], v0[:, lost])

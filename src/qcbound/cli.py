@@ -95,6 +95,8 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 _WIDE, _NARROW = (0.0, 8 * math.pi, 1601), (0.0, 2 * math.pi, 501)
+# the most grid points a figure takes, as integrate_rk4 takes a million steps
+_MAX_T_STEPS = 1_000_000
 # figure -> (system, parameters that differ from its defaults,
 #            swept parameter and its default values or None, default grid)
 _FIGURES = {
@@ -196,8 +198,9 @@ def cmd_figure(args) -> int:
         t_max = args.t_max if args.t_max is not None else t1
         t_steps = args.t_steps if args.t_steps is not None else steps
         if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max) \
-                or t_steps < 2:
-            raise ValueError("need finite t_min < t_max and t_steps >= 2")
+                or not 2 <= t_steps <= _MAX_T_STEPS:
+            raise ValueError("need finite t_min < t_max and "
+                             f"2 <= t_steps <= {_MAX_T_STEPS}")
         grid = np.linspace(t_min, t_max, t_steps)
         curves = [(label, bound_curve(target, grid)) for label, target in series]
     except (QcBoundError, ValueError) as exc:
@@ -294,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default=None)
     p_fig.add_argument("--t-min", dest="t_min", type=float, default=None)
     p_fig.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p_fig.add_argument("--t-steps", dest="t_steps", type=int, default=None)
+    p_fig.add_argument("--t-steps", dest="t_steps", type=int, default=None,
+                       help=f"grid points, 2 to {_MAX_T_STEPS}")
     for option, f in _FIGURE_OPTIONS.items():
         p_fig.add_argument(option, dest=f.name, type=float, default=None,
                            help=f.help)

@@ -124,13 +124,14 @@ class VelocitySolution:
     solutions whose weighted speed is an exact constant, so that lengths can
     be evaluated without quadrature.  A closed form's evaluator is its
     :class:`TrigFamily`, which also gives its antiderivative; a numeric
-    solution carries its RK4 ``grid`` and ``states``.
+    solution carries its RK4 ``grid`` and ``states``.  The penalties that
+    shaped the solution are not kept on it: ``bounds.length(sol, G)`` takes
+    them as its own argument.
     """
 
     algebra: str
     v0: np.ndarray
     evaluator: Callable[[np.ndarray], np.ndarray]
-    penalties: PenaltyMatrix
     constant_speed: bool = False
     grid: np.ndarray | None = None
     states: np.ndarray | None = None
@@ -443,7 +444,6 @@ def solve_numeric(
         algebra=algebra.name,
         v0=v0,
         evaluator=_grid_interpolator(grid, states, field.rows(states)),
-        penalties=G,
         constant_speed=False,
         grid=grid,
         states=states,
@@ -604,4 +604,4 @@ def solve_closed_form(family: ClosedFormFamily, v0,
         raise FamilyMismatch(f"{family.tag} requires {entry.rule}")
     return VelocitySolution(entry.algebra, v0,
                             entry.trig(v0.tolist(), G.weights, family.q, family.p),
-                            G, constant_speed=entry.constant_speed)
+                            constant_speed=entry.constant_speed)

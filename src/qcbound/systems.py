@@ -3,9 +3,10 @@
 Each target is defined here and nowhere else, by one :class:`SystemSpec`:
 constructor parameters (in order, with defaults, checks and CLI flags),
 closed-form family, formula id and caveats, match kernel, target
-coefficients and length.  The rest of the package reads it through
+coefficients and measurement.  The rest of the package reads it through
 ``target.spec``.  To add a system, write its kernel and coefficients (and
-its length, unless it is the norm of ``v0``) and add its spec to ``SYSTEMS``.
+its measurement, unless that is the norm of ``v0`` with no extras) and add
+its spec to ``SYSTEMS``.
 
 A kernel ``kernel(params, notes)`` serves a float ``params["t"]`` and a 1-d
 array of times alike.  It returns ``(v0, branch, poles, regular_notes)``:
@@ -14,6 +15,11 @@ velocity components (constants as floats), winding index, ordered
 their ``precision:`` notes to ``notes``.  A mask is a bool or a bool array
 built with ``&`` (never ``~``: ``~True == -2``); ``text`` is a str or a
 function of the mask.  ``math`` calls go through ``math_call``.
+
+A measurement ``measure(params, v0) -> (value, extras)`` takes the kernel's
+velocities, float or array alike, and gives the length and a dict of
+diagnostics in one pass, so what both need (the cubic's A, B, C) is
+computed once.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import anharm_integrand_coeffs, anharm_length, norm_length
+from .bounds import _anharm_length, anharm_integrand_coeffs, norm_measure
 from .errors import Unsupported
 from .euler_arnold import ClosedFormFamily
 from .matching import (PERIOD_4PI, POLE_TOL, match_displacement_product_form,
@@ -64,8 +70,7 @@ class SystemSpec(NamedTuple):
     kernel: Callable
     coefficients: Callable[[dict], list]
     caveats: tuple[str, ...] = ()
-    length: Callable = norm_length
-    extras: Callable[[dict, np.ndarray], dict] | None = None
+    measure: Callable[[dict, list], tuple] = norm_measure  # (value, extras)
     check: Callable[[dict], None] | None = None
     sign_symmetric: bool = False   # coefficients are matched up to a sign
     flags: tuple[Param, ...] = ()  # CLI options, when not the parameters
@@ -103,9 +108,8 @@ DISPLACEMENT = SystemSpec(
                -math.sqrt(2) * p["alpha"].imag, 0.0],
     caveats=("ordered-product route gives 2|alpha| instead of sqrt(2)|alpha|; "
              "both are reported, the discrepancy is documented",),
-    length=lambda p, v0: math.sqrt(2.0) * abs(p["alpha"]),
-    extras=lambda p, v0: {"product_form_value":
-                          match_displacement_product_form(p["alpha"])["value"]},
+    measure=lambda p, v0: (math.sqrt(2.0) * abs(p["alpha"]), {
+        "product_form_value": match_displacement_product_form(p["alpha"])["value"]}),
     sign_symmetric=True,
     flags=(Param("re", 0.0, help="Re(alpha)"), Param("im", 0.0, help="Im(alpha)")),
     from_flags=lambda re, im: (complex(re, im),))
@@ -290,6 +294,11 @@ def _anharm_cubic(p, notes):
     return v0, branch, poles, [_NOTE_CUBIC]
 
 
+def _anharm_measure(p, v0):
+    A, B, C = anharm_integrand_coeffs(v0, p["g11"], p["p"])
+    return _anharm_length(v0[0], A, B, C), {"A": A, "B": B, "C": C}
+
+
 ANHARM_CUBIC = SystemSpec(
     "anharm_cubic", "oscillator plus cubic position term",
     (_OMEGA, _LAM, _T,
@@ -298,9 +307,7 @@ ANHARM_CUBIC = SystemSpec(
      Param("p", 100.0, optional=True, positive=True, help="hard-direction penalty")),
     "anharm_p", ("p",), "anharm_elliptic", _anharm_cubic,
     lambda p: [_wrap(p["omega"] * p["t"]), p["lam"] * p["t"], 0.0, 0.0, 0.0],
-    length=lambda p, v0: anharm_length(v0, p["g11"], p["p"]),
-    extras=lambda p, v0: dict(zip("ABC", anharm_integrand_coeffs(
-        v0, p["g11"], p["p"]))))
+    measure=_anharm_measure)
 
 
 SYSTEMS: dict[str, SystemSpec] = {s.tag: s for s in (

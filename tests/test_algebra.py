@@ -73,7 +73,24 @@ def test_non_finite_structure_constants_rejected(bad):
     f = qb.builtin("sp2_J").f.copy()
     f[0, 1, 2] = bad
     with pytest.raises(ValueError):
-        qb.LieAlgebraSpec(name="bad", dim=3, generator_labels=("a", "b", "c"), f=f)
+        qb.LieAlgebraSpec(name="bad", generator_labels=("a", "b", "c"), f=f)
+
+
+def test_labels_and_table_must_agree_on_the_size():
+    with pytest.raises(qb.DimMismatch):
+        qb.LieAlgebraSpec(name="x", generator_labels=("a", "b", "c", "d"),
+                          f=np.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("stored", [{"dim": 3}, {"truncated": False}])
+def test_size_and_truncation_are_derived_not_stored(stored):
+    with pytest.raises(TypeError):
+        qb.LieAlgebraSpec(name="x", generator_labels=("a", "b", "c"),
+                          f=np.zeros((3, 3, 3)), **stored)
+    assert [qb.builtin(name).dim for name in qb.builtin_names()] == [
+        len(qb.builtin(name).generator_labels) for name in qb.builtin_names()]
+    assert [name for name in qb.builtin_names()
+            if qb.builtin(name).truncated] == ["anharm5"]
 
 
 def test_overflowing_table_parameter_rejected():
@@ -167,8 +184,8 @@ def test_validate_flags_antisymmetry_violation():
     f = np.zeros((4, 4, 4))
     f[1, 2, 3] = 1.0
     f[2, 1, 3] = 1.0   # should be -1
-    spec = qb.LieAlgebraSpec(name="bad", dim=4,
-                             generator_labels=("a", "b", "c", "d"), f=f)
+    spec = qb.LieAlgebraSpec(name="bad", generator_labels=("a", "b", "c", "d"),
+                             f=f)
     report = qb.validate(spec)
     assert (1, 2, 3) in report.antisymmetry_violations
     assert not report.ok
@@ -224,9 +241,9 @@ def _truncated_spec(upper, open_pairs):
     for (i, j), row in upper.items():
         f[i, j] = row
         f[j, i] = -f[i, j]
-    return qb.LieAlgebraSpec(name="t", dim=dim,
+    return qb.LieAlgebraSpec(name="t",
                              generator_labels=tuple(f"g{k}" for k in range(dim)),
-                             f=f, truncated=True, open_pairs=tuple(open_pairs))
+                             f=f, open_pairs=tuple(open_pairs))
 
 
 @st.composite
@@ -254,6 +271,21 @@ def test_validate_reports_a_nonzero_residual_away_from_the_open_pairs():
     want = _jacobi_residual_loop(spec)
     assert want > 0.0
     assert qb.validate(spec).max_jacobi_residual == want
+
+
+def test_open_pairs_alone_make_a_truncated_table_that_validate_masks():
+    # [a, b] = a + c and [b, c] = a + b break Jacobi on (a, b, c); the open
+    # pair (a, b) reaches that triple, so the residual is masked
+    spec = _truncated_spec({(0, 1): [1, 0, 1, 0], (1, 2): [1, 1, 0, 0]},
+                           open_pairs=[(0, 1)])
+    assert spec.truncated
+    assert _jacobi_residual_loop(spec) == 0.0
+    assert np.abs(jacobi_tensor(spec.f)).max() > 0.0
+    report = qb.validate(spec)
+    assert report.closure == "truncated"
+    assert report.open_pairs == [(0, 1)]
+    assert report.max_jacobi_residual == 0.0
+    assert report.ok
 
 
 def test_anharm_bracket_rows():

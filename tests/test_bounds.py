@@ -372,10 +372,40 @@ def test_cubic_integrand_overflow_raises_in_bound_and_bound_curve(lam):
         qb.bound_curve(target, np.array([0.5, 0.75, 1.0]))
 
 
+def test_cubic_coefficient_overflow_is_not_a_positivity_failure():
+    # C = 2 p (v5 v7 - v4 v6) overflows to -inf, so R = hypot(B, C) is inf and
+    # A - R <= 0 would trip the positivity guard before the overflow test
+    target = qb.TargetSpec.anharm_cubic(1.0, 0.1, 1.0, 1.0, 1e308)
+    v0 = qb.match(target).v0
+    assert np.isfinite(v0).all()
+    assert anharm_integrand_coeffs(v0, 1.0, 1e308)[2] == -math.inf
+    assert qb.anharm_length(v0, 1.0, 1e308) == math.inf
+    with pytest.raises(ValueError, match="arithmetic overflow"):
+        qb.bound(target)
+    with pytest.raises(ValueError, match="arithmetic overflow"):
+        qb.bound_curve(target, np.array([1.0]))
+
+
+def test_cubic_bound_computes_its_coefficients_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return anharm_integrand_coeffs(*args)
+
+    monkeypatch.setattr(qb.bounds, "anharm_integrand_coeffs", counted)
+    monkeypatch.setattr(qb.systems, "anharm_integrand_coeffs", counted)
+    res = qb.bound(qb.TargetSpec.anharm_cubic(1.0, 0.05, 1.0))
+    assert len(calls) == 1
+    assert res.extras == dict(zip("ABC", anharm_integrand_coeffs(
+        res.v0, 1.0, 100.0)))
+    assert res.value == qb.anharm_length(res.v0, 1.0, 100.0)
+
+
 def test_nan_length_from_finite_v0_keeps_the_positivity_caveat(monkeypatch):
     spec = qb.systems.SYSTEMS["anharm_cubic"]
     monkeypatch.setitem(qb.systems.SYSTEMS, "anharm_cubic",
-                        spec._replace(length=lambda p, v0: v0[0] * math.nan))
+                        spec._replace(measure=lambda p, v0: (v0[0] * math.nan, {})))
     target = qb.TargetSpec.anharm_cubic(1.0, 0.05, 1.0)
     res = qb.bound(target)
     assert math.isnan(res.value)

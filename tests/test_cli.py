@@ -77,6 +77,17 @@ def test_figure_grid_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("steps", [10 ** 11, 1_000_001])
+def test_figure_rejects_more_than_a_million_grid_points(steps, tmp_path, capsys):
+    # rejected before the grid is allocated (10**11 points used to end in a
+    # MemoryError traceback from np.linspace)
+    out = tmp_path / "f.csv"
+    assert main(["figure", "fig2", "--t-steps", str(steps), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: need finite t_min < t_max and 2 <= t_steps <= 1000000\n")
+    assert not out.exists()
+
+
 def test_fig2_csv_structure_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -224,7 +235,7 @@ def test_nan_bound_never_exits_zero(monkeypatch, capsys):
 def test_nan_figure_value_is_not_written_as_a_pole(monkeypatch, tmp_path, capsys):
     spec = qb.systems.SYSTEMS["anharm_cubic"]
     monkeypatch.setitem(qb.systems.SYSTEMS, "anharm_cubic",
-                        spec._replace(length=lambda p, v0: v0[0] * math.nan))
+                        spec._replace(measure=lambda p, v0: (v0[0] * math.nan, {})))
     out = tmp_path / "fig7.csv"
     assert main(["figure", "fig7", "--out", str(out), "--t-min", "0.5",
                  "--t-max", "1", "--t-steps", "3"]) == 3
@@ -385,6 +396,10 @@ def test_bulk_csv_writer_on_two_point_grid_with_divergent_rows():
     ["figure", "fig6", "--mu-values", "1e200", "--t-min", "0", "--t-max", "1",
      "--t-steps", "3"],
     ["bound", "anharm", "--t", "1", "--lambda", "1e200"],
+    # C overflows to -inf, so sqrt(B^2 + C^2) is inf too: an overflow, not a
+    # failed positivity guard
+    ["bound", "anharm", "--omega", "1", "--lambda", "0.1", "--t", "1",
+     "--p", "1e308"],
     ["figure", "fig7", "--lambda", "1e200", "--t-min", "0.5", "--t-max", "1",
      "--t-steps", "3"],
     ["bound", "ho", "--omega", "1e300", "--t", "1e300"],    # omega * t

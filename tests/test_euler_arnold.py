@@ -91,6 +91,17 @@ def test_rhs_dim_mismatch():
         qb.rhs(alg, qb.PenaltyMatrix.identity(4), np.zeros(3))
 
 
+def test_a_solution_does_not_store_its_penalties():
+    # length(sol, G) takes the penalties itself
+    fam = ClosedFormFamily("coupled_pq", q=1.0, p=10.0)
+    sol = qb.solve_closed_form(fam, np.array([0.3, 0.2, 0.1, 0.4]))
+    num = qb.solve_numeric(qb.builtin("coupled_M4"), fam.default_penalties(),
+                           np.array([0.3, 0.2, 0.1, 0.4]))
+    for s in (sol, num):
+        assert not hasattr(s, "penalties")
+        assert qb.length(s, fam.default_penalties()) > 0.0
+
+
 def test_penalties_must_be_positive():
     with pytest.raises(ValueError):
         qb.PenaltyMatrix.diagonal([1.0, -1.0])

@@ -185,3 +185,16 @@ def test_target_reads_the_registry_entry_at_use(monkeypatch):
     monkeypatch.setitem(SYSTEMS, "ho", patched)
     assert target.spec is patched
     assert qb.bound(target).formula_id == "patched"
+
+
+def test_a_matched_point_is_measured_in_one_call():
+    # one measure(params, v0) -> (value, extras) replaces length and extras
+    fields = set(qb.systems.SystemSpec._fields)
+    assert "measure" in fields and not fields & {"length", "extras"}
+    for spec in SYSTEMS.values():
+        target = getattr(qb.TargetSpec, spec.tag)(
+            *[0.7 if p.name != "alpha" else 0.3 - 0.4j
+              for p in spec.params if not p.optional])
+        res = qb.bound(target)
+        value, extras = spec.measure(target.params, res.v0.tolist())
+        assert (value, extras) == (res.value, res.extras)
