@@ -66,15 +66,15 @@ class LieAlgebraSpec:
         table with open pairs is ``truncated``: it closes only after
         dropping higher-order operators, and Jacobi is then meaningful only
         away from those pairs.
-    params : tuple of (str, float)
-        Numerical parameters baked into the table (e.g. m, omega).
+
+    Parameters baked into a table (``ho4_general``'s m and omega) are read
+    off its entries, not stored beside them.
     """
 
     name: str
     generator_labels: tuple[str, ...]
     f: np.ndarray
     open_pairs: tuple[tuple[int, int], ...] = ()
-    params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         labels = tuple(self.generator_labels)
@@ -123,8 +123,12 @@ class ValidationReport:
     name: str
     antisymmetry_violations: list[tuple[int, int, int]] = field(default_factory=list)
     max_jacobi_residual: float = 0.0
-    closure: str = "closed"  # "closed" | "truncated"
     open_pairs: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def closure(self) -> str:
+        """``"truncated"`` when the table has open pairs, else ``"closed"``."""
+        return "truncated" if self.open_pairs else "closed"
 
     @property
     def ok(self) -> bool:
@@ -163,10 +167,8 @@ def _ho4_general(m: float = 1.0, omega: float = 1.0) -> LieAlgebraSpec:
     m, omega = float(m), float(omega)
     if m <= 0 or omega <= 0:
         raise ValueError("ho4_general requires m > 0 and omega > 0")
-    return LieAlgebraSpec(
-        name="ho4_general", generator_labels=("E", "P", "Q", "H"),
-        f=_ho4_table(m, omega), params=(("m", m), ("omega", omega)),
-    )
+    return LieAlgebraSpec(name="ho4_general", generator_labels=("E", "P", "Q", "H"),
+                          f=_ho4_table(m, omega))
 
 
 def _sp2_K() -> LieAlgebraSpec:
@@ -308,15 +310,13 @@ def _jacobi_residual(f: np.ndarray, open_pairs) -> float:
 
 def validate(spec: LieAlgebraSpec) -> ValidationReport:
     """Check antisymmetry, Jacobi and closure; report, never raise."""
-    report = ValidationReport(name=spec.name)
+    report = ValidationReport(name=spec.name,
+                              open_pairs=[tuple(p) for p in spec.open_pairs])
     f = spec.f
     anti = f + np.swapaxes(f, 0, 1)
     for i, j, k in zip(*np.nonzero(anti)):
         if i <= j:
             report.antisymmetry_violations.append((int(i), int(j), int(k)))
-    if spec.truncated:
-        report.closure = "truncated"
-        report.open_pairs = [tuple(p) for p in spec.open_pairs]
     report.max_jacobi_residual = _jacobi_residual(f, report.open_pairs)
     return report
 

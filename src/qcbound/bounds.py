@@ -346,8 +346,9 @@ class BoundCurve:
 
     ``value[i]``, ``branch[i]`` and ``divergent[i]`` equal the ``value``,
     ``branch`` and ``is_divergent`` of ``bound(target.with_time(t[i]))``
-    exactly.  ``pole[i]`` is the pole location text at divergent points
-    (the scalar ``divergent: ...`` caveat) and ``None`` elsewhere.
+    exactly; ``divergent`` is read off ``value`` (``np.isinf``).  ``pole[i]``
+    is the pole location text at divergent points (the scalar
+    ``divergent: ...`` caveat) and ``None`` elsewhere.
     ``formula_id`` and ``caveats`` are shared by the grid: the formula of
     the finite points, and the caveats that hold at any point of the grid.
     """
@@ -355,10 +356,13 @@ class BoundCurve:
     t: np.ndarray
     value: np.ndarray
     branch: np.ndarray
-    divergent: np.ndarray
     pole: np.ndarray
     formula_id: str
     caveats: list[str] = field(default_factory=list)
+
+    @property
+    def divergent(self) -> np.ndarray:
+        return np.isinf(self.value)
 
 
 def bound_curve(target: TargetSpec, t_grid) -> BoundCurve:
@@ -386,6 +390,5 @@ def bound_curve(target: TargetSpec, t_grid) -> BoundCurve:
         _reject_overflow(value[lost], v0[:, lost])
         caveats.append(POSITIVITY_CAVEAT)
     value[divergent] = math.inf
-    return BoundCurve(t=t, value=value, branch=branch,
-                      divergent=np.isinf(value), pole=pole,
+    return BoundCurve(t=t, value=value, branch=branch, pole=pole,
                       formula_id=spec.formula_id, caveats=caveats + notes)

@@ -43,7 +43,7 @@ mix to the integrals of those functions.  A closed-form solution's
 evaluator is that :class:`TrigFamily` itself.  One ``_FAMILIES`` entry per
 tag:
 
-``ho4_equal_penalty``    (V^P, V^Q) rotate at rate v_H + (G_EE/G_PP) v_E
+``ho4_equal_penalty``    (V^P, V^Q) rotate at rate v_H + v_E
 ``sp2_J_equal_penalty``  (V^1, V^2) rotate at rate 4 v_3
 ``coupled_pq``           (V^3, V^4) rotate at rate (p - 2q)(v_1 - v_2)/p
 ``anharm_p``             (V^4..V^7) mix rates v_1 and 3 v_1; solves the
@@ -505,11 +505,11 @@ class TrigFamily:
         return out[0] if np.ndim(s) == 0 else out
 
 
-# The reduced cubic system over (V1, V4, V5, V6, V7) as a unit-weight table:
-# dV4 = v1 V6, dV5 = -v1 V7, dV6 = 2 v1 V7 - 3 v1 V4, dV7 = 3 v1 V5 - 2 v1 V6.
-_ANHARM_REDUCED = np.zeros((5, 5, 5))
-_ANHARM_REDUCED[[1, 2, 3, 3, 4, 4], 0, [3, 4, 1, 4, 2, 3]] = [
-    1.0, -1.0, -3.0, 2.0, 3.0, -2.0]
+# The reduced cubic system over (V1, V4, V5, V6, V7) as a unit-weight table,
+# anharm5's without the V^1 row: dV4 = v1 V6, dV5 = -v1 V7,
+# dV6 = 2 v1 V7 - 3 v1 V4, dV7 = 3 v1 V5 - 2 v1 V6.
+_ANHARM_REDUCED = builtin("anharm5").f.copy()
+_ANHARM_REDUCED[0] = 0.0
 
 
 # Trigonometric mixing of the reduced cubic system: rows are the components
@@ -528,7 +528,7 @@ _ANHARM_MIX = 0.25 * np.array([
 ], dtype=float)
 
 
-def _anharm_trig(v, w, q, p):
+def _anharm_trig(v, q, p):
     """V^1 = v1; V^4..V^7 mix cos and sin at v1 and 3 v1 (``_ANHARM_MIX``)."""
     rows = (np.asarray(v[1:]) @ _ANHARM_MIX).tolist()
     return TrigFamily((((0, v[0]),),) + tuple(tuple(enumerate(row, 1)) for row in rows),
@@ -536,15 +536,12 @@ def _anharm_trig(v, w, q, p):
 
 
 class _Family(NamedTuple):
-    """One closed-form family: its algebra, default penalties ``(q, p) ->
-    weights``, the penalties it ``admits`` ``(weights, defaults) -> bool``
-    (``rule`` in words), its ``trig`` construct ``(v0, weights, q, p)``, and
-    the unit-weight ``table`` it solves when that is not the algebra's."""
+    """One closed-form family: its algebra, its penalties ``(q, p) ->
+    weights``, its ``trig`` construct ``(v0, q, p)``, and the unit-weight
+    ``table`` it solves when that is not the algebra's."""
 
     algebra: str
     penalties: Callable[[float, float], list]
-    admits: Callable[[np.ndarray, list], bool]
-    rule: str
     trig: Callable[..., TrigFamily]
     constant_speed: bool = True
     q_le_p: bool = False
@@ -553,21 +550,19 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     "ho4_equal_penalty": _Family(
-        "ho4", lambda q, p: [1.0] * 4, lambda w, d: w[1] == w[2], "G_PP = G_QQ",
-        lambda v, w, q, p: TrigFamily(
+        "ho4", lambda q, p: [1.0] * 4,
+        lambda v, q, p: TrigFamily(
             (((0, v[0]),), ((1, v[1]), (2, -v[2])), ((1, v[2]), (2, v[1])),
              ((0, v[3]),)),
-            ((1, v[3] + (w[0] / w[1]) * v[0]),))),
+            ((1, v[3] + v[0]),))),
     "sp2_J_equal_penalty": _Family(
-        "sp2_J", lambda q, p: [1.0] * 3, lambda w, d: (w == w[0]).all(),
-        "equal penalties",
-        lambda v, w, q, p: TrigFamily(
+        "sp2_J", lambda q, p: [1.0] * 3,
+        lambda v, q, p: TrigFamily(
             (((1, v[0]), (2, -v[1])), ((1, v[1]), (2, v[0])), ((0, v[2]),)),
             ((1, 4.0 * v[2]),))),
     "coupled_pq": _Family(
-        "coupled_M4", lambda q, p: [q, q, p, p], np.array_equal,
-        "penalties diag(q, q, p, p)",
-        lambda v, w, q, p: TrigFamily(
+        "coupled_M4", lambda q, p: [q, q, p, p],
+        lambda v, q, p: TrigFamily(
             (((0, v[0]),), ((0, v[1]),), ((1, v[2]), (2, v[3])),
              ((1, v[3]), (2, -v[2]))),
             ((1, (p - 2.0 * q) * (v[0] - v[1]) / p),)),
@@ -575,33 +570,25 @@ _FAMILIES = {
     # hard components feed back on V^1 only through dropped terms, so the
     # penalty-weighted speed is not an exact invariant here
     "anharm_p": _Family(
-        "anharm5", lambda q, p: [1.0, p, p, p, p], lambda w, d: True, "",
-        _anharm_trig, constant_speed=False, table=_ANHARM_REDUCED),
+        "anharm5", lambda q, p: [1.0, p, p, p, p], _anharm_trig,
+        constant_speed=False, table=_ANHARM_REDUCED),
 }
 
 
-def solve_closed_form(family: ClosedFormFamily, v0,
-                      G: PenaltyMatrix | None = None) -> VelocitySolution:
+def solve_closed_form(family: ClosedFormFamily, v0) -> VelocitySolution:
     """Analytic velocity solution for one of the decoupling families.
 
-    For ``ho4_equal_penalty`` the penalties may have G_EE and G_HH free as
-    long as G_QQ = G_PP; the rotation rate then picks up the G_EE/G_PP
-    weighting of the central velocity.  The other families are implemented
-    at their canonical penalties.
+    Each family is solved at its own penalties,
+    ``family.default_penalties()``: unit weights for ``ho4`` and ``sp2_J``,
+    diag(q, q, p, p) for ``coupled_pq`` and diag(1, p, p, p, p) for
+    ``anharm_p``.  Other penalties take :func:`solve_numeric`.
     """
     entry = _FAMILIES[family.tag]
-    defaults = entry.penalties(family.q, family.p)
-    dim = len(defaults)
+    dim = len(entry.penalties(family.q, family.p))
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (dim,):
         raise FamilyMismatch(f"{family.tag} needs v0 of shape ({dim},), got {v0.shape}")
     _check_finite(v0)
-    if G is None:
-        G = PenaltyMatrix.diagonal(defaults)
-    if G.dim != dim:
-        raise FamilyMismatch("penalty dimension does not match the family algebra")
-    if not entry.admits(G.weights, defaults):
-        raise FamilyMismatch(f"{family.tag} requires {entry.rule}")
     return VelocitySolution(entry.algebra, v0,
-                            entry.trig(v0.tolist(), G.weights, family.q, family.p),
+                            entry.trig(v0.tolist(), family.q, family.p),
                             constant_speed=entry.constant_speed)

@@ -75,35 +75,32 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def reduce_periodic_signed(x, period: float):
-    """Signed reduction of x into [-period/2, period/2) plus winding index.
+def reduce_periodic_signed(x):
+    """Signed reduction of x mod 4 pi into [-2 pi, 2 pi), plus winding index.
 
     ``x`` is a float, giving ``(float, int)``, or a 1-d array, giving
     ``(array, int64 array)`` equal element by element to the scalar form.
-    ``period`` must be positive and finite (``ValueError``).  Raises
-    :class:`PrecisionLoss` when ulp(x) >= period (see the module
+    Raises :class:`PrecisionLoss` when ulp(x) >= 4 pi (see the module
     docstring), or, as an arithmetic overflow, when x is not finite.
     """
-    if not (period > 0 and math.isfinite(period)):
-        raise ValueError("period must be positive and finite")
     if isinstance(x, np.ndarray):
-        if not np.all(np.spacing(np.abs(x)) < period):
-            raise _precision_error(float(np.max(np.abs(x))), period)
-        n = np.floor((x + 0.5 * period) / period)
-        return x - period * n, n.astype(np.int64)
-    if not math.ulp(x) < period:
-        raise _precision_error(x, period)
-    n = math.floor((x + 0.5 * period) / period)
-    return x - period * n, n
+        if not np.all(np.spacing(np.abs(x)) < PERIOD_4PI):
+            raise _precision_error(float(np.max(np.abs(x))))
+        n = np.floor((x + 0.5 * PERIOD_4PI) / PERIOD_4PI)
+        return x - PERIOD_4PI * n, n.astype(np.int64)
+    if not math.ulp(x) < PERIOD_4PI:
+        raise _precision_error(x)
+    n = math.floor((x + 0.5 * PERIOD_4PI) / PERIOD_4PI)
+    return x - PERIOD_4PI * n, n
 
 
-def _precision_error(x: float, period: float) -> PrecisionLoss:
+def _precision_error(x: float) -> PrecisionLoss:
     if not math.isfinite(x):
         return PrecisionLoss(f"arithmetic overflow: the periodic coordinate "
                              f"is {abs(x)}, not a finite number")
     return PrecisionLoss(
         f"ulp({abs(x):.6g}) = {math.ulp(x):.3g} is at least the period "
-        f"{period:.6g}: the periodic reduction keeps no digits")
+        f"{PERIOD_4PI:.6g}: the periodic reduction keeps no digits")
 
 
 def reduce_with_notes(x, notes: list[str]):
@@ -116,7 +113,7 @@ def reduce_with_notes(x, notes: list[str]):
             notes.append(_precision_note(float(lossy.max())))
     elif math.ulp(x) > _LOSSY_ULP:
         notes.append(_precision_note(x))
-    return reduce_periodic_signed(x, PERIOD_4PI)
+    return reduce_periodic_signed(x)
 
 
 def _precision_note(x: float) -> str:
@@ -271,12 +268,21 @@ def match_displacement_product_form(alpha: complex):
     """Velocities from the ordered-product parametrization of the displacement.
 
     This route produces imaginary intermediate momentum/position velocities
-    and the alternate value 2|alpha| for the length; it is exposed for
-    comparison with the sqrt(2)|alpha| result of the single-exponential
-    matching and is not used by :func:`match`.
+    and the alternate value 2|alpha| for the length, ``inf`` when |alpha|
+    overflows; it is exposed for comparison with the sqrt(2)|alpha| result
+    of the single-exponential matching and is not used by :func:`match`.
     """
     alpha = complex(alpha)
     v_p = 1j * math.sqrt(2) * alpha.imag
     v_q = 1j * math.sqrt(2) * alpha.real
-    value = 2.0 * abs(alpha)
+    value = 2.0 * _modulus(alpha)
     return {"v_P": v_p, "v_Q": v_q, "v_H": 0.0, "value": value}
+
+
+def _modulus(z: complex) -> float:
+    """|z|, or ``inf`` where it overflows (``abs`` raises ``OverflowError``
+    there, where a product would give ``inf``)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf

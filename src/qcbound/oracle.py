@@ -164,7 +164,8 @@ def matrix_rep(name: str) -> MatrixRep:
     representation; use :func:`fock_rep` for those.
     """
     if name not in _MATRIX_REPS:
-        raise NotRegistered(f"no finite-dimensional representation for {name!r}")
+        raise NotRegistered(
+            f"no registered finite-dimensional representation for {name!r}")
     build, frame = _MATRIX_REPS[name]
     return MatrixRep(name, build(), frame)
 

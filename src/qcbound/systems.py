@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import _anharm_length, anharm_integrand_coeffs, norm_measure
 from .errors import Unsupported
 from .euler_arnold import ClosedFormFamily
-from .matching import (PERIOD_4PI, POLE_TOL, match_displacement_product_form,
+from .matching import (POLE_TOL, _modulus, match_displacement_product_form,
                        math_call, reduce_periodic_signed, reduce_with_notes,
                        x_cot_x)
 
@@ -82,7 +82,7 @@ class SystemSpec(NamedTuple):
 
 
 def _wrap(x: float) -> float:
-    return reduce_periodic_signed(x, PERIOD_4PI)[0]
+    return reduce_periodic_signed(x)[0]
 
 
 _OMEGA = Param("omega", 1.0, positive=True)
@@ -108,7 +108,7 @@ DISPLACEMENT = SystemSpec(
                -math.sqrt(2) * p["alpha"].imag, 0.0],
     caveats=("ordered-product route gives 2|alpha| instead of sqrt(2)|alpha|; "
              "both are reported, the discrepancy is documented",),
-    measure=lambda p, v0: (math.sqrt(2.0) * abs(p["alpha"]), {
+    measure=lambda p, v0: (math.sqrt(2.0) * _modulus(p["alpha"]), {
         "product_form_value": match_displacement_product_form(p["alpha"])["value"]}),
     sign_symmetric=True,
     flags=(Param("re", 0.0, help="Re(alpha)"), Param("im", 0.0, help="Im(alpha)")),

@@ -36,7 +36,9 @@ def test_ho4_general_scales_with_parameters():
     E, P, Q, H = range(4)
     assert alg.f[H, Q, P] == -0.5          # -1/m
     assert alg.f[H, P, Q] == 18.0          # m omega^2
-    assert dict(alg.params)["m"] == 2.0
+    # m and omega are read off the table, not stored beside it
+    assert -1.0 / alg.f[H, Q, P] == 2.0
+    assert -alg.f[H, P, Q] * alg.f[H, Q, P] == 3.0 ** 2
     assert qb.validate(alg).max_jacobi_residual == 0.0
 
 
@@ -82,7 +84,8 @@ def test_labels_and_table_must_agree_on_the_size():
                           f=np.zeros((3, 3, 3)))
 
 
-@pytest.mark.parametrize("stored", [{"dim": 3}, {"truncated": False}])
+@pytest.mark.parametrize("stored", [{"dim": 3}, {"truncated": False},
+                                    {"params": (("m", 2.0),)}])
 def test_size_and_truncation_are_derived_not_stored(stored):
     with pytest.raises(TypeError):
         qb.LieAlgebraSpec(name="x", generator_labels=("a", "b", "c"),
@@ -286,6 +289,17 @@ def test_open_pairs_alone_make_a_truncated_table_that_validate_masks():
     assert report.open_pairs == [(0, 1)]
     assert report.max_jacobi_residual == 0.0
     assert report.ok
+
+
+def test_closure_is_read_off_the_open_pairs():
+    closed = qb.validate(qb.builtin("sp2_J"))
+    truncated = qb.validate(qb.builtin("anharm5"))
+    assert (closed.closure, truncated.closure) == ("closed", "truncated")
+    with pytest.raises(AttributeError):
+        closed.closure = "truncated"
+    with pytest.raises(TypeError):
+        qb.ValidationReport(name="x", closure="truncated")
+    assert qb.ValidationReport(name="x", open_pairs=[(0, 1)]).closure == "truncated"
 
 
 def test_anharm_bracket_rows():

@@ -291,6 +291,18 @@ def test_bound_curve_anharm_gap_at_cubic_pole():
     assert curve.divergent.tolist() == [False, True, False]
 
 
+def test_bound_curve_divergence_is_read_off_the_value():
+    grid = np.array([2 * PI - 0.1, 2 * PI, 2 * PI + 0.1])
+    curve = qb.bound_curve(qb.TargetSpec.ho_linear(1.0, 0.3, 0.0), grid)
+    assert np.array_equal(curve.divergent, np.isinf(curve.value))
+    with pytest.raises(AttributeError):
+        curve.divergent = np.zeros(3, dtype=bool)
+    with pytest.raises(TypeError):
+        qb.BoundCurve(t=grid, value=curve.value, branch=curve.branch,
+                      divergent=curve.divergent, pole=curve.pole,
+                      formula_id=curve.formula_id)
+
+
 def test_bound_curve_shared_fields():
     grid = np.array([0.5, PI, 4.0])     # m = 0.5: v3 = (omega + lambda) t = t
     curve = qb.bound_curve(qb.TargetSpec.free_particle(0.5, 0.0), grid)

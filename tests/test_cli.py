@@ -1,8 +1,11 @@
 """Command-line interface: output format, exit codes, CSV determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 import qcbound as qb
 from qcbound import cli
 from qcbound.cli import main
+from qcbound.systems import CLI_NAMES
 
 PI = math.pi
 EXPECTED_SHA256 = json.loads(
@@ -140,8 +144,8 @@ def test_fig6_zero_coupling_series_matches_uncoupled_formula(tmp_path):
     assert lines[0] == "t,value,branch,divergent"
     for ln in lines[1:]:
         t, val = float(ln.split(",")[0]), float(ln.split(",")[1])
-        sp = abs(qb.reduce_periodic_signed((2.0 + 1.0) * t, 4 * PI)[0])
-        sm = abs(qb.reduce_periodic_signed((2.0 - 1.0) * t, 4 * PI)[0])
+        sp = abs(qb.reduce_periodic_signed((2.0 + 1.0) * t)[0])
+        sm = abs(qb.reduce_periodic_signed((2.0 - 1.0) * t)[0])
         assert val == pytest.approx(math.sqrt(0.5 * (sp ** 2 + sm ** 2)),
                                     abs=1e-9)
 
@@ -393,6 +397,8 @@ def test_bulk_csv_writer_on_two_point_grid_with_divergent_rows():
     ["bound", "iho", "--Omega", "1e160", "--t", "1e160"],
     ["bound", "ho_linear", "--lambda", "1e300", "--t", "1e10"],
     ["bound", "displacement", "--re", "1e308", "--im", "1e308"],
+    # |alpha| itself overflows: abs() of the complex raises OverflowError
+    ["bound", "displacement", "--re", "1.7e308", "--im", "1.7e308"],
     ["figure", "fig6", "--mu-values", "1e200", "--t-min", "0", "--t-max", "1",
      "--t-steps", "3"],
     ["bound", "anharm", "--t", "1", "--lambda", "1e200"],
@@ -414,6 +420,42 @@ def test_overflowing_intermediate_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.err.startswith("error: arithmetic overflow")
     assert captured.out == ""
     assert not out.exists()
+
+
+# a flag value: an edge of the float range, a non-finite value, or an
+# ordinary one; each flag is given as --flag=value, so a negative value is
+# not read as an option
+_FLAG_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e308, 1.7e308, -1.7e308, math.inf,
+                     -math.inf, math.nan]),
+    st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _bound_argvs(draw):
+    """``bound <name>`` with each of the system's flags omitted or drawn from
+    ``_FLAG_VALUES``."""
+    name = draw(st.sampled_from(list(CLI_NAMES)))
+    argv = ["bound", name]
+    for flag in CLI_NAMES[name].cli_flags:
+        value = draw(st.none() | _FLAG_VALUES)
+        if value is not None:
+            argv.append(f"{flag.option}={value!r}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_bound_argvs())
+@example(argv=["bound", "displacement", "--re=1.7e+308", "--im=-1.7e+308"])
+def test_no_bound_argv_ends_in_a_traceback(argv):
+    # the command exits 0, 2 or 3, and no numpy warning marks a silent
+    # overflow or invalid value on the way
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())
 
 
 @pytest.mark.parametrize("argv,flags", [

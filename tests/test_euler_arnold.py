@@ -523,11 +523,13 @@ def test_closed_form_coupled_degenerate_rate():
     assert np.allclose(sol(np.linspace(0, 1, 9)), np.tile(v0, (9, 1)), atol=1e-15)
 
 
-def test_closed_form_requires_equal_pq_penalty():
+def test_closed_form_takes_no_penalties():
+    # each family is solved at its own penalties; others go to solve_numeric
     fam = ClosedFormFamily("ho4_equal_penalty")
-    with pytest.raises(qb.FamilyMismatch):
-        qb.solve_closed_form(fam, np.zeros(4),
-                             qb.PenaltyMatrix.diagonal([1, 2, 3, 1]))
+    with pytest.raises(TypeError):
+        qb.solve_closed_form(fam, np.zeros(4), qb.PenaltyMatrix.identity(4))
+    with pytest.raises(TypeError):
+        qb.solve_closed_form(fam, np.zeros(4), G=qb.PenaltyMatrix.identity(4))
 
 
 def test_closed_form_dimension_mismatch():
@@ -590,14 +592,3 @@ def test_coupled_first_two_components_constant(q, p):
     V = qb.solve_closed_form(fam, v0)(np.linspace(0, 1, 17))
     assert np.all(V[:, 0] == v0[0])
     assert np.all(V[:, 1] == v0[1])
-
-
-def test_ho4_weighted_center_rate():
-    # with G_EE != G_PP = G_QQ the rotation rate is v_H + (G_EE/G_PP) v_E
-    G = qb.PenaltyMatrix.diagonal([3.0, 2.0, 2.0, 5.0])
-    v0 = np.array([0.7, 1.0, -0.5, 0.9])
-    fam = ClosedFormFamily("ho4_equal_penalty")
-    sol = qb.solve_closed_form(fam, v0, G)
-    num = qb.solve_numeric(qb.builtin("ho4"), G, v0)
-    s = np.linspace(0, 1, 21)
-    assert np.max(np.abs(sol(s) - num(s))) < 1e-9

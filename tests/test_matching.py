@@ -15,31 +15,31 @@ PI = math.pi
 # periodicity reduction
 # ---------------------------------------------------------------------------
 
-def _distance(x, period):
-    # distance of x to the nearest multiple of the period
-    return abs(reduce_periodic_signed(x, period)[0])
+def _distance(x):
+    # distance of x to the nearest multiple of 4 pi
+    return abs(reduce_periodic_signed(x)[0])
 
 
 def test_reduce_periodic_reference_points():
-    assert _distance(3 * PI, 4 * PI) == pytest.approx(PI, abs=1e-15)
-    assert _distance(4 * PI, 4 * PI) == 0.0
-    assert _distance(0.5, 4 * PI) == 0.5
+    assert _distance(3 * PI) == pytest.approx(PI, abs=1e-15)
+    assert _distance(4 * PI) == 0.0
+    assert _distance(0.5) == 0.5
 
 
 def test_reduce_periodic_properties():
     rng = np.random.default_rng(0)
     x = rng.uniform(-100, 100, size=500)
     period = 4 * PI
-    r = _distance(x, period)
+    r = _distance(x)
     assert np.all(r >= 0) and np.all(r <= period / 2 + 1e-12)
-    assert np.allclose(_distance(-x, period), r, atol=1e-9)
-    assert np.allclose(_distance(x + 3 * period, period), r, atol=1e-9)
+    assert np.allclose(_distance(-x), r, atol=1e-9)
+    assert np.allclose(_distance(x + 3 * period), r, atol=1e-9)
 
 
 def test_reduce_signed_branch_bookkeeping():
-    val, n = reduce_periodic_signed(3 * PI, 4 * PI)
+    val, n = reduce_periodic_signed(3 * PI)
     assert n == 1 and val == pytest.approx(-PI, abs=1e-15)
-    val, n = reduce_periodic_signed(0.5, 4 * PI)
+    val, n = reduce_periodic_signed(0.5)
     assert n == 0 and val == 0.5
 
 
@@ -51,10 +51,10 @@ def test_x_cot_x_series_region():
 
 def test_array_forms_equal_scalar_forms():
     x = np.array([-1e5, -7.5, -2 * PI, -1e-9, 0.0, 1e-9, 0.3, 2 * PI, 6 * PI, 40.0])
-    red, n = reduce_periodic_signed(x, 4 * PI)
+    red, n = reduce_periodic_signed(x)
     assert n.dtype == np.int64
     assert [(float(r), int(k)) for r, k in zip(red, n)] == [
-        reduce_periodic_signed(v, 4 * PI) for v in x.tolist()]
+        reduce_periodic_signed(v) for v in x.tolist()]
     assert x_cot_x(x).tolist() == [x_cot_x(v) for v in x.tolist()]
 
 
@@ -80,22 +80,22 @@ def test_reduction_without_digits_raises():
         with pytest.raises(qb.PrecisionLoss):
             qb.match(qb.TargetSpec.ho(1.0, t))
     with pytest.raises(qb.PrecisionLoss):
-        reduce_periodic_signed(np.array([0.0, 1e17]), 4 * PI)
+        reduce_periodic_signed(np.array([0.0, 1e17]))
     with pytest.raises(qb.PrecisionLoss,  # omega * t overflows to inf
                        match="^arithmetic overflow"):
         qb.match(qb.TargetSpec.anharm_cubic(1e200, 0.1, 1e200))
     for x in (math.inf, -math.inf, math.nan, np.array([0.0, math.inf])):
         with pytest.raises(qb.PrecisionLoss, match="^arithmetic overflow"):
-            reduce_periodic_signed(x, 4 * PI)
+            reduce_periodic_signed(x)
 
 
-@pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan, 0.0])
 @pytest.mark.parametrize("x", [1.0, np.array([1.0, 2.0])])
-def test_reduction_needs_a_positive_finite_period(x, period):
-    # an infinite period used to give nan and windings of -2**63, a nan
-    # period a PrecisionLoss
-    with pytest.raises(ValueError, match="^period must be positive and finite$"):
-        reduce_periodic_signed(x, period)
+def test_reduction_takes_no_period(x):
+    # every compact coordinate has period 4 pi; the reduction takes no other
+    with pytest.raises(TypeError):
+        reduce_periodic_signed(x, 4 * PI)
+    with pytest.raises(TypeError):
+        reduce_periodic_signed(x, period=4 * PI)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_displacement_operator_identity_on_fock():
 
 def test_unknown_rep_names():
     with pytest.raises(qb.NotRegistered):
-        qb.matrix_rep("ho4")          # no finite-dimensional rep exists
+        qb.matrix_rep("ho4")          # none registered, though a 4x4 one exists
     with pytest.raises(qb.NotRegistered):
         qb.fock_rep("sp4_T10")
     with pytest.raises(qb.NotRegistered):

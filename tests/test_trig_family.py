@@ -1,7 +1,7 @@
 """The closed-form families as one ``TrigFamily`` construct.
 
 The hand-written evaluators and coefficient functions that the construct
-replaced are kept below verbatim as references.  The rotation families
+replaced are kept below as references, at each family's own penalties.  The rotation families
 must reproduce them exactly (``==``), the cubic family within 1e-14 of its
 ``einsum`` form, and every family's coefficients must differentiate back
 to its velocity.
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qcbound as qb
 from qcbound.euler_arnold import _ANHARM_MIX as ANHARM_MIX
+from qcbound.euler_arnold import _ANHARM_REDUCED
 from qcbound.euler_arnold import ClosedFormFamily, int_cos, int_sin
 
 
@@ -153,11 +154,10 @@ def _anharm_coeffs(v0):
     return fn
 
 
-def _reference(fam, v0, G):
+def _reference(fam, v0):
     """(velocity, coefficients) of the replaced code for ``fam`` at ``v0``."""
     if fam.tag.startswith("ho4"):
-        w = G.weights
-        rate = v0[3] + (w[0] / w[1]) * v0[0]
+        rate = v0[3] + v0[0]
         return _ho4_evaluator(v0, rate), _ho4_coeffs(v0, rate)
     if fam.tag.startswith("sp2"):
         return _sp2_evaluator(v0), _sp2_coeffs(v0)
@@ -182,8 +182,8 @@ POSITIVE = _floats(0.1, 10.0)
 
 @st.composite
 def rotation_cases(draw):
-    """(family, v0, G or None), with free G_EE / G_HH for ho4."""
-    kind = draw(st.sampled_from(["ho4", "ho4_weighted", "sp2", "coupled"]))
+    """(family, v0) of a rotation family."""
+    kind = draw(st.sampled_from(["ho4", "sp2", "coupled"]))
     if kind == "sp2":
         fam, dim = ClosedFormFamily("sp2_J_equal_penalty"), 3
     elif kind == "coupled":
@@ -192,19 +192,15 @@ def rotation_cases(draw):
     else:
         fam, dim = ClosedFormFamily("ho4_equal_penalty"), 4
     v0 = np.array(draw(st.lists(_floats(-1e3, 1e3), min_size=dim, max_size=dim)))
-    G = None
-    if kind == "ho4_weighted":
-        g_pq = draw(POSITIVE)
-        G = qb.PenaltyMatrix.diagonal([draw(POSITIVE), g_pq, g_pq, draw(POSITIVE)])
-    return fam, v0, G
+    return fam, v0
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=rotation_cases(), s=S_SCALAR, s_arr=S_ARRAY)
 def test_rotation_families_equal_the_hand_written_forms(case, s, s_arr):
-    fam, v0, G = case
-    sol = qb.solve_closed_form(fam, v0, G)
-    ref_v, ref_c = _reference(fam, v0, fam.default_penalties() if G is None else G)
+    fam, v0 = case
+    sol = qb.solve_closed_form(fam, v0)
+    ref_v, ref_c = _reference(fam, v0)
     coeffs = qb.leading_order_coeffs(sol)
     for x in (s, s_arr):
         assert np.array_equal(sol(x), ref_v(x))
@@ -220,7 +216,7 @@ def test_rotation_families_equal_the_hand_written_forms(case, s, s_arr):
 def test_anharm_family_agrees_with_the_einsum_form(v0, s, s_arr):
     fam = ClosedFormFamily("anharm_p", p=100.0)
     sol = qb.solve_closed_form(fam, v0)
-    ref_v, ref_c = _reference(fam, v0, fam.default_penalties())
+    ref_v, ref_c = _reference(fam, v0)
     coeffs = qb.leading_order_coeffs(sol)
     for x in (s, s_arr):
         assert np.max(np.abs(sol(x) - ref_v(x))) <= 1e-14
@@ -247,6 +243,16 @@ def test_coefficients_differentiate_to_the_velocity(fam, dim):
         slope = (coeffs(s + h) - coeffs(s - h)) / (2 * h)
         assert np.max(np.abs(slope - sol(s))) <= 1e-6
     check()
+
+
+def test_reduced_cubic_table_is_anharm5_without_the_v1_row():
+    # the six entries that used to be typed out: dV4 = v1 V6, dV5 = -v1 V7,
+    # dV6 = 2 v1 V7 - 3 v1 V4, dV7 = 3 v1 V5 - 2 v1 V6
+    typed = np.zeros((5, 5, 5))
+    typed[[1, 2, 3, 3, 4, 4], 0, [3, 4, 1, 4, 2, 3]] = [
+        1.0, -1.0, -3.0, 2.0, 3.0, -2.0]
+    assert np.array_equal(_ANHARM_REDUCED, typed)
+    assert not np.signbit(_ANHARM_REDUCED[typed == 0.0]).any()   # no -0.0
 
 
 def test_solution_carries_the_construct():
