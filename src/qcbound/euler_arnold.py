@@ -36,6 +36,20 @@ the sign of a zero: the numpy loop can turn a conserved -0.0 into 0.0, the
 compiled step keeps it.  Each chunk of rows comes back as one flat list of
 floats, read by ``np.fromiter``.
 
+The same step also exists in C, as one generic kernel over the field's
+nonzero terms (``_rk4.c``, shipped beside this module) that does the
+generated step's operations in its order, so that its states are the same
+doubles, signs of zeros included, in a tenth of the time or less.  A
+process loads it with ``ctypes`` on its first ``integrate_rk4`` from a
+private per-user cache (``$XDG_CACHE_HOME/qcbound`` or
+``~/.cache/qcbound``, else a 0700 ``qcbound-<uid>`` temp directory),
+building it there on a miss with the platform ``cc`` (``-O2
+-ffp-contract=off``, so that no product and sum is fused), and uses it
+only once it has written the Python step's states bit for bit on a test
+field.  No compiler, no usable cache, a failed or timed-out build or a
+failed check leave the Python step in use; nothing but what the process
+finds selects the backend.
+
 Every closed-form family is one :class:`TrigFamily`: the velocity is a
 fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
 and frequencies taken from v0, and the exponent coefficients apply the same
@@ -53,8 +67,15 @@ tag:
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import numbers
+import os
+import platform
+import shutil
+import sys
+import tempfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -194,7 +215,8 @@ class _QuadraticField:
     antisymmetric part under equal weights) are zeros of S.  Calling the
     field evaluates that sum with ``einsum``, which :func:`rhs` returns;
     :func:`integrate_rk4` instead runs a generated Python-float RK4 step
-    (:func:`_compile_rk4`) that rounds exactly as that ``einsum`` does.
+    (:func:`_compile_rk4`), or its C twin over the same nonzero terms,
+    that rounds exactly as that ``einsum`` does.
     The compiled step leaves out the zeros of S, which ``einsum``
     multiplies out; that changes nothing while the state is finite, and
     the first non-finite row is the same unless a stage state overflows in
@@ -314,6 +336,10 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
     states stay ``==``.
     The source holds only identifiers and the reprs of finite floats, which
     read back as the same doubles.
+
+    This step is the reference of the C kernel ``_rk4.c``, which must
+    write its states bit for bit before :func:`integrate_rk4` uses it, and
+    the integrator wherever that kernel is not available.
     """
     w = np.frombuffer(weights)
     d = len(w)
@@ -343,8 +369,153 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
     return namespace["rows"]
 
 
-# rows per chunk of the compiled integrator: one finiteness check each
+# rows per chunk of the compiled Python step: one finiteness check each
 _CHUNK_ROWS = 256
+
+
+def _python_rows(field, hs: float, states: np.ndarray) -> int:
+    """Fill ``states[1:]`` from ``states[0]`` with the field's generated
+    Python step (:func:`_compile_rk4`), a chunk of rows at a time; stops
+    after the first chunk with a non-finite row and returns the number of
+    rows written, row 0 included."""
+    rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), hs)
+    d = states.shape[1]
+    state = states[0].tolist()
+    for start in range(1, len(states), _CHUNK_ROWS):
+        block = states[start:start + _CHUNK_ROWS]
+        chunk = rows(state, len(block))
+        block[...] = np.fromiter(chunk, float, block.size).reshape(block.shape)
+        if not np.isfinite(block).all():
+            return start + len(block)
+        state = chunk[-d:]
+    return len(states)
+
+
+def _kernel_rows(kernel, field, hs: float, states: np.ndarray) -> int:
+    """:func:`_python_rows` run by the C kernel ``rk4_rows`` (``_rk4.c``),
+    which stops after the first non-finite row."""
+    d = len(field.w)
+    i, j, k = np.nonzero(field.S)
+    start = np.searchsorted(i, np.arange(d + 1)).astype(np.intc)
+    s = field.S[i, j, k]
+    j, k = j.astype(np.intc), k.astype(np.intc)
+    work = np.empty(5 * d)
+    return kernel(d, start.ctypes.data, j.ctypes.data, k.ctypes.data,
+                  s.ctypes.data, field.w.ctypes.data, hs, len(states) - 1,
+                  states.ctypes.data, work.ctypes.data)
+
+
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
+# no -ffast-math and no -march: the kernel must round as the Python step does
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_BUILD_TIMEOUT_S = 60.0
+
+
+def _compiler():
+    """The platform C compiler, the first ``cc`` on ``PATH``, or None."""
+    return shutil.which("cc")
+
+
+def _cache_dir():
+    """A private per-user directory for the built kernel, or None.
+
+    ``qcbound`` under ``$XDG_CACHE_HOME`` (else ``~/.cache``), else
+    ``qcbound-<uid>`` in the temp directory; made with mode 0700 and used
+    only if this user owns it and no one else can write to it.
+    """
+    uid = os.getuid()
+
+    def candidates():
+        base = (os.environ.get("XDG_CACHE_HOME")
+                or os.path.join(os.path.expanduser("~"), ".cache"))
+        yield os.path.join(base, "qcbound")
+        yield os.path.join(tempfile.gettempdir(), f"qcbound-{uid}")
+
+    for path in candidates():
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            st = os.stat(path)
+        except OSError:
+            continue
+        if (st.st_uid == uid and not st.st_mode & 0o022
+                and os.access(path, os.W_OK | os.X_OK)):
+            return path
+    return None
+
+
+def _build(compiler: str, target: str) -> None:
+    """Compile ``_rk4.c`` into the shared library ``target`` within
+    ``_BUILD_TIMEOUT_S``, or raise ``OSError``.  The library is written to
+    a name of this thread's own and then renamed, so that no process loads
+    half a file."""
+    import subprocess
+    import threading
+
+    tmp = f"{target}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, _KERNEL_SOURCE],
+                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL, timeout=_BUILD_TIMEOUT_S,
+                       check=True)
+        os.replace(tmp, target)
+    except subprocess.SubprocessError as err:
+        raise OSError(f"cannot build {target}: {err}") from err
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_kernel():
+    """``rk4_rows`` of the cached kernel, built on a miss; None without a
+    compiler or a cache directory.  The file is named by a CRC of the
+    source, the flags, the compiler and the machine."""
+    compiler = _compiler()
+    directory = None if compiler is None else _cache_dir()
+    if directory is None:
+        return None
+    with open(_KERNEL_SOURCE, "rb") as f:
+        source = f.read()
+    st = os.stat(compiler)
+    key = repr((_KERNEL_FLAGS, os.path.realpath(compiler), st.st_size,
+                st.st_mtime_ns, sys.platform, platform.machine())).encode()
+    path = os.path.join(directory, f"rk4-{zlib.crc32(key, zlib.crc32(source)):08x}.so")
+    if not os.path.exists(path):
+        _build(compiler, path)
+    kernel = ctypes.CDLL(path).rk4_rows
+    kernel.restype = ctypes.c_int
+    kernel.argtypes = ([ctypes.c_int] + [ctypes.c_void_p] * 5
+                       + [ctypes.c_double, ctypes.c_int] + [ctypes.c_void_p] * 2)
+    return kernel
+
+
+def _kernel_agrees(kernel) -> bool:
+    """Whether ``kernel`` writes the Python step's states, bit for bit, on
+    a field with non-unit weights, negative coefficients and a conserved
+    component (V^3), which is -0.0 in one of the two runs."""
+    c = np.zeros((4, 4, 4))
+    c[0, 1, 2], c[0, 2, 3], c[0, 3, 3] = 1.5, -0.75, 0.25
+    c[1, 0, 2], c[1, 3, 1] = -1.0, 2.0
+    c[2, 0, 1], c[2, 1, 3], c[2, 2, 2] = 0.5, -3.0, -0.125
+    field = _QuadraticField(c, [1.0, 0.5, 2.0, 3.0])
+    for v0 in ([0.3, -0.7, 1.1, -0.4], [-0.0, 0.9, 0.0, -0.0]):
+        want, got = np.zeros((2, 101, 4))
+        want[0] = got[0] = v0
+        if (_python_rows(field, 0.01, want) != _kernel_rows(kernel, field, 0.01, got)
+                or want.tobytes() != got.tobytes()):
+            return False
+    return True
+
+
+@functools.cache
+def _rk4_kernel():
+    """The C kernel, loaded (and built on a cache miss) and checked against
+    the Python step once per process; None, so that the Python step runs,
+    when any of that fails."""
+    try:
+        kernel = _load_kernel()
+    except (OSError, AttributeError):   # AttributeError: no os.getuid, no symbol
+        return None
+    return kernel if kernel is not None and _kernel_agrees(kernel) else None
 
 
 def _check_finite(v0: np.ndarray) -> None:
@@ -361,8 +532,12 @@ def integrate_rk4(field, v0, h: float):
     ``h`` must be a real number (not a bool) with ``MIN_STEP`` <= h <=
     ``MAX_STEP``, and ``v0`` must be finite (``ValueError``) and 1-d with
     the field's dimension (``DimMismatch``); all are checked before
-    anything is allocated.  The states come from the field's compiled step
-    (:func:`_compile_rk4`), one chunk of rows at a time.
+    anything is allocated.
+
+    The states come from the C kernel ``_rk4.c`` when this process has one
+    (:func:`_rk4_kernel`), else from the field's generated Python step
+    (:func:`_compile_rk4`); the two give the same doubles.  The first row
+    with a non-finite component raises ``NumericBlowup`` at its s.
     """
     if not isinstance(field, _QuadraticField):
         raise TypeError(f"integrate_rk4 takes a quadratic field, such as "
@@ -384,18 +559,16 @@ def integrate_rk4(field, v0, h: float):
     grid = np.linspace(0.0, 1.0, n + 1)
     states = np.empty((n + 1, d))
     states[0] = V
-    rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), hs)
-    state = V.tolist()
-    for start in range(1, n + 1, _CHUNK_ROWS):
-        block = states[start:start + _CHUNK_ROWS]
-        chunk = rows(state, len(block))
-        block[...] = np.fromiter(chunk, float, block.size).reshape(block.shape)
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            bad = start + int(np.argmin(finite))
-            raise NumericBlowup(
-                f"non-finite state at s={grid[bad]:.6f}", s_reached=grid[bad])
-        state = chunk[-d:]
+    kernel = _rk4_kernel()
+    if kernel is not None:
+        filled = _kernel_rows(kernel, field, hs, states)
+    else:
+        filled = _python_rows(field, hs, states)
+    finite = np.isfinite(states[:filled]).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NumericBlowup(
+            f"non-finite state at s={grid[bad]:.6f}", s_reached=grid[bad])
     return grid, states
 
 

@@ -52,6 +52,9 @@ __all__ = [
 
 DEFAULT_STEPS = 400
 DEFAULT_LEVELS = 32
+# a levels x levels complex matrix takes 16 levels^2 bytes, 4 MiB at 512;
+# building the anharm5 representation there peaks at 52 MiB
+_MAX_LEVELS = 512
 
 
 @dataclass(frozen=True)
@@ -203,13 +206,15 @@ def fock_rep(name: str, levels: int = DEFAULT_LEVELS) -> MatrixRep:
     ``interior`` is that edge and its ``hamiltonian_index`` the energy
     generator (None for ``sp2_K``, whose energy is K1 + K2).  An unknown
     name raises ``NotRegistered`` before anything is built; ``levels``
-    must be an integer >= 8, and a bool, a float or a non-number raises
-    ``ValueError``.
+    must be an integer with 8 <= levels <= 512 (there each matrix takes
+    4 MiB and the build of ``anharm5`` peaks at 52 MiB; the size grows as
+    levels^2), and a bool, a float, a non-number or a count out of that
+    range raises ``ValueError`` before anything is allocated.
     """
     if name not in _FOCK_REPS:
         raise NotRegistered(f"no ladder-matrix representation for {name!r}")
     generators, interior, energy = _FOCK_REPS[name]
-    levels = _whole(levels, "levels", 8)
+    levels = _whole(levels, "levels", 8, _MAX_LEVELS)
     a = ladder(levels)
     ad = a.conj().T
     E = np.eye(levels, dtype=complex)
@@ -366,15 +371,16 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     return U
 
 
-def _whole(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``; a bool, a float or a non-number is
-    refused with ``ValueError``."""
+def _whole(value, name: str, least: int, most: int | None = None) -> int:
+    """``value`` as an int >= ``least`` (and <= ``most`` if given); a bool,
+    a float or a non-number is refused with ``ValueError``."""
     try:
         count = operator.index(value)
     except TypeError:
         count = least - 1
-    if isinstance(value, bool) or count < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if isinstance(value, bool) or count < least or (most is not None and count > most):
+        bounds = f">= {least}" if most is None else f">= {least} and <= {most}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
     return count
 
 

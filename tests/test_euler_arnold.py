@@ -4,11 +4,19 @@ Closed-form families are checked against fixed-step RK4 on their governing
 systems, and the weighted speed is verified as an exact constant of motion
 for the genuine table flows.  The compiled RK4 step of a quadratic field is
 checked for equality (``==``) with the plain numpy loop :func:`rk4_loop`
-over ``rhs``, which stays here as the reference.
+over ``rhs``, which stays here as the reference.  ``integrate_rk4`` runs
+the C kernel where this process has one and the generated Python step
+otherwise; the kernel is also checked bit for bit against the Python step
+directly, and the fallback under each way of not getting a kernel.
 """
 
 import numbers
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +24,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
+from qcbound import euler_arnold as ea
 from qcbound.euler_arnold import (_CHUNK_ROWS, DEFAULT_STEP, MAX_STEP, MIN_STEP,
                                   ClosedFormFamily, _compile_rk4, _QuadraticField,
                                   integrate_rk4)
 
 RNG = np.random.default_rng(42)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rk4_loop(fn, v0, h: float):
@@ -495,6 +505,173 @@ def test_integrator_raises_on_blowup():
     with pytest.raises(qb.NumericBlowup) as err:
         integrate_rk4(field, np.array([50.0]), 1e-3)
     assert 0.02 < err.value.s_reached <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the C kernel and its fallback, the generated Python step
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The C kernel as built, without the check that gates its use."""
+    try:
+        kernel = ea._load_kernel()
+    except OSError:
+        kernel = None
+    if kernel is None:
+        pytest.skip("no C kernel here (no compiler or no cache directory)")
+    return kernel
+
+
+def _outcome(field, v0, h, kernel):
+    """integrate_rk4's states, or the s_reached of its NumericBlowup, from
+    ``kernel`` or (None) the Python step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ea, "_rk4_kernel", lambda: kernel)
+        try:
+            return integrate_rk4(field, v0, h)[1]
+        except qb.NumericBlowup as err:
+            return err.s_reached
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_python_step_and_generic_loop_agree(kernel, data):
+    # random sparse fields: some rows zeroed (conserved components),
+    # non-unit weights, negative coefficients, -0.0 in v0 and v0 large
+    # enough to blow up before s = 1
+    d = data.draw(st.integers(1, 5))
+    coef = (st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 0.5, -2.0])
+            | st.floats(-4.0, 4.0))
+    c = np.array(data.draw(st.lists(coef, min_size=d ** 3, max_size=d ** 3)))
+    c = c.reshape(d, d, d)
+    c[[data.draw(st.booleans()) for _ in range(d)]] = 0.0
+    w = data.draw(st.lists(st.sampled_from([1.0, 0.5, 3.0]) | st.floats(0.1, 10.0),
+                           min_size=d, max_size=d))
+    v0 = data.draw(st.lists(st.sampled_from([0.0, -0.0, 40.0, -300.0])
+                            | st.floats(-3.0, 3.0), min_size=d, max_size=d))
+    field = _QuadraticField(c, w)
+    fast = _outcome(field, v0, 1e-2, kernel)
+    slow = _outcome(field, v0, 1e-2, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            loop = rk4_loop(field, v0, 1e-2)[1]
+        except qb.NumericBlowup as err:
+            loop = err.s_reached
+    if isinstance(slow, float):
+        assert fast == slow == loop
+        return
+    # bit for bit, so the signs of zeros too
+    assert fast.tobytes() == slow.tobytes()
+    assert np.array_equal(slow, loop)
+    for i in _conserved(field):
+        assert np.all(np.signbit(fast[:, i]) == np.signbit(v0[i]))
+
+
+def _python_step_states(field, v0, h):
+    n = int(round(1.0 / h))
+    states = np.zeros((n + 1, len(v0)))
+    states[0] = v0
+    assert ea._python_rows(field, 1.0 / n, states) == n + 1
+    return states
+
+
+@pytest.fixture
+def fresh_process(monkeypatch, tmp_path):
+    """No kernel loaded yet, and the cache in an empty directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(ea, "tempfile", SimpleNamespace(
+        gettempdir=lambda: str(tmp_path / "tmp")))
+    ea._rk4_kernel.cache_clear()
+    yield tmp_path
+    ea._rk4_kernel.cache_clear()
+
+
+def _script(path, body):
+    path.write_text(f"#!/bin/sh\n{body}\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+def _no_compiler(mp, tmp):
+    mp.setattr(ea, "_compiler", lambda: None)
+
+
+def _failing_build(mp, tmp):
+    cc = _script(tmp / "cc", "echo broken; exit 1")
+    mp.setattr(ea, "_compiler", lambda: cc)
+
+
+def _timed_out_build(mp, tmp):
+    cc = _script(tmp / "cc", "exec sleep 30")
+    mp.setattr(ea, "_compiler", lambda: cc)
+    mp.setattr(ea, "_BUILD_TIMEOUT_S", 0.2)
+
+
+def _unwritable_cache(mp, tmp):
+    # both candidate directories lie under a regular file
+    (tmp / "xdg").write_text("")
+    (tmp / "tmp").write_text("")
+
+
+def _foreign_cache(mp, tmp):
+    # the directories this process makes belong to another user
+    uid = os.getuid()
+    mp.setattr(os, "getuid", lambda: uid + 1)
+
+
+def _shared_cache(mp, tmp):
+    # both candidate directories are writable by everyone
+    for path in (tmp / "xdg" / "qcbound", tmp / "tmp" / f"qcbound-{os.getuid()}"):
+        path.mkdir(parents=True)
+        path.chmod(0o777)
+
+
+def _failed_check(mp, tmp):
+    # a kernel that returns without writing a row
+    mp.setattr(ea, "_load_kernel", lambda: lambda *args: args[7] + 1)
+
+
+@pytest.mark.parametrize("setup", [_no_compiler, _failing_build, _timed_out_build,
+                                   _unwritable_cache, _foreign_cache, _shared_cache,
+                                   _failed_check])
+def test_without_a_usable_kernel_the_python_step_runs(capfd, fresh_process,
+                                                      monkeypatch, setup):
+    setup(monkeypatch, fresh_process)
+    field = ClosedFormFamily("coupled_pq", q=1.0, p=10.0).governing_rhs()
+    v0 = [0.4, -0.0, 1.3, -0.8]
+    _, got = integrate_rk4(field, v0, 1e-3)
+    assert ea._rk4_kernel() is None
+    assert got.tobytes() == _python_step_states(field, v0, 1e-3).tobytes()
+    assert capfd.readouterr().out == ""
+    # a failed build leaves no file behind
+    assert not list(fresh_process.glob("xdg/qcbound/*"))
+
+
+def test_a_second_process_loads_the_cached_kernel_without_a_build(tmp_path):
+    if ea._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path)}
+    code = """
+import sys
+from qcbound import euler_arnold as ea
+cached = sys.argv[1] == "cached"
+if cached:
+    def no_build(*args):
+        raise AssertionError("the compiler ran")
+    ea._build = no_build
+assert ea._rk4_kernel() is not None
+# loading a cached kernel imports neither of them
+assert not cached or not {"hashlib", "subprocess"} & set(sys.modules)
+"""
+    for run in ("first", "cached"):
+        proc = subprocess.run([sys.executable, "-c", code, run], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (run, proc.stderr)
+        assert proc.stdout == ""
+    built = list((tmp_path / "qcbound").iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+    assert (tmp_path / "qcbound").stat().st_mode & 0o777 == 0o700
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,20 @@ def test_fock_rep_rejects_levels_that_are_not_an_integer_of_at_least_8(levels):
         qb.fock_rep("ho4", levels=levels)
 
 
+@pytest.mark.parametrize("levels", [513, 10 ** 5, np.int64(10 ** 12)])
+def test_fock_rep_refuses_levels_above_the_limit_before_allocating(levels):
+    # 10**5 levels would be complex matrices of 1e10 entries each
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match="levels must be an integer >= 8 and <= 512"):
+            qb.fock_rep("ho4", levels=levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_fock_rep_takes_an_integer_of_another_type():
     rep = qb.fock_rep("sp2_J", levels=np.int64(12))
     assert rep.dim == 12 and type(rep.dim) is int
