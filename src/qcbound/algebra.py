@@ -57,7 +57,8 @@ class LieAlgebraSpec:
         Registry identifier.
     generator_labels : tuple of str
         Basis labels, fixing the component order used everywhere else;
-        their number is the table's ``dim``.
+        their number is the table's ``dim``, at least 1 (else
+        ``DimMismatch``).
     f : ndarray, shape (dim, dim, dim)
         Structure constants, ``[O_I, O_J] = i f[I,J,K] O_K``; any other
         shape raises ``DimMismatch``.
@@ -79,6 +80,8 @@ class LieAlgebraSpec:
     def __post_init__(self):
         labels = tuple(self.generator_labels)
         f = np.asarray(self.f, dtype=float)
+        if not labels:
+            raise DimMismatch("an algebra needs at least one generator")
         if f.shape != (len(labels),) * 3:
             raise DimMismatch(f"{len(labels)} labels need structure constants of "
                               f"shape {(len(labels),)*3}, got {f.shape}")

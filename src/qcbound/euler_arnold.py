@@ -20,35 +20,35 @@ SciPy).
 their equation as a quadratic field: a coefficient table c_IJK and weights
 w, folded into one symmetrised table S_IJK (J <= K) with
 dV^I/ds = sum_{J<=K} S_IJK V^J V^K / w_I.  ``integrate_rk4`` takes
-such a field and nothing else; it generates, once per (table, weights,
-step), a straight-line RK4 step in Python floats.  Each stage does what
-the field's ``einsum`` does, term by term and in the same order: the sum
-of (S_IJK V^J) V^K over the nonzero (J, K) in lexicographic order, then
-the division by w_I; the update is the classical
-V + (h/6)(k1 + 2 (k2 + k3) + k4).  IEEE arithmetic rounds each of these
-operations the same in numpy and in Python, so the states equal (``==``)
-those of a plain numpy RK4 loop over ``rhs``, which the tests keep as the
-reference.  A conserved component (S_I all zero, e.g. V^E and V^H of
-``ho4``) gets no stage, stage input or update, since each would add 0.0 to
-its state; the stages read the state itself, and products of conserved
-components alone are computed once per call.  The only trace of this is
-the sign of a zero: the numpy loop can turn a conserved -0.0 into 0.0, the
-compiled step keeps it.  Each chunk of rows comes back as one flat list of
-floats, read by ``np.fromiter``.
+such a field and nothing else.  Its step exists twice, with the same
+operations in the same order: as one generic C kernel over the field's
+nonzero terms (``_rk4.c``, shipped beside this module), and as
+straight-line Python float code generated from the kernel's operations,
+one line per stage component, once per (table, weights, step).  Each
+stage does what the field's ``einsum`` does, term by term and in the same
+order: the sum of (S_IJK V^J) V^K over the nonzero (J, K) in lexicographic
+order, from the first term, then the division by w_I (left out when w_I is
+1.0); the update is the classical V + (h/6)(k1 + 2 (k2 + k3) + k4).  IEEE
+arithmetic rounds each of these operations the same in C, numpy and
+Python, so the states equal (``==``) those of a plain numpy RK4 loop over
+``rhs``, which the tests keep as the reference.  A conserved component
+(S_I all zero, e.g. V^E and V^H of ``ho4``) gets no stage, stage input or
+update, since each would add 0.0 to its state; the stages read the state
+itself.  The only trace of this is the sign of a zero: the numpy loop can
+turn a conserved -0.0 into 0.0, the step keeps it.  The Python step
+returns each chunk of rows as one flat list of floats, read by
+``np.fromiter``.
 
-The same step also exists in C, as one generic kernel over the field's
-nonzero terms (``_rk4.c``, shipped beside this module) that does the
-generated step's operations in its order, so that its states are the same
-doubles, signs of zeros included, in a tenth of the time or less.  A
-process loads it with ``ctypes`` on its first ``integrate_rk4`` from a
-private per-user cache (``$XDG_CACHE_HOME/qcbound`` or
-``~/.cache/qcbound``, else a 0700 ``qcbound-<uid>`` temp directory),
-building it there on a miss with the platform ``cc`` (``-O2
--ffp-contract=off``, so that no product and sum is fused), and uses it
-only once it has written the Python step's states bit for bit on a test
-field.  No compiler, no usable cache, a failed or timed-out build or a
-failed check leave the Python step in use; nothing but what the process
-finds selects the backend.
+The kernel gives the Python step's states, signs of zeros included, in a
+tenth of the time or less.  A process loads it with ``ctypes`` on its
+first ``integrate_rk4`` from a private per-user cache
+(``$XDG_CACHE_HOME/qcbound`` or ``~/.cache/qcbound``, else a 0700
+``qcbound-<uid>`` temp directory), building it there on a miss with the
+platform ``cc`` (``-O2 -ffp-contract=off``, so that no product and sum is
+fused), and uses it only once it has written the Python step's states bit
+for bit on a test field.  No compiler, no usable cache, a failed or
+timed-out build or a failed check leave the Python step in use; nothing
+but what the process finds selects the backend.
 
 Every closed-form family is one :class:`TrigFamily`: the velocity is a
 fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
@@ -76,7 +76,6 @@ import shutil
 import sys
 import tempfile
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -106,14 +105,15 @@ MIN_STEP = 1.0e-6       # at most a million steps: 8 MB of states per component
 
 @dataclass(frozen=True)
 class PenaltyMatrix:
-    """Diagonal positive penalty weights, aligned with the generator order."""
+    """Diagonal positive penalty weights, aligned with the generator order;
+    at least one (else ``DimMismatch``)."""
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise DimMismatch("penalty weights must be a vector")
+        if w.ndim != 1 or not len(w):
+            raise DimMismatch("penalty weights must be a non-empty vector")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("penalty weights must be positive and finite")
         w.setflags(write=False)
@@ -214,17 +214,16 @@ class _QuadraticField:
     (k, j) terms share one product, and terms that cancel exactly (the
     antisymmetric part under equal weights) are zeros of S.  Calling the
     field evaluates that sum with ``einsum``, which :func:`rhs` returns;
-    :func:`integrate_rk4` instead runs a generated Python-float RK4 step
-    (:func:`_compile_rk4`), or its C twin over the same nonzero terms,
-    that rounds exactly as that ``einsum`` does.
+    :func:`integrate_rk4` instead runs the C kernel ``_rk4.c`` or its
+    generated Python twin (:func:`_compile_rk4`), over the same nonzero
+    terms, which round exactly as that ``einsum`` does.
     The compiled step leaves out the zeros of S, which ``einsum``
     multiplies out; that changes nothing while the state is finite, and
     the first non-finite row is the same unless a stage state overflows in
     a component that no nonzero S_ijk reads.  A component i whose row S_i
     is all zero is conserved: the compiled step carries its state through
-    unchanged (keeping the sign of a -0.0, which a numpy loop may drop)
-    and computes once per call the products that read only such
-    components.
+    unchanged (keeping the sign of a -0.0, which a numpy loop may drop).
+    A field has at least one component (else ``DimMismatch``).
     """
 
     __slots__ = ("S", "w")
@@ -233,7 +232,7 @@ class _QuadraticField:
         c = np.array(c, dtype=float)
         w = np.array(w, dtype=float)
         d = len(w)
-        if w.shape != (d,) or c.shape != (d, d, d):
+        if not d or w.shape != (d,) or c.shape != (d, d, d):
             raise DimMismatch(f"table {c.shape} does not fit weights {w.shape}")
         if not (np.isfinite(c).all() and np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("field coefficients must be finite, weights positive")
@@ -262,60 +261,23 @@ class _QuadraticField:
         return (out / self.w[:, None]).T
 
 
-def _stage_source(S, w, u, out, conserved):
-    """Lines computing ``out_i`` = field(u)_i with the rounding of ``rhs``.
-
-    ``einsum`` sums (S_ijk u_j) u_k over (j, k) in lexicographic order from
-    0.0 and divides by w_i.  Zero terms, products and quotients by 1.0, and
-    the start from 0.0 are exact and left out; (-a u) u' is written
-    -(a u u'), which rounds the same.  A factor a u_j or a product
-    (a u_j) u_k that several terms share is computed once.
-
-    A ``conserved`` component i (S_i all zero) gets no line: its value is
-    0.0 at every stage.  Its input u_i is the step's own state, so a factor
-    or product that reads only conserved components is the same in every
-    stage and every step; it is named ``c<n>`` and its line goes to the
-    first list returned, (invariant lines, stage lines), to run once before
-    the loop.  Its name and line are the same for every ``u``.
-    """
-    d = len(w)
-    w = w.tolist()
-    invariant, lines = [], []
-    terms = [(i, j, k, float(S[i, j, k])) for i, j, k in zip(*np.nonzero(S))]
-    uses = Counter((abs(coef), j, k) for _, j, k, coef in terms)
-    uses.update((a, j) for a, j, _ in list(uses) if a != 1.0)
-    shared, hoisted = {}, {}
-
-    def share(key, expr):
-        if conserved.issuperset(key[1:]):
-            if key not in hoisted:
-                hoisted[key] = f"c{len(hoisted)}"
-                invariant.append(f"{hoisted[key]} = {expr}")
-            return hoisted[key]
-        if uses[key] < 2:
-            return expr
-        if key not in shared:
-            shared[key] = f"t{len(shared)}"
-            lines.append(f"{shared[key]} = {expr}")
-        return shared[key]
-
-    sums = [""] * d
-    for i, j, k, coef in terms:
-        a = abs(coef)
-        factor = u[j] if a == 1.0 else share((a, j), f"{a!r}*{u[j]}")
-        term = share((a, j, k), f"{factor}*{u[k]}")
-        if sums[i]:
-            sums[i] += f" {'-' if coef < 0 else '+'} {term}"
-        else:
-            sums[i] = f"-{term}" if coef < 0 else term
-    for i in range(d):
-        if i in conserved:
+def _stage_source(S, w, u, out):
+    """Lines computing ``out_i`` = field(u)_i, the C kernel's ``stage()``
+    written out: for each component i with terms, in ``np.nonzero(S)``
+    order, the sum of (S_ijk u_j) u_k from its first term, divided by w_i
+    unless w_i is 1.0.  A component without terms is conserved and gets
+    no line."""
+    lines = []
+    for i in range(len(w)):
+        j, k = np.nonzero(S[i])
+        if not len(j):
             continue
-        expr = sums[i]
+        expr = " + ".join(f"{c!r}*{u[a]}*{u[b]}"
+                          for c, a, b in zip(S[i, j, k].tolist(), j, k))
         if w[i] != 1.0:
-            expr = f"({expr})/{w[i]!r}"
+            expr = f"({expr})/{float(w[i])!r}"
         lines.append(f"{out}{i} = {expr}")
-    return invariant, lines
+    return lines
 
 
 @functools.lru_cache(maxsize=32)
@@ -325,43 +287,40 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
     ``rows`` returns the ``count`` RK4 states after the state ``v`` as one
     flat list, row after row.
 
-    The step body is straight-line float code: four stages from
+    The step body is straight-line float code that performs the C kernel's
+    (``_rk4.c``) operations one for one and in its order: four stages from
     :func:`_stage_source` and the classical RK4 update
     v + (h/6)(a + 2 (b + e) + k), written out per component.  A conserved
     component (its row of S is all zero) has stage values 0.0, so its stage
     inputs and its update are its state: the step computes no stage, stage
-    input or update for it, the stages read its state, and the products
-    that read only conserved components are computed once before the loop.
-    A numpy loop adds those zeros, which can turn a -0.0 into 0.0; the
-    states stay ``==``.
+    input or update for it, and the stages read its state.  A numpy loop
+    adds those zeros, which can turn a -0.0 into 0.0; the states stay
+    ``==``.
     The source holds only identifiers and the reprs of finite floats, which
     read back as the same doubles.
 
-    This step is the reference of the C kernel ``_rk4.c``, which must
-    write its states bit for bit before :func:`integrate_rk4` uses it, and
-    the integrator wherever that kernel is not available.
+    This step is the reference of the C kernel, which must write its states
+    bit for bit before :func:`integrate_rk4` uses it, and the integrator
+    wherever that kernel is not available.
     """
     w = np.frombuffer(weights)
     d = len(w)
     S = np.frombuffer(table).reshape(d, d, d)
-    conserved = frozenset(i for i in range(d) if not S[i].any())
-    moving = [i for i in range(d) if i not in conserved]
+    moving = [i for i in range(d) if S[i].any()]
     half, sixth = 0.5 * hs, hs / 6.0
     v = [f"v{i}" for i in range(d)]
-    invariant, body = _stage_source(S, w, v, "a", conserved)
+    body = _stage_source(S, w, v, "a")
     for prev, scale, u, out in (("a", half, "p", "b"), ("b", half, "q", "e"),
                                 ("e", hs, "r", "k")):
         body += [f"{u}{i} = v{i} + {scale!r}*{prev}{i}" for i in moving]
         body += _stage_source(
-            S, w, [v[i] if i in conserved else f"{u}{i}" for i in range(d)],
-            out, conserved)[1]
+            S, w, [f"{u}{i}" if i in moving else v[i] for i in range(d)], out)
     body += [f"v{i} = v{i} + {sixth!r}*(a{i} + 2.0*(b{i} + e{i}) + k{i})"
              for i in moving]
     state = ", ".join(v) + ","
     src = "\n".join(
-        ["def rows(v, count):", f"    {state} = v"]
-        + [f"    {line}" for line in invariant]
-        + ["    out = []", "    extend = out.extend", "    for _ in range(count):"]
+        ["def rows(v, count):", f"    {state} = v",
+         "    out = []", "    extend = out.extend", "    for _ in range(count):"]
         + [f"        {line}" for line in body]
         + [f"        extend(({state}))", "    return out"])
     namespace = {}

@@ -5,9 +5,10 @@ systems, and the weighted speed is verified as an exact constant of motion
 for the genuine table flows.  The compiled RK4 step of a quadratic field is
 checked for equality (``==``) with the plain numpy loop :func:`rk4_loop`
 over ``rhs``, which stays here as the reference.  ``integrate_rk4`` runs
-the C kernel where this process has one and the generated Python step
-otherwise; the kernel is also checked bit for bit against the Python step
-directly, and the fallback under each way of not getting a kernel.
+the C kernel where this process has one and otherwise the generated Python
+step, which performs the kernel's operations one for one; the kernel is
+also checked bit for bit against the Python step directly, and the
+fallback under each way of not getting a kernel.
 """
 
 import numbers
@@ -392,7 +393,7 @@ def test_compiled_step_has_no_stage_for_a_conserved_component(fam, conserved):
 @given(data=st.data())
 def test_compiled_step_on_tables_with_conserved_rows(data):
     # random 3-d tables with some rows zeroed, so that products of conserved
-    # components alone (hoisted out of the loop) occur; |v0| <= 0.01 keeps
+    # components alone (the same in every stage) occur; |v0| <= 0.01 keeps
     # every state far from a blow-up
     d = 3
     coef = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0])
@@ -566,6 +567,19 @@ def test_kernel_python_step_and_generic_loop_agree(kernel, data):
     assert np.array_equal(slow, loop)
     for i in _conserved(field):
         assert np.all(np.signbit(fast[:, i]) == np.signbit(v0[i]))
+
+
+@pytest.mark.parametrize("backend", ["kernel", "python"])
+def test_a_field_without_components_is_a_dim_mismatch(request, backend):
+    # the kernel wrote (101, 0) states and the Python step's source did not
+    # compile: a table, penalties or a field of dim 0 is refused when built
+    kernel = request.getfixturevalue("kernel") if backend == "kernel" else None
+    with pytest.raises(qb.DimMismatch):
+        _outcome(_QuadraticField(np.zeros((0, 0, 0)), []), [], 1e-2, kernel)
+    with pytest.raises(qb.DimMismatch):
+        qb.PenaltyMatrix([])
+    with pytest.raises(qb.DimMismatch):
+        qb.LieAlgebraSpec("empty", (), np.zeros((0, 0, 0)))
 
 
 def _python_step_states(field, v0, h):
