@@ -325,7 +325,14 @@ def validate(spec: LieAlgebraSpec) -> ValidationReport:
 
 
 def change_basis(spec: LieAlgebraSpec, T: BasisChange) -> LieAlgebraSpec:
-    """Transform the structure constants to the basis O'_a = T[a,b] O_b."""
+    """Transform the structure constants to the basis O'_a = T[a,b] O_b.
+
+    ``T`` must start from ``spec`` (``T.from_name == spec.name``, else
+    ``ValueError``); the result is named ``T.to_name``.
+    """
+    if spec.name != T.from_name:
+        raise ValueError(f"basis change {T.from_name!r} -> {T.to_name!r} "
+                         f"does not apply to {spec.name!r}")
     mat = np.asarray(T.matrix, dtype=float)
     if mat.shape != (spec.dim, spec.dim):
         raise DimMismatch(

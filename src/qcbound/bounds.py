@@ -178,7 +178,8 @@ def _gauss_legendre(f, epsabs: float, epsrel: float, panels: int = 1) -> float:
 def length(sol: VelocitySolution, G: PenaltyMatrix) -> float:
     """Geodesic length of a velocity solution under penalties G.
 
-    Constant-speed solutions are integrated exactly; numeric solutions are
+    Constant-speed solutions are integrated exactly (a squared speed below
+    ``_TINY`` by ``math.hypot``, past underflow); numeric solutions are
     integrated on their own dense grid (Simpson); anything else falls back
     to adaptive Gauss-Legendre quadrature of the speed.  ``G`` must have
     one weight per velocity component (``DimMismatch``).
@@ -187,7 +188,10 @@ def length(sol: VelocitySolution, G: PenaltyMatrix) -> float:
         raise DimMismatch(f"penalties have dim {G.dim}, but the velocity has "
                           f"shape {np.shape(sol.v0)}")
     if sol.constant_speed:
-        return math.sqrt(G.speed_squared(sol.v0))
+        squared = G.speed_squared(sol.v0)
+        if squared < _TINY:
+            return math.hypot(*(np.sqrt(G.weights) * sol.v0))
+        return math.sqrt(squared)
     w = G.weights
     if sol.states is not None:
         speeds = np.sqrt(np.einsum("i,ni->n", w, sol.states ** 2))
@@ -233,7 +237,7 @@ def anharm_length(v0, g11: float, p: float):
     not finite (an overflow of the coefficients), and otherwise ``nan``
     when the positivity guard A > R of a real integrand fails.  ``v0`` of
     shape (5, n) gives an array, equal element by element to the scalar
-    form (masks replace the early returns).
+    form.
     """
     return _anharm_length(v0[0], *anharm_integrand_coeffs(v0, g11, p))
 
@@ -241,7 +245,7 @@ def anharm_length(v0, g11: float, p: float):
 def _anharm_length(v1, A, B, C):
     """:func:`anharm_length` from the phase velocity ``v1`` and the
     integrand's (A, B, C), for a system whose measurement needs the
-    coefficients too."""
+    coefficients too; every case but the elliptic one is decided here."""
     if isinstance(A, np.ndarray):
         return _anharm_length_array(np.asarray(v1, dtype=float), A, B, C)
     v1 = float(v1)
@@ -259,17 +263,13 @@ def _anharm_length(v1, A, B, C):
 
 
 def _anharm_length_array(v1, A, B, C):
+    """One :func:`_elliptic_length` call where :func:`_anharm_length`
+    reaches it, and that scalar rule itself at every other point."""
     R = apply_math(math.hypot, B, C)
-    out = np.full(A.shape, math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        over = ~np.isfinite(A + R)
-        live = ~over & ~((A - R <= 0) & ~((A == 0.0) & (R == 0.0)))
-    out[over] = math.inf
-    frozen = live & (v1 == 0.0)
-    out[frozen] = np.sqrt((A[frozen] + B[frozen]) / 2.0)
-    flat = live & ~frozen & (R == 0.0)
-    out[flat] = np.sqrt(A[flat] / 2.0)
-    k = live & ~frozen & ~flat
+        k = np.isfinite(A + R) & (A > R) & (v1 != 0.0) & (R != 0.0)
+    out = np.empty(A.shape)
+    out[~k] = apply_math(_anharm_length, *(a[~k] for a in (v1, A, B, C)))
     A, B, C, R = A[k], B[k], C[k], R[k]
     out[k] = _elliptic_length(v1[k], A, R, apply_math(math.atan2, B, C),
                               np.sqrt(A + R))
@@ -305,13 +305,28 @@ def _sum_squares(components):
     return total
 
 
+# A sum of squares below _TINY may have lost digits, or everything, to
+# underflow; it is then taken again over the components times _SCALE, where
+# every nonzero square is a normal number, and the root divided back.
+_TINY = 2.0 ** -1000
+_SCALE = 2.0 ** 600
+
+
 def norm_measure(params: dict, v0):
     """The default measurement of a matched point: the unit-weight norm of
     ``v0`` (a float for a list of floats, an array for a (k, n) array) and
-    no extras."""
+    no extras.  A sum of squares below ``_TINY`` is taken again over
+    ``v0 * _SCALE``, the same operations for floats and arrays."""
+    total = _sum_squares(v0)
     if isinstance(v0, np.ndarray):
-        return np.sqrt(_sum_squares(v0)), {}
-    return math.sqrt(_sum_squares(v0)), {}
+        value = np.sqrt(total)
+        tiny = total < _TINY
+        if tiny.any():
+            value[tiny] = np.sqrt(_sum_squares(v0[:, tiny] * _SCALE)) / _SCALE
+        return value, {}
+    if total < _TINY:
+        return math.sqrt(_sum_squares([c * _SCALE for c in v0])) / _SCALE, {}
+    return math.sqrt(total), {}
 
 
 def _reject_overflow(value, v0) -> None:

@@ -163,20 +163,19 @@ class VelocitySolution:
 
 @dataclass(frozen=True)
 class ClosedFormFamily:
-    """Tag (plus parameters) selecting one analytic solution family."""
+    """Tag (plus parameters) selecting one analytic solution family; its
+    :meth:`default_penalties` are checked when it is built."""
 
     tag: str
     q: float = 1.0
     p: float = 1.0
 
     def __post_init__(self):
-        entry = _FAMILIES.get(self.tag)
-        if entry is None:
+        if self.tag not in _FAMILIES:
             raise FamilyMismatch(
                 f"unknown family {self.tag!r}; choose from {sorted(_FAMILIES)}"
             )
-        if entry.q_le_p and not (0 < self.q <= self.p):
-            raise FamilyMismatch(f"{self.tag} requires penalties 0 < q <= p")
+        self.default_penalties()
 
     @property
     def algebra_name(self) -> str:
@@ -200,8 +199,6 @@ def rhs(algebra: LieAlgebraSpec, G: PenaltyMatrix, V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.shape != (algebra.dim,):
         raise DimMismatch(f"state must have shape ({algebra.dim},), got {V.shape}")
-    if G.dim != algebra.dim:
-        raise DimMismatch(f"penalties have dim {G.dim}, algebra has {algebra.dim}")
     return _QuadraticField(algebra.f, G.weights)(V)
 
 
@@ -568,8 +565,6 @@ def solve_numeric(
     (:func:`_grid_interpolator`).
     """
     v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (algebra.dim,):
-        raise DimMismatch(f"v0 must have shape ({algebra.dim},), got {v0.shape}")
     field = _QuadraticField(algebra.f, G.weights)
     grid, states = integrate_rk4(field, v0, h)
     return VelocitySolution(
@@ -670,13 +665,12 @@ def _anharm_trig(v, q, p):
 class _Family(NamedTuple):
     """One closed-form family: its algebra, its penalties ``(q, p) ->
     weights``, its ``trig`` construct ``(v0, q, p)``, and the unit-weight
-    ``table`` it solves when that is not the algebra's."""
+    ``table`` it solves when that is not the algebra's; on its own
+    algebra's table (``table`` None) its speed is constant."""
 
     algebra: str
     penalties: Callable[[float, float], list]
     trig: Callable[..., TrigFamily]
-    constant_speed: bool = True
-    q_le_p: bool = False
     table: np.ndarray | None = None
 
 
@@ -697,13 +691,12 @@ _FAMILIES = {
         lambda v, q, p: TrigFamily(
             (((0, v[0]),), ((0, v[1]),), ((1, v[2]), (2, v[3])),
              ((1, v[3]), (2, -v[2]))),
-            ((1, (p - 2.0 * q) * (v[0] - v[1]) / p),)),
-        q_le_p=True),
+            ((1, (p - 2.0 * q) * (v[0] - v[1]) / p),))),
     # hard components feed back on V^1 only through dropped terms, so the
     # penalty-weighted speed is not an exact invariant here
     "anharm_p": _Family(
         "anharm5", lambda q, p: [1.0, p, p, p, p], _anharm_trig,
-        constant_speed=False, table=_ANHARM_REDUCED),
+        table=_ANHARM_REDUCED),
 }
 
 
@@ -716,11 +709,11 @@ def solve_closed_form(family: ClosedFormFamily, v0) -> VelocitySolution:
     ``anharm_p``.  Other penalties take :func:`solve_numeric`.
     """
     entry = _FAMILIES[family.tag]
-    dim = len(entry.penalties(family.q, family.p))
+    dim = family.default_penalties().dim
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (dim,):
         raise FamilyMismatch(f"{family.tag} needs v0 of shape ({dim},), got {v0.shape}")
     _check_finite(v0)
     return VelocitySolution(entry.algebra, v0,
                             entry.trig(v0.tolist(), family.q, family.p),
-                            constant_speed=entry.constant_speed)
+                            constant_speed=entry.table is None)

@@ -345,6 +345,13 @@ def test_change_basis_is_group_action():
     assert np.allclose(one_step, two_step, atol=1e-12)
 
 
+def test_basis_change_refuses_an_algebra_it_does_not_start_from():
+    # KJ_BASIS_CHANGE maps sp2_K; applied to sp2_J it would give a table
+    # named sp2_J that is not sp2_J
+    with pytest.raises(ValueError, match="does not apply to 'sp2_J'"):
+        qb.change_basis(qb.builtin("sp2_J"), qb.KJ_BASIS_CHANGE)
+
+
 def test_singular_basis_change_raises():
     with pytest.raises(qb.SingularBasisChange):
         qb.change_basis(qb.builtin("sp2_K"),

@@ -414,6 +414,68 @@ def test_cubic_bound_computes_its_coefficients_once(monkeypatch):
     assert res.value == qb.anharm_length(res.v0, 1.0, 100.0)
 
 
+def test_tiny_constant_speed_length_is_not_zero():
+    # the squared speed underflows to 0.0 below about 1e-162
+    sol = qb.solve_closed_form(ClosedFormFamily("ho4_equal_penalty"),
+                               [0.0, 0.0, 0.0, 1e-170])
+    assert qb.length(sol, qb.PenaltyMatrix.identity(4)) == 1e-170
+    assert qb.length(sol, qb.PenaltyMatrix.diagonal([1.0, 1.0, 1.0, 4.0])) == 2e-170
+
+
+_TINY_TIMES = [0.0, 5e-324, 1e-170, 1e-155, 1.0]
+
+
+@pytest.mark.parametrize("target", [
+    qb.TargetSpec.ho(1.0, 0.0),
+    qb.TargetSpec.sp2_ho(1.0, 0.0),
+    qb.TargetSpec.iho(2.0, 0.0),
+    qb.TargetSpec.ho_linear(1.0, 0.3, 0.0),
+    qb.TargetSpec.ho_quadratic(1.0, 0.2, 0.0),
+    qb.TargetSpec.free_particle(2.0, 0.0),
+    qb.TargetSpec.coupled(2.0, 1.0, 3.0, 0.0, q=1.0, p=10.0),
+], ids=lambda target: target.system)
+def test_norm_bounds_at_tiny_times(target):
+    # the unit-weight norm rescales a sum of squares that underflows, the
+    # same way on a grid and at a point, and stays at least ||c||
+    curve = qb.bound_curve(target, np.array(_TINY_TIMES))
+    for t, value in zip(_TINY_TIMES, curve.value.tolist()):
+        point = target.with_time(t)
+        assert value == qb.bound(point).value
+        c = qb.matching.target_coefficients(point)
+        assert value >= math.hypot(*c) * (1 - 1e-12)
+        assert (value > 0.0) == (t != 0.0) or not c.any()
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.0])          # lam = 0: R = 0
+def test_cubic_bound_curve_equals_bound_where_the_length_is_not_elliptic(lam):
+    # t = 0 and omega t = 4 pi have v1 = 0; the grid's other points are
+    # elliptic unless lam = 0
+    grid = np.array([0.0, 1e-170, 0.5, 7.0, 4 * PI])
+    target = qb.TargetSpec.anharm_cubic(1.0, lam, 0.0)
+    curve = qb.bound_curve(target, grid)
+    assert curve.value.tolist() == [qb.bound(target.with_time(t)).value
+                                    for t in grid.tolist()]
+
+
+def test_anharm_length_array_equals_the_scalar_form_point_by_point():
+    # matched points with v1 = 0, R = 0, an elliptic length and an overflow,
+    # then (v1, A, B, C) with A = R = 0 and with the positivity guard failing
+    v0 = np.array([qb.match(target).v0.tolist() for target in (
+        qb.TargetSpec.anharm_cubic(1.0, 0.05, 0.0),
+        qb.TargetSpec.anharm_cubic(1.0, 0.05, 4 * PI),
+        qb.TargetSpec.anharm_cubic(1.0, 0.0, 0.5),
+        qb.TargetSpec.anharm_cubic(1.0, 0.05, 0.5),
+        qb.TargetSpec.anharm_cubic(1.0, 5.6e152, 1.0))]).T
+    scalar = [qb.anharm_length(column, 1.0, 100.0) for column in v0.T]
+    assert scalar[-1] == math.inf
+    np.testing.assert_array_equal(qb.anharm_length(v0, 1.0, 100.0), scalar)
+    v1, A, B, C = np.array([[0.3, 0.0, 0.0, 0.0], [0.3, 1.0, 0.6, 0.8],
+                            [0.0, 0.5, 1.0, 0.0]]).T
+    scalar = [qb.bounds._anharm_length(*x) for x in zip(v1, A, B, C)]
+    assert scalar[0] == 0.0 and math.isnan(scalar[1]) and math.isnan(scalar[2])
+    np.testing.assert_array_equal(qb.bounds._anharm_length(v1, A, B, C), scalar)
+
+
 def test_nan_length_from_finite_v0_keeps_the_positivity_caveat(monkeypatch):
     spec = qb.systems.SYSTEMS["anharm_cubic"]
     monkeypatch.setitem(qb.systems.SYSTEMS, "anharm_cubic",

@@ -734,6 +734,28 @@ def test_unknown_family_rejected():
         ClosedFormFamily("no_such_family")
 
 
+@pytest.mark.parametrize("tag,penalties", [
+    *[("anharm_p", {"p": x}) for x in (-1.0, 0.0, np.nan, np.inf)],
+    ("coupled_pq", {"q": 1.0, "p": np.inf}),
+])
+def test_family_with_invalid_penalties_is_refused_when_built(tag, penalties):
+    # its penalties are checked as PenaltyMatrix weights: positive, finite
+    with pytest.raises(ValueError, match="positive and finite"):
+        ClosedFormFamily(tag, **penalties)
+
+
+@pytest.mark.parametrize("q,p", [(3.0, 1.0), (5.0, 0.5)])
+def test_coupled_closed_form_is_exact_for_q_above_p(q, p):
+    # p >= q is the coupled target's rule, not the closed form's
+    fam = ClosedFormFamily("coupled_pq", q=q, p=p)
+    v0 = np.array([0.7, -0.4, 0.5, -0.3])
+    grid, states = integrate_rk4(fam.governing_rhs(), v0, qb.euler_arnold.DEFAULT_STEP)
+    sol = qb.solve_closed_form(fam, v0)
+    assert sol.constant_speed
+    dev = np.max(np.abs(sol(grid[::50]) - states[::50]))
+    assert dev <= 1e-7
+
+
 def _families():
     return [
         (ClosedFormFamily("ho4_equal_penalty"), 4),

@@ -9,7 +9,8 @@ invariants the bounds rely on.
   its value keeps its type;
 * every regular bound is at least ||c||_G, the length of the
   one-parameter path s -> exp(-i s c.O) to the same target (the cubic
-  oscillator away from v1 = 0);
+  oscillator away from v1 = 0), tiny targets included, where the sum of
+  squares underflows;
 * the oscillator bound has period 4 pi / omega in t, to 1e-9;
 * matched cubic-oscillator velocities satisfy A > hypot(B, C);
 * the closed-form cubic length agrees with its quadrature to 1e-9, and
@@ -24,7 +25,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
@@ -179,16 +180,27 @@ def test_bound_agrees_with_match(target):
 
 def _path_length(target) -> float:
     """||c||_G, the length of s -> exp(-i s c.O), which reaches the target:
-    G is diag(g11, p, p, p, p) for the cubic oscillator, unit elsewhere."""
+    G is diag(g11, p, p, p, p) for the cubic oscillator, unit elsewhere.
+    ``math.hypot`` keeps it exact where the squares underflow."""
     c = qb.matching.target_coefficients(target)
     weights = np.ones(len(c))
     if target.system == "anharm_cubic":
         weights[0], weights[1:] = target.params["g11"], target.params["p"]
-    return math.sqrt(np.dot(weights, c * c))
+    return math.hypot(*(np.sqrt(weights) * c))
 
 
 @settings(max_examples=300, deadline=None)
 @given(target=any_point())
+# tiny targets, whose sum of squares underflows: unless the norm rescales
+# it, the bound reads 0.0 or falls short of ||c||_G
+@example(target=T.ho(1.0, 1e-170))
+@example(target=T.ho(2.14224682874854, 1.1125369292536007e-308))
+@example(target=T.iho(0.1, -2.225e-308))
+@example(target=T.displacement(7.02428942671446e-162))
+@example(target=T.coupled(2.0, 1.0, 1.0, -6.67e-175))
+@example(target=T.ho_linear(1.0, 0.3, 1e-170))
+@example(target=T.ho_quadratic(1.0, 0.1, 1e-170))
+@example(target=T.ho(1.0, 5e-324))
 def test_bound_is_at_least_the_one_parameter_path(target):
     # the matched velocity integrates to c, so by the triangle inequality
     # its length is at least ||c||_G: a theorem, so a shortfall is a defect,
