@@ -4,18 +4,17 @@ The length of a geodesic with velocity V^I(s) under diagonal penalties G is
 
     L = integral_0^1 sqrt( sum_I G_II V^I(s)^2 ) ds.
 
-For the rotation families the integrand is constant and L reduces to the
-weighted norm of the initial velocity.  The truncated cubic oscillator is
-the exception: its integrand oscillates at frequency 4 v1 and integrates to
-an incomplete elliptic integral of the second kind, evaluated here in
-closed form: one ``ellipeinc`` call per length, on the stacked angles of
-both ends of the integral, for a float and for an array alike (the tests
-check it against a Gauss-Legendre quadrature).
+For the truncated cubic oscillator the integrand oscillates at frequency
+4 v1 and integrates to an incomplete elliptic integral of the second kind,
+evaluated here in closed form: one ``ellipeinc`` call per length, on the
+stacked angles of both ends of the integral, for a float and for an array
+alike (the tests check it against a Gauss-Legendre quadrature).
 
 The module needs numpy only, apart from SciPy's ``ellipeinc``, which the
-first cubic length imports and the module keeps.  Simpson's rule
-(:func:`simpson`) is a port of SciPy's and gives equal results; other
-non-constant speeds are integrated by adaptive composite Gauss-Legendre.
+first cubic length imports and the module keeps.  :func:`length`
+integrates a numeric solution's speed by Simpson's rule (:func:`simpson`,
+a port of SciPy's that gives equal results) and any other by adaptive
+composite Gauss-Legendre.
 
 All values produced by :func:`bound` are upper bounds on the true
 complexity; poles of the matching equations yield an infinite value, which
@@ -175,33 +174,32 @@ def _gauss_legendre(f, epsabs: float, epsrel: float, panels: int = 1) -> float:
     return float(closed + coarse.sum())
 
 
-def length(sol: VelocitySolution, G: PenaltyMatrix) -> float:
-    """Geodesic length of a velocity solution under penalties G.
+def _speed(V, w):
+    """Speed under the weights ``w`` of each row of ``V``, shape (n, dim); a
+    squared speed below ``_TINY`` is taken again as ``math.hypot`` of the
+    weighted components, exact at any weights (``V * _SCALE`` can overflow)."""
+    squared = np.einsum("i,ni->n", w, V ** 2)
+    speed = np.sqrt(squared)
+    tiny = squared < _TINY
+    if tiny.any():
+        speed[tiny] = [math.hypot(*row) for row in (V[tiny] * np.sqrt(w)).tolist()]
+    return speed
 
-    Constant-speed solutions are integrated exactly (a squared speed below
-    ``_TINY`` by ``math.hypot``, past underflow); numeric solutions are
-    integrated on their own dense grid (Simpson); anything else falls back
-    to adaptive Gauss-Legendre quadrature of the speed.  ``G`` must have
-    one weight per velocity component (``DimMismatch``).
+
+def length(sol: VelocitySolution, G: PenaltyMatrix) -> float:
+    """Geodesic length of a velocity solution under penalties G, whatever
+    penalties it was solved at: its speed under G (:func:`_speed`)
+    integrated on its own dense grid (Simpson) if it is numeric, else by
+    adaptive Gauss-Legendre quadrature.  ``G`` must have one weight per
+    velocity component (``DimMismatch``).
     """
     if np.shape(sol.v0) != (G.dim,):
         raise DimMismatch(f"penalties have dim {G.dim}, but the velocity has "
                           f"shape {np.shape(sol.v0)}")
-    if sol.constant_speed:
-        squared = G.speed_squared(sol.v0)
-        if squared < _TINY:
-            return math.hypot(*(np.sqrt(G.weights) * sol.v0))
-        return math.sqrt(squared)
-    w = G.weights
     if sol.states is not None:
-        speeds = np.sqrt(np.einsum("i,ni->n", w, sol.states ** 2))
-        return simpson(speeds, sol.grid)
-
-    def speed(s):
-        V = sol(s)
-        return np.sqrt(V * V @ w)
-
-    return _gauss_legendre(speed, epsabs=1e-13, epsrel=1e-9)
+        return simpson(_speed(sol.states, G.weights), sol.grid)
+    return _gauss_legendre(lambda s: _speed(sol(s), G.weights), epsabs=1e-13,
+                           epsrel=1e-9)
 
 
 def anharm_integrand_coeffs(v0, g11: float, p: float):
@@ -254,25 +252,26 @@ def _anharm_length(v1, A, B, C):
         return math.inf
     if A - R <= 0 and (A, R) != (0.0, 0.0):
         return math.nan
-    if v1 == 0.0:
-        # frozen phase: constant integrand
-        return math.sqrt((A + B) / 2.0)
     if R == 0.0:
         return math.sqrt(A / 2.0)
-    return _elliptic_length(v1, A, R, math.atan2(B, C), math.sqrt(A + R))
+    phi = math.atan2(B, C)
+    if 4.0 * v1 + phi == phi:
+        # the phase does not move: a constant integrand (v1 = 0 included)
+        return math.sqrt((A + B) / 2.0)
+    return _elliptic_length(v1, A, R, phi, math.sqrt(A + R))
 
 
 def _anharm_length_array(v1, A, B, C):
     """One :func:`_elliptic_length` call where :func:`_anharm_length`
     reaches it, and that scalar rule itself at every other point."""
     R = apply_math(math.hypot, B, C)
+    phi = apply_math(math.atan2, B, C)
     with np.errstate(over="ignore", invalid="ignore"):
-        k = np.isfinite(A + R) & (A > R) & (v1 != 0.0) & (R != 0.0)
+        k = np.isfinite(A + R) & (A > R) & (R != 0.0) & (4.0 * v1 + phi != phi)
     out = np.empty(A.shape)
     out[~k] = apply_math(_anharm_length, *(a[~k] for a in (v1, A, B, C)))
-    A, B, C, R = A[k], B[k], C[k], R[k]
-    out[k] = _elliptic_length(v1[k], A, R, apply_math(math.atan2, B, C),
-                              np.sqrt(A + R))
+    A, R = A[k], R[k]
+    out[k] = _elliptic_length(v1[k], A, R, phi[k], np.sqrt(A + R))
     return out
 
 
@@ -284,7 +283,8 @@ def _ellipeinc():
 
 
 def _elliptic_length(v1, A, R, phi, root):
-    """Elliptic-integral length for v1 != 0 and R > 0; ``root`` = sqrt(A + R).
+    """Elliptic-integral length for R > 0 and a phase that moves,
+    4 v1 + phi != phi; ``root`` = sqrt(A + R).
 
     The antiderivative -2 root E((pi - 2 y) / 4 | m) is taken at both ends,
     y = 4 v1 + phi and y = phi, in one ``ellipeinc`` call on the two

@@ -76,7 +76,7 @@ import shutil
 import sys
 import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -131,29 +131,23 @@ class PenaltyMatrix:
     def dim(self) -> int:
         return len(self.weights)
 
-    def speed_squared(self, V: np.ndarray) -> float:
-        """Weighted squared speed sum_I G_II (V^I)^2."""
-        return float(np.dot(self.weights, np.asarray(V) ** 2))
-
 
 @dataclass(frozen=True)
 class VelocitySolution:
     """Velocity field V^I(s) of a geodesic on [0, 1].
 
     ``evaluator`` accepts a scalar or 1-d array of s values and returns the
-    velocity components, shape (dim,) or (n, dim).  ``constant_speed`` marks
-    solutions whose weighted speed is an exact constant, so that lengths can
-    be evaluated without quadrature.  A closed form's evaluator is its
-    :class:`TrigFamily`, which also gives its antiderivative; a numeric
-    solution carries its RK4 ``grid`` and ``states``.  The penalties that
-    shaped the solution are not kept on it: ``bounds.length(sol, G)`` takes
-    them as its own argument.
+    velocity components, shape (dim,) or (n, dim).  A closed form's
+    evaluator is its :class:`TrigFamily`, which also gives its
+    antiderivative; a numeric solution carries its RK4 ``grid`` and
+    ``states``.  The penalties that shaped the solution are not kept on it:
+    ``bounds.length(sol, G)`` takes them as its own argument and measures
+    the solution's speed under them, whatever penalties it was solved at.
     """
 
     algebra: str
     v0: np.ndarray
     evaluator: Callable[[np.ndarray], np.ndarray]
-    constant_speed: bool = False
     grid: np.ndarray | None = None
     states: np.ndarray | None = None
 
@@ -163,26 +157,39 @@ class VelocitySolution:
 
 @dataclass(frozen=True)
 class ClosedFormFamily:
-    """Tag (plus parameters) selecting one analytic solution family; its
-    :meth:`default_penalties` are checked when it is built."""
+    """Tag (plus parameters) selecting one analytic solution family; a
+    ``q`` or ``p`` other than 1.0 that it does not take is refused, and its
+    :meth:`default_penalties` are checked and kept when it is built."""
 
     tag: str
     q: float = 1.0
     p: float = 1.0
+    _penalties: PenaltyMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tag not in _FAMILIES:
+        entry = _FAMILIES.get(self.tag)
+        if entry is None:
             raise FamilyMismatch(
                 f"unknown family {self.tag!r}; choose from {sorted(_FAMILIES)}"
             )
-        self.default_penalties()
+        for k in ("q", "p"):
+            if k not in entry.takes and getattr(self, k) != 1.0:
+                raise FamilyMismatch(f"{self.tag} takes no penalty {k}, got "
+                                     f"{k}={getattr(self, k)!r}")
+        object.__setattr__(self, "_penalties", PenaltyMatrix.diagonal(
+            entry.penalties(self.q, self.p)))
 
     @property
     def algebra_name(self) -> str:
         return _FAMILIES[self.tag].algebra
 
+    @property
+    def constant_speed(self) -> bool:
+        """Constant speed under :meth:`default_penalties` (its own table)."""
+        return _FAMILIES[self.tag].table is None
+
     def default_penalties(self) -> PenaltyMatrix:
-        return PenaltyMatrix.diagonal(_FAMILIES[self.tag].penalties(self.q, self.p))
+        return self._penalties
 
     def governing_rhs(self):
         """Right-hand side of the ODE system this family actually solves,
@@ -571,7 +578,6 @@ def solve_numeric(
         algebra=algebra.name,
         v0=v0,
         evaluator=_grid_interpolator(grid, states, field.rows(states)),
-        constant_speed=False,
         grid=grid,
         states=states,
     )
@@ -663,12 +669,13 @@ def _anharm_trig(v, q, p):
 
 
 class _Family(NamedTuple):
-    """One closed-form family: its algebra, its penalties ``(q, p) ->
-    weights``, its ``trig`` construct ``(v0, q, p)``, and the unit-weight
-    ``table`` it solves when that is not the algebra's; on its own
-    algebra's table (``table`` None) its speed is constant."""
+    """One closed-form family: its algebra, the penalty parameters it
+    ``takes`` (of q and p), its penalties ``(q, p) -> weights``, its
+    ``trig`` construct ``(v0, q, p)``, and the unit-weight ``table`` it
+    solves when that is not the algebra's."""
 
     algebra: str
+    takes: tuple[str, ...]
     penalties: Callable[[float, float], list]
     trig: Callable[..., TrigFamily]
     table: np.ndarray | None = None
@@ -676,18 +683,18 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     "ho4_equal_penalty": _Family(
-        "ho4", lambda q, p: [1.0] * 4,
+        "ho4", (), lambda q, p: [1.0] * 4,
         lambda v, q, p: TrigFamily(
             (((0, v[0]),), ((1, v[1]), (2, -v[2])), ((1, v[2]), (2, v[1])),
              ((0, v[3]),)),
             ((1, v[3] + v[0]),))),
     "sp2_J_equal_penalty": _Family(
-        "sp2_J", lambda q, p: [1.0] * 3,
+        "sp2_J", (), lambda q, p: [1.0] * 3,
         lambda v, q, p: TrigFamily(
             (((1, v[0]), (2, -v[1])), ((1, v[1]), (2, v[0])), ((0, v[2]),)),
             ((1, 4.0 * v[2]),))),
     "coupled_pq": _Family(
-        "coupled_M4", lambda q, p: [q, q, p, p],
+        "coupled_M4", ("q", "p"), lambda q, p: [q, q, p, p],
         lambda v, q, p: TrigFamily(
             (((0, v[0]),), ((0, v[1]),), ((1, v[2]), (2, v[3])),
              ((1, v[3]), (2, -v[2]))),
@@ -695,7 +702,7 @@ _FAMILIES = {
     # hard components feed back on V^1 only through dropped terms, so the
     # penalty-weighted speed is not an exact invariant here
     "anharm_p": _Family(
-        "anharm5", lambda q, p: [1.0, p, p, p, p], _anharm_trig,
+        "anharm5", ("p",), lambda q, p: [1.0, p, p, p, p], _anharm_trig,
         table=_ANHARM_REDUCED),
 }
 
@@ -715,5 +722,4 @@ def solve_closed_form(family: ClosedFormFamily, v0) -> VelocitySolution:
         raise FamilyMismatch(f"{family.tag} needs v0 of shape ({dim},), got {v0.shape}")
     _check_finite(v0)
     return VelocitySolution(entry.algebra, v0,
-                            entry.trig(v0.tolist(), family.q, family.p),
-                            constant_speed=entry.table is None)
+                            entry.trig(v0.tolist(), family.q, family.p))

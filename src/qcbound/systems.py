@@ -64,8 +64,7 @@ class SystemSpec(NamedTuple):
     tag: str
     summary: str
     params: tuple[Param, ...]
-    family: str                    # ClosedFormFamily tag ...
-    penalties: tuple[str, ...]     # ... and the parameters it takes
+    family: str                    # ClosedFormFamily tag
     formula_id: str
     kernel: Callable
     coefficients: Callable[[dict], list]
@@ -103,7 +102,7 @@ def _displacement(p, notes):
 
 DISPLACEMENT = SystemSpec(
     "displacement", "coherent displacement by alpha", (Param("alpha", 0j),),
-    _HO4, (), "displacement_sqrt2", _displacement,
+    _HO4, "displacement_sqrt2", _displacement,
     lambda p: [0.0, math.sqrt(2) * p["alpha"].real,
                -math.sqrt(2) * p["alpha"].imag, 0.0],
     caveats=("ordered-product route gives 2|alpha| instead of sqrt(2)|alpha|; "
@@ -132,18 +131,18 @@ def _iho(p, notes):
 
 
 HO = SystemSpec(
-    "ho", "omega * t * H (oscillator energy)", (_OMEGA, _T), _HO4, (),
+    "ho", "omega * t * H (oscillator energy)", (_OMEGA, _T), _HO4,
     "sawtooth_4pi", _ho, lambda p: [0.0, 0.0, 0.0, _wrap(p["omega"] * p["t"])])
 
 SP2_HO = SystemSpec(
-    "sp2_ho", "same target through the sp(2,R) route", (_OMEGA, _T), _SP2, (),
+    "sp2_ho", "same target through the sp(2,R) route", (_OMEGA, _T), _SP2,
     "sawtooth_4pi", _sp2_ho, lambda p: [0.0, 0.0, _wrap(p["omega"] * p["t"])])
 
 IHO = SystemSpec(
     "iho", "inverted oscillator, Omega * t",
     (Param("Omega", 1.0, positive=True,
            help="frequency of the inverted oscillator"), _T),
-    _SP2, (), "iho_linear", _iho, lambda p: [0.0, -p["Omega"] * p["t"], 0.0])
+    _SP2, "iho_linear", _iho, lambda p: [0.0, -p["Omega"] * p["t"], 0.0])
 
 
 # -- linear perturbation ----------------------------------------------------
@@ -163,7 +162,7 @@ def _ho_linear(p, notes):
 
 HO_LINEAR = SystemSpec(
     "ho_linear", "oscillator plus linear position term", (_OMEGA, _LAM, _T),
-    _HO4, (), "ho_linear_cot", _ho_linear,
+    _HO4, "ho_linear_cot", _ho_linear,
     lambda p: [0.0, 0.0, p["lam"] * p["t"], _wrap(p["omega"] * p["t"])])
 
 
@@ -209,14 +208,14 @@ def _quadratic_coefficients(omega, lam, t):
 
 HO_QUADRATIC = SystemSpec(
     "ho_quadratic", "oscillator plus quadratic position term",
-    (_OMEGA, _LAM, _T), _SP2, (), "quadratic_cot",
+    (_OMEGA, _LAM, _T), _SP2, "quadratic_cot",
     lambda p, notes: _quadratic(p["omega"], p["lam"], p["t"], notes),
     lambda p: _quadratic_coefficients(p["omega"], p["lam"], p["t"]),
     caveats=_CAVEAT_QUADRATIC)
 
 FREE_PARTICLE = SystemSpec(
     "free_particle", "free particle of mass m (quadratic special case)",
-    (Param("m", 1.0, positive=True, help="free-particle mass"), _T), _SP2, (),
+    (Param("m", 1.0, positive=True, help="free-particle mass"), _T), _SP2,
     "quadratic_cot", _free_particle,
     lambda p: _quadratic_coefficients(1.0 / p["m"], -0.5 * (1.0 / p["m"]), p["t"]),
     caveats=_CAVEAT_QUADRATIC)
@@ -263,7 +262,7 @@ COUPLED = SystemSpec(
      Param("mu", 1.0, help="mode coupling"), _T,
      Param("q", 1.0, optional=True, positive=True, help="soft-direction penalty"),
      Param("p", 1.0, optional=True, help="hard-direction penalty")),
-    "coupled_pq", ("q", "p"), "coupled_su2", _coupled, _coupled_coefficients,
+    "coupled_pq", "coupled_su2", _coupled, _coupled_coefficients,
     caveats=("penalties (q, p) shape the geodesic; the standard bound "
              "evaluates its length with unit weights",),
     check=_coupled_check)
@@ -305,7 +304,7 @@ ANHARM_CUBIC = SystemSpec(
      Param("g11", 1.0, optional=True, positive=True,
            help="penalty of the quadratic-energy direction"),
      Param("p", 100.0, optional=True, positive=True, help="hard-direction penalty")),
-    "anharm_p", ("p",), "anharm_elliptic", _anharm_cubic,
+    "anharm_p", "anharm_elliptic", _anharm_cubic,
     lambda p: [_wrap(p["omega"] * p["t"]), p["lam"] * p["t"], 0.0, 0.0, 0.0],
     measure=_anharm_measure)
 
@@ -354,8 +353,8 @@ class TargetSpec:
         return TargetSpec(self.system, {**self.params, "t": float(t)})
 
     def family(self) -> ClosedFormFamily:
-        return ClosedFormFamily(self.spec.family,
-                                **{k: self.params[k] for k in self.spec.penalties})
+        return ClosedFormFamily(self.spec.family, **{
+            k: v for k, v in self.params.items() if k in ("q", "p")})
 
 
 def _generate(spec: SystemSpec):

@@ -102,7 +102,7 @@ def _suite_geodesic():
         dev = float(np.max(np.abs(np.atleast_2d(sol(grid[idx])) - states[idx])))
         checks.append(_check(f"closed_vs_rk4_{fam.tag}", dev, 1e-7))
 
-        if sol.constant_speed:
+        if fam.constant_speed:
             G = fam.default_penalties()
             speeds = np.einsum("i,ni->n", G.weights, states ** 2)
             drift = float(np.max(np.abs(speeds - speeds[0])))

@@ -56,7 +56,8 @@ def test_length_of_numeric_solution_matches_initial_speed(name, dim):
 
 @pytest.mark.parametrize("route", ["constant_speed", "simpson", "gauss_legendre"])
 def test_length_rejects_penalties_of_the_wrong_dimension(route):
-    # each used to end in numpy's "shapes not aligned"
+    # each used to end in numpy's "shapes not aligned"; a constant-speed
+    # family's closed form takes the Gauss-Legendre route too
     if route == "constant_speed":
         sol = qb.solve_closed_form(ClosedFormFamily("ho4_equal_penalty"),
                                    np.array([0.0, 0.3, -0.2, 1.0]))
@@ -418,8 +419,63 @@ def test_tiny_constant_speed_length_is_not_zero():
     # the squared speed underflows to 0.0 below about 1e-162
     sol = qb.solve_closed_form(ClosedFormFamily("ho4_equal_penalty"),
                                [0.0, 0.0, 0.0, 1e-170])
-    assert qb.length(sol, qb.PenaltyMatrix.identity(4)) == 1e-170
-    assert qb.length(sol, qb.PenaltyMatrix.diagonal([1.0, 1.0, 1.0, 4.0])) == 2e-170
+    assert qb.length(sol, qb.PenaltyMatrix.identity(4)) == pytest.approx(
+        1e-170, rel=1e-15)
+    assert qb.length(sol, qb.PenaltyMatrix.diagonal([1.0, 1.0, 1.0, 4.0])) == (
+        pytest.approx(2e-170, rel=1e-15))
+    assert qb.length(sol, qb.PenaltyMatrix.diagonal([1.0, 1.0, 1.0, 1e300])) == (
+        pytest.approx(1e-20, rel=1e-15))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+@pytest.mark.parametrize("route", ["simpson", "gauss_legendre"])
+def test_tiny_length_is_at_least_the_initial_speed(route, scale):
+    # both velocities are constant, so the length is ||v0||_G; the squared
+    # speed underflows, and used to make the length 0.0 (at scale 1e300 the
+    # squares underflow before the weights multiply them)
+    if route == "simpson":
+        v0 = np.array([0.0, 0.0, 0.0, 1e-170])
+        G = qb.PenaltyMatrix.diagonal(scale * np.array([1.0, 2.0, 3.0, 4.0]))
+        sol = qb.solve_numeric(qb.builtin("ho4"), qb.PenaltyMatrix.identity(4), v0)
+    else:
+        v0 = np.array([0.0, 1e-170, -2e-170, 3e-170, 0.0])
+        G = qb.PenaltyMatrix.diagonal(scale * np.array([1.0, 100, 100, 100, 100]))
+        sol = qb.solve_closed_form(ClosedFormFamily("anharm_p", p=100.0), v0)
+    norm = math.hypot(*(np.sqrt(G.weights) * v0))
+    assert qb.length(sol, G) >= norm * (1 - 1e-12)
+
+
+def _dense_length(sol, G, n=100_001):
+    s = np.linspace(0.0, 1.0, n)
+    return qb.bounds.simpson(np.sqrt(sol(s) ** 2 @ G.weights), s)
+
+
+@pytest.mark.parametrize("fam,v0,weights", [
+    # length 3.74821836951; the speed at s = 0 is 3.16228
+    (ClosedFormFamily("ho4_equal_penalty"), [0.0, 1.0, 0.0, 3.0], [1, 1, 9, 1]),
+    (ClosedFormFamily("ho4_equal_penalty"), [0.4, -1.1, 0.7, 1.5], [2, 1, 5, 0.5]),
+    (ClosedFormFamily("sp2_J_equal_penalty"), [0.9, -0.3, 1.2], [4, 1, 1]),
+    (ClosedFormFamily("coupled_pq", q=1.0, p=10.0), [0.7, -0.4, 0.5, -0.3],
+     [1, 1, 1, 3]),
+    (ClosedFormFamily("coupled_pq", q=2.0, p=3.0), [1.5, 0.2, -0.8, 0.6],
+     [1, 2, 3, 0.5]),
+], ids=["ho4_motivation", "ho4", "sp2_J", "coupled_p10", "coupled_q2p3"])
+def test_rotation_family_length_under_other_penalties(fam, v0, weights):
+    # the speed is constant only under the family's own penalties; under
+    # others the length used to be the speed at s = 0
+    sol = qb.solve_closed_form(fam, v0)
+    G = qb.PenaltyMatrix.diagonal(weights)
+    assert qb.length(sol, G) == pytest.approx(_dense_length(sol, G), abs=1e-9)
+
+
+def test_tiny_cubic_target_is_bounded_by_its_path_length():
+    # 4 v1 + phi rounds to phi: the elliptic form used to give 0.0
+    target = qb.TargetSpec.anharm_cubic(1.0, 0.125, 3.745e-62, g11=1.0, p=1.0)
+    c = qb.matching.target_coefficients(target)
+    norm = math.hypot(*c)      # ||c||_G with g11 = p = 1
+    assert qb.bound(target).value >= norm * (1 - 1e-12)
+    curve = qb.bound_curve(target, np.array([0.0, 3.745e-62, 1.0]))
+    assert curve.value[1] >= norm * (1 - 1e-12)
 
 
 _TINY_TIMES = [0.0, 5e-324, 1e-170, 1e-155, 1.0]

@@ -744,6 +744,26 @@ def test_family_with_invalid_penalties_is_refused_when_built(tag, penalties):
         ClosedFormFamily(tag, **penalties)
 
 
+@pytest.mark.parametrize("tag,penalties", [
+    ("ho4_equal_penalty", {"q": -5.0, "p": np.nan}),
+    ("sp2_J_equal_penalty", {"p": 2.0}),
+    ("anharm_p", {"q": 2.0, "p": 100.0}),
+])
+def test_family_refuses_penalties_it_does_not_take(tag, penalties):
+    with pytest.raises(qb.FamilyMismatch, match="takes no penalty"):
+        ClosedFormFamily(tag, **penalties)
+
+
+def test_closed_form_builds_no_penalty_matrix(monkeypatch):
+    # the family keeps the matrix it checked when it was built
+    fam = ClosedFormFamily("coupled_pq", q=1.0, p=10.0)
+    built = []
+    monkeypatch.setattr(qb.PenaltyMatrix, "__post_init__",
+                        lambda self: built.append(self))
+    qb.solve_closed_form(fam, np.array([0.7, -0.4, 0.5, -0.3]))
+    assert built == []
+
+
 @pytest.mark.parametrize("q,p", [(3.0, 1.0), (5.0, 0.5)])
 def test_coupled_closed_form_is_exact_for_q_above_p(q, p):
     # p >= q is the coupled target's rule, not the closed form's
@@ -751,7 +771,7 @@ def test_coupled_closed_form_is_exact_for_q_above_p(q, p):
     v0 = np.array([0.7, -0.4, 0.5, -0.3])
     grid, states = integrate_rk4(fam.governing_rhs(), v0, qb.euler_arnold.DEFAULT_STEP)
     sol = qb.solve_closed_form(fam, v0)
-    assert sol.constant_speed
+    assert fam.constant_speed
     dev = np.max(np.abs(sol(grid[::50]) - states[::50]))
     assert dev <= 1e-7
 
@@ -786,7 +806,7 @@ def test_closed_form_speed_exactly_constant(fam, dim):
     s = np.linspace(0.0, 1.0, 100)
     speeds = np.einsum("i,ni->n", G.weights, np.atleast_2d(sol(s)) ** 2)
     assert np.max(np.abs(speeds - speeds[0])) <= 1e-12 * (1.0 + speeds[0])
-    assert sol.constant_speed
+    assert fam.constant_speed
 
 
 def test_ho4_conserved_components_under_equal_penalties():

@@ -171,9 +171,12 @@ def test_bound_agrees_with_match(target):
         assert res.caveats[len(res.caveats) - len(m.notes):] == m.notes
     # the elliptic branch of the cubic length gives SciPy's np.float64 (the
     # golden file stores its repr); every other value is a float
-    elliptic = (target.system == "anharm_cubic" and not res.is_divergent
-                and res.v0[0] != 0.0
-                and math.hypot(res.extras["B"], res.extras["C"]) != 0.0)
+    if target.system == "anharm_cubic" and not res.is_divergent:
+        B, C = res.extras["B"], res.extras["C"]
+        phi = math.atan2(B, C)
+        elliptic = math.hypot(B, C) != 0.0 and 4.0 * res.v0[0] + phi != phi
+    else:
+        elliptic = False
     assert type(res.value) is (np.float64 if elliptic else float)
     assert all(type(x) is float for x in res.extras.values())
 
@@ -215,7 +218,7 @@ def test_bound_is_at_least_the_one_parameter_path(target):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "known defect: near v1 = 0 the cubic length loses about 1e-16/|v1| "
     "relative to the cancellation of ROADMAP item 1, which can take it "
-    "below ||c||_G; once 4 v1 + phi rounds to phi it is 0.0"))
+    "below ||c||_G"))
 @settings(max_examples=100, deadline=None, derandomize=True,
           report_multiple_bugs=False,
           phases=(Phase.explicit, Phase.generate))   # no shrinking: stays fast
