@@ -14,7 +14,9 @@ integrator of that equation, and the closed-form solution families for the
 systems where the equations decouple into rotations.  A numeric solution
 is evaluated off its grid by a cubic Hermite interpolant through the grid
 states and their exact slopes, written in numpy (the module needs no
-SciPy).
+SciPy).  The interpolant is built on the solution's first evaluation:
+``solve_numeric`` itself only integrates, and a solution that is only
+measured or read through its states never pays for the slopes.
 
 ``rhs``, ``solve_numeric`` and ``ClosedFormFamily.governing_rhs`` describe
 their equation as a quadratic field: a coefficient table c_IJK and weights
@@ -140,9 +142,11 @@ class VelocitySolution:
     velocity components, shape (dim,) or (n, dim).  A closed form's
     evaluator is its :class:`TrigFamily`, which also gives its
     antiderivative; a numeric solution carries its RK4 ``grid`` and
-    ``states``.  The penalties that shaped the solution are not kept on it:
-    ``bounds.length(sol, G)`` takes them as its own argument and measures
-    the solution's speed under them, whatever penalties it was solved at.
+    ``states``, and its evaluator builds the Hermite interpolant through
+    them on its first call.  The penalties that shaped the solution are
+    not kept on it: ``bounds.length(sol, G)`` takes them as its own
+    argument and measures the solution's speed under them, whatever
+    penalties it was solved at.
     """
 
     algebra: str
@@ -535,27 +539,52 @@ def integrate_rk4(field, v0, h: float):
     return grid, states
 
 
-def _grid_interpolator(grid, states, derivs):
-    """Cubic Hermite interpolant through the grid states and their slopes.
+class _HermiteGrid:
+    """Cubic Hermite interpolant through the RK4 grid states and their
+    slopes, the field at each state.
 
-    The per-interval coefficients and the power-sum evaluation are those of
-    SciPy's ``CubicHermiteSpline``; s is clipped to [0, 1].
+    Holds only the field, the grid and the states; the slopes and the
+    per-interval coefficients are computed on the first evaluation and then
+    kept (two threads that evaluate first each compute the same arrays).
+    The coefficients and the power-sum evaluation are those of SciPy's
+    ``CubicHermiteSpline``.  ``s`` is a scalar or a 1-d array of finite
+    values, clipped to [0, 1]; a non-finite or higher-dimensional ``s``
+    raises ``ValueError``.
     """
-    dx = np.diff(grid)[:, None]
-    slope = np.diff(states, axis=0) / dx
-    t = (derivs[:-1] + derivs[1:] - 2 * slope) / dx
-    c0, c1 = states[:-1], derivs[:-1]
-    c2, c3 = (slope - derivs[:-1]) / dx - t, t / dx
-    last = len(grid) - 2
 
-    def ev(s):
-        s_arr = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, 1.0)
-        i = np.clip(np.searchsorted(grid, s_arr, side="right") - 1, 0, last)
-        d = (s_arr - grid[i])[:, None]
+    __slots__ = ("field", "grid", "states", "_coeffs")
+
+    def __init__(self, field, grid, states):
+        self.field, self.grid, self.states = field, grid, states
+        self._coeffs = None
+
+    def _coefficients(self):
+        coeffs = self._coeffs
+        if coeffs is None:
+            grid, states = self.grid, self.states
+            derivs = self.field.rows(states)
+            dx = np.diff(grid)[:, None]
+            slope = np.diff(states, axis=0) / dx
+            t = (derivs[:-1] + derivs[1:] - 2 * slope) / dx
+            coeffs = self._coeffs = (states[:-1], derivs[:-1],
+                                     (slope - derivs[:-1]) / dx - t, t / dx)
+        return coeffs
+
+    def __call__(self, s):
+        s_arr = np.asarray(s, dtype=float)
+        if s_arr.ndim > 1:
+            raise ValueError(f"s must be a scalar or a 1-d array, got shape "
+                             f"{s_arr.shape}")
+        if not np.isfinite(s_arr).all():
+            raise ValueError("s must be finite, got a nan or an infinity")
+        c0, c1, c2, c3 = self._coefficients()
+        grid = self.grid
+        s_clip = np.clip(np.atleast_1d(s_arr), 0.0, 1.0)
+        i = np.clip(np.searchsorted(grid, s_clip, side="right") - 1, 0, len(grid) - 2)
+        d = (s_clip - grid[i])[:, None]
         z = d * d
         out = c0[i] + c1[i] * d + c2[i] * z + c3[i] * (z * d)
-        return out[0] if np.ndim(s) == 0 else out
-    return ev
+        return out[0] if s_arr.ndim == 0 else out
 
 
 def solve_numeric(
@@ -569,7 +598,9 @@ def solve_numeric(
     The dense grid states are kept on the solution so that downstream
     quadrature shares the integrator's discretization; off-grid evaluation
     interpolates with a cubic Hermite spline through the exact slopes
-    (:func:`_grid_interpolator`).
+    (:class:`_HermiteGrid`), built on the solution's first evaluation, so
+    a solution that is only measured (``bounds.length``) or read through
+    its ``states`` never builds it.
     """
     v0 = np.asarray(v0, dtype=float)
     field = _QuadraticField(algebra.f, G.weights)
@@ -577,7 +608,7 @@ def solve_numeric(
     return VelocitySolution(
         algebra=algebra.name,
         v0=v0,
-        evaluator=_grid_interpolator(grid, states, field.rows(states)),
+        evaluator=_HermiteGrid(field, grid, states),
         grid=grid,
         states=states,
     )

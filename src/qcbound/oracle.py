@@ -257,15 +257,29 @@ def _block_length(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (2 * n) ** 2))
 
 
+def _largest_one_norm(A: np.ndarray) -> float:
+    """max_k ||A_k||_1 of a (k, n, n) stack: the largest column sum of |A|.
+
+    One pass: with the row axis first and the rest flattened, numpy adds
+    the n rows one after the other over a long inner loop.  These are the
+    additions, in the same order, of ``np.sum(np.abs(A), axis=-2)``, so the
+    result is the same double, without that reduction's inner loops of
+    length n.  A non-finite entry gives a non-finite value.
+    """
+    n = A.shape[-1]
+    return float(np.add.reduce(np.abs(A).swapaxes(0, 1).reshape(n, -1)).max())
+
+
 def _expm_taylor(A: np.ndarray) -> np.ndarray:
     """exp of every matrix in a (k, n, n) stack by a scaled Taylor polynomial.
 
-    The stack's largest 1-norm theta sets one scaling 2^-j (theta <= 1/2
-    afterwards) and the smallest degree whose remainder bound
-    theta^(m+1)/(m+1)! / (1 - theta/(m+2)) is below 2^-53 (Higham 2005;
-    Al-Mohy & Higham 2009).  A non-finite stack gives non-finite factors.
+    The stack's largest 1-norm theta (:func:`_largest_one_norm`) sets one
+    scaling 2^-j (theta <= 1/2 afterwards) and the smallest degree whose
+    remainder bound theta^(m+1)/(m+1)! / (1 - theta/(m+2)) is below 2^-53
+    (Higham 2005; Al-Mohy & Higham 2009).  A non-finite stack gives
+    non-finite factors.
     """
-    theta = float(np.max(np.sum(np.abs(A), axis=-2)))
+    theta = _largest_one_norm(A)
     if not math.isfinite(theta):
         return np.full_like(A, np.nan)
     squarings = 0
@@ -398,7 +412,9 @@ def exponential_of_coefficients(rep, coeffs_at_1) -> np.ndarray:
     """Single exponential exp(-i sum_I c_I M_I) for comparison.
 
     One coefficient per generator; any other count raises ``DimMismatch``,
-    and a ``nan`` or infinite coefficient raises ``ValueError``.
+    and a ``nan`` or infinite coefficient raises ``ValueError``.  Finite
+    coefficients whose exponent or exponential overflows raise
+    ``NumericBlowup`` (at s = 1), with no numpy warning.
     """
     mats = rep.matrices
     if np.shape(coeffs_at_1) != (len(mats),):
@@ -406,8 +422,14 @@ def exponential_of_coefficients(rep, coeffs_at_1) -> np.ndarray:
                           f"but the representation has {len(mats)} generators")
     if not np.all(np.isfinite(coeffs_at_1)):
         raise ValueError(f"coefficients must be finite, got {list(coeffs_at_1)!r}")
-    A = sum(c * M for c, M in zip(coeffs_at_1, mats))
-    return _expm_taylor((-1j * A)[None])[0]
+    # overflow is detected and reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = sum(c * M for c, M in zip(coeffs_at_1, mats))
+        U = _expm_taylor((-1j * A)[None])[0]
+    if not np.all(np.isfinite(U)):
+        raise NumericBlowup("the exponential of these coefficients overflows",
+                            s_reached=1.0)
+    return U
 
 
 def spectrum_period_check(rep: MatrixRep, omega: float) -> float:

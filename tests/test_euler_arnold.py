@@ -11,10 +11,12 @@ also checked bit for bit against the Python step directly, and the
 fallback under each way of not getting a kernel.
 """
 
+import math
 import numbers
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -470,6 +472,132 @@ def test_field_rows_equal_the_field_at_each_row(name):
     field = _QuadraticField(alg.f, rng.uniform(0.2, 5.0, alg.dim))
     X = rng.uniform(-2.0, 2.0, (50, alg.dim))
     assert np.array_equal(field.rows(X), [field(x) for x in X])
+
+
+def eager_coefficients(grid, states, derivs):
+    """The Hermite coefficients of a numeric solution as they were computed
+    before the interpolant became lazy.  The reference for their bytes."""
+    dx = np.diff(grid)[:, None]
+    slope = np.diff(states, axis=0) / dx
+    t = (derivs[:-1] + derivs[1:] - 2 * slope) / dx
+    c0, c1 = states[:-1], derivs[:-1]
+    c2, c3 = (slope - derivs[:-1]) / dx - t, t / dx
+    return c0, c1, c2, c3
+
+
+def eager_interpolator(grid, states, derivs):
+    """The interpolant over :func:`eager_coefficients`, all built up front."""
+    c0, c1, c2, c3 = eager_coefficients(grid, states, derivs)
+    last = len(grid) - 2
+
+    def ev(s):
+        s_arr = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, 1.0)
+        i = np.clip(np.searchsorted(grid, s_arr, side="right") - 1, 0, last)
+        d = (s_arr - grid[i])[:, None]
+        z = d * d
+        out = c0[i] + c1[i] * d + c2[i] * z + c3[i] * (z * d)
+        return out[0] if np.ndim(s) == 0 else out
+    return ev
+
+
+@pytest.fixture
+def rows_calls(monkeypatch):
+    """Counts the calls of ``_QuadraticField.rows``, the Hermite slopes."""
+    calls = []
+    rows = _QuadraticField.rows
+
+    def counted(self, X):
+        calls.append(len(X))
+        return rows(self, X)
+
+    monkeypatch.setattr(_QuadraticField, "rows", counted)
+    return calls
+
+
+def test_dense_output_is_built_on_first_evaluation(rows_calls):
+    alg = qb.builtin("sp4_T10")
+    G = qb.PenaltyMatrix.diagonal(np.linspace(0.5, 2.0, alg.dim))
+    sol = qb.solve_numeric(alg, G, RNG.uniform(-1.0, 1.0, alg.dim))
+    qb.length(sol, G)
+    assert sol.states.shape == (len(sol.grid), alg.dim)
+    assert rows_calls == []
+    first = sol(np.linspace(0.0, 1.0, 7))
+    sol(0.3)
+    assert rows_calls == [len(sol.grid)]
+    # the kept arrays serve every later call
+    assert np.array_equal(sol(np.linspace(0.0, 1.0, 7)), first)
+    assert rows_calls == [len(sol.grid)]
+
+
+def test_threads_evaluating_first_get_the_same_values():
+    # a race on the first evaluation at most builds the arrays twice
+    alg = qb.builtin("coupled_M4")
+    G = qb.PenaltyMatrix.identity(alg.dim)
+    v0 = [0.4, -0.3, 0.8, 0.1]
+    s = np.linspace(-0.1, 1.1, 301)
+    want = qb.solve_numeric(alg, G, v0, h=1e-3)(s).tobytes()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            sol = qb.solve_numeric(alg, G, v0, h=1e-3)
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(sol(s).tobytes()))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("name", qb.builtin_names())
+def test_lazy_dense_output_equals_the_eager_interpolant(name):
+    alg = qb.builtin(name)
+
+    @settings(max_examples=12, deadline=None)
+    @given(v0=st.lists(st.floats(-1.5, 1.5), min_size=alg.dim, max_size=alg.dim),
+           w=st.lists(st.floats(0.2, 5.0), min_size=alg.dim, max_size=alg.dim),
+           h=st.sampled_from([MAX_STEP, 1e-3, DEFAULT_STEP]),
+           s=st.lists(st.floats(-0.5, 1.5), max_size=40),
+           point=st.floats(-2.0, 2.0), data=st.data())
+    def check(v0, w, h, s, point, data):
+        G = qb.PenaltyMatrix.diagonal(w)
+        sol = qb.solve_numeric(alg, G, v0, h=h)
+        derivs = _QuadraticField(alg.f, G.weights).rows(sol.states)
+        want = eager_interpolator(sol.grid, sol.states, derivs)
+        on_grid = data.draw(st.lists(st.sampled_from(sol.grid.tolist()), max_size=10))
+        s = np.array(s + on_grid + [0.0, 1.0, -1e-12, 1.0 + 1e-12])
+        got = sol(s)
+        assert got.shape == (len(s), alg.dim)
+        assert got.tobytes() == want(s).tobytes()
+        for x in (point, 0.0, 1.0, np.float64(point)):
+            assert sol(x).tobytes() == want(x).tobytes()
+        assert sol(np.array([])).tobytes() == want(np.array([])).tobytes()
+        # the kept coefficients too, whose last bits rarely reach a value
+        kept = sol.evaluator._coeffs
+        for got_c, want_c in zip(kept, eager_coefficients(sol.grid, sol.states, derivs),
+                                 strict=True):
+            assert got_c.tobytes() == want_c.tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("s,match", [
+    (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+    ([0.2, math.nan], "finite"), (np.array([[0.1, 0.2]]), r"shape \(1, 2\)"),
+    ([[0.5]], r"shape \(1, 1\)"),
+], ids=["nan", "inf", "-inf", "nan-in-array", "row", "1x1"])
+def test_numeric_solution_rejects_a_non_finite_or_2d_s(s, match, rows_calls):
+    # a nan used to give a silent nan row, a 2-d s numpy's broadcast error
+    alg = qb.builtin("sp2_J")
+    sol = qb.solve_numeric(alg, qb.PenaltyMatrix.identity(3), [0.3, -0.2, 0.5])
+    with pytest.raises(ValueError, match=f"^s must .*{match}"):
+        sol(s)
+    assert rows_calls == []      # refused before the interpolant is built
 
 
 @pytest.mark.parametrize("name,weights,count", [

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,66 @@ def test_exponential_of_coefficients_rejects_a_non_finite_coefficient(bad):
     # used to return an all-nan matrix
     with pytest.raises(ValueError, match="coefficients must be finite"):
         oracle.exponential_of_coefficients(qb.matrix_rep("sp2_J"), [bad, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("name,coeffs", [
+    ("sp2_J", [1e308] * 3),              # the exponent itself overflows
+    ("sp2_J", [1e3, 0.0, 0.0]),          # exp(1000 sigma_x) overflows
+    ("sp4_T10", [1e200] * 10),
+], ids=["exponent", "exponential", "sp4_T10"])
+def test_exponential_of_overflowing_coefficients_is_a_blowup(name, coeffs):
+    # used to return a silent nan (or inf) matrix and warn from numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qb.NumericBlowup, match="overflows") as info:
+            oracle.exponential_of_coefficients(qb.matrix_rep(name), coeffs)
+    assert info.value.s_reached == 1.0
+
+
+def _column_sum_max(A):
+    """The Taylor exponential's theta as it was first written."""
+    return float(np.max(np.sum(np.abs(A), axis=-2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 2, 4, 16, 32]), k=st.integers(1, 64),
+       is_complex=st.booleans(), spread=st.integers(0, 60),
+       seed=st.integers(0, 2 ** 32 - 1),
+       planted=st.lists(st.tuples(st.integers(0, 2 ** 20),
+                                  st.floats(allow_nan=False, allow_infinity=False)),
+                        max_size=4))
+def test_one_pass_norm_is_the_column_sum_max(n, k, is_complex, spread, seed, planted):
+    # bit for bit, over entries whose magnitudes differ by up to 2^60, so
+    # that any other order of the additions would round differently
+    rng = np.random.default_rng(seed)
+    shape = (k, n, n)
+    A = rng.standard_normal(shape) * 2.0 ** rng.integers(-spread, spread + 1, shape)
+    if is_complex:
+        A = A + 1j * rng.standard_normal(shape) * 2.0 ** rng.integers(0, spread + 1, shape)
+    for index, value in planted:
+        A.flat[index % A.size] = value
+    with np.errstate(over="ignore"):
+        want = _column_sum_max(A)
+        got = oracle._largest_one_norm(A)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                 complex(math.inf, 0.0), complex(0.0, math.nan),
+                                 complex(math.nan, math.inf)],
+                         ids=["inf", "-inf", "nan", "inf+0j", "nan*1j", "nan+inf*1j"])
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
+def test_a_non_finite_stack_takes_the_non_finite_path(bad, n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((3, n, n)) * (1.0 if isinstance(bad, float) else 1.0 + 0j)
+    A[1, n - 1, 0] = bad
+    theta = oracle._largest_one_norm(A)
+    assert not math.isfinite(theta)
+    assert math.isnan(theta) == math.isnan(_column_sum_max(A))
+    if not math.isnan(theta):
+        assert theta == _column_sum_max(A)
+    P = oracle._expm_taylor(A)
+    assert P.shape == A.shape and P.dtype == A.dtype and np.isnan(P).all()
 
 
 # ---------------------------------------------------------------------------
