@@ -13,10 +13,11 @@ The module provides the generic right-hand side, a fixed-step fourth-order
 integrator of that equation, and the closed-form solution families for the
 systems where the equations decouple into rotations.  A numeric solution
 is evaluated off its grid by a cubic Hermite interpolant through the grid
-states and their exact slopes, written in numpy (the module needs no
-SciPy).  The interpolant is built on the solution's first evaluation:
-``solve_numeric`` itself only integrates, and a solution that is only
-measured or read through its states never pays for the slopes.
+states and their exact slopes, the field at each state.  The integrator
+writes those slopes as it goes (the first stage of each step is the field
+at its state), so nothing is built afterwards and nothing but the states
+and slopes is kept: each evaluation computes the coefficients of the
+intervals it touches and no others (the module needs no SciPy).
 
 ``rhs``, ``solve_numeric`` and ``ClosedFormFamily.governing_rhs`` describe
 their equation as a quadratic field: a coefficient table c_IJK and weights
@@ -37,20 +38,26 @@ Python, so the states equal (``==``) those of a plain numpy RK4 loop over
 (S_I all zero, e.g. V^E and V^H of ``ho4``) gets no stage, stage input or
 update, since each would add 0.0 to its state; the stages read the state
 itself.  The only trace of this is the sign of a zero: the numpy loop can
-turn a conserved -0.0 into 0.0, the step keeps it.  The Python step
-returns each chunk of rows as one flat list of floats, read by
-``np.fromiter``.
+turn a conserved -0.0 into 0.0, the step keeps it.  The slope of a state
+is its first stage's value written as a sum from 0.0, (0.0 + sum) / w_I:
+the stage value, but 0.0 where the sum is a zero and for a conserved
+component, as a numpy loop that adds the terms to a zero array writes it.
+The Python step returns each chunk of rows, and of slopes, as one flat
+list of floats, read by ``np.fromiter``.
 
-The kernel gives the Python step's states, signs of zeros included, in a
-tenth of the time or less.  A process loads it with ``ctypes`` on its
+The kernel gives the Python step's states and slopes, signs of zeros
+included, in a tenth of the time or less, and also evaluates the Hermite
+interpolant (``hermite_at``) as the numpy evaluator :func:`_numpy_hermite`
+does, operation for operation.  A process loads it with ``ctypes`` on its
 first ``integrate_rk4`` from a private per-user cache
 (``$XDG_CACHE_HOME/qcbound`` or ``~/.cache/qcbound``, else a 0700
 ``qcbound-<uid>`` temp directory), building it there on a miss with the
 platform ``cc`` (``-O2 -ffp-contract=off``, so that no product and sum is
-fused), and uses it only once it has written the Python step's states bit
-for bit on a test field.  No compiler, no usable cache, a failed or
-timed-out build or a failed check leave the Python step in use; nothing
-but what the process finds selects the backend.
+fused), and uses it only once it has written the Python step's states and
+slopes, and the numpy evaluator's values, bit for bit on a test field.
+No compiler, no usable cache, a failed or timed-out build or a failed
+check leave the Python step and the numpy evaluator in use; nothing but
+what the process finds selects the backend.
 
 Every closed-form family is one :class:`TrigFamily`: the velocity is a
 fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
@@ -141,12 +148,14 @@ class VelocitySolution:
     ``evaluator`` accepts a scalar or 1-d array of s values and returns the
     velocity components, shape (dim,) or (n, dim).  A closed form's
     evaluator is its :class:`TrigFamily`, which also gives its
-    antiderivative; a numeric solution carries its RK4 ``grid`` and
-    ``states``, and its evaluator builds the Hermite interpolant through
-    them on its first call.  The penalties that shaped the solution are
-    not kept on it: ``bounds.length(sol, G)`` takes them as its own
-    argument and measures the solution's speed under them, whatever
-    penalties it was solved at.
+    antiderivative; a numeric solution carries its RK4 ``grid``, ``states``
+    and ``slopes`` (the field at each state, written by the integrator),
+    and its evaluator is the Hermite interpolant through them, which keeps
+    nothing else.  ``v0`` is the solver's own copy; it and the arrays are
+    read-only.  The penalties that shaped the solution are not kept on
+    it: ``bounds.length(sol, G)`` takes them as its own argument and
+    measures the solution's speed under them, whatever penalties it was
+    solved at.
     """
 
     algebra: str
@@ -154,6 +163,7 @@ class VelocitySolution:
     evaluator: Callable[[np.ndarray], np.ndarray]
     grid: np.ndarray | None = None
     states: np.ndarray | None = None
+    slopes: np.ndarray | None = None
 
     def __call__(self, s):
         return self.evaluator(s)
@@ -224,7 +234,8 @@ class _QuadraticField:
     field evaluates that sum with ``einsum``, which :func:`rhs` returns;
     :func:`integrate_rk4` instead runs the C kernel ``_rk4.c`` or its
     generated Python twin (:func:`_compile_rk4`), over the same nonzero
-    terms, which round exactly as that ``einsum`` does.
+    terms, which round exactly as that ``einsum`` does, and writes the
+    field at each state as it goes.
     The compiled step leaves out the zeros of S, which ``einsum``
     multiplies out; that changes nothing while the state is finite, and
     the first non-finite row is the same unless a stage state overflows in
@@ -258,23 +269,14 @@ class _QuadraticField:
     def __call__(self, V):
         return np.einsum("ijk,j,k->i", self.S, V, V) / self.w
 
-    def rows(self, X):
-        """The field at each row of ``X``, shape (n, d): the compiled step's
-        terms in its order, each one numpy operation over the rows, so row
-        n equals ``self(X[n])`` (``==``)."""
-        X = np.ascontiguousarray(X.T)
-        out = np.zeros(X.shape)
-        for i, j, k in zip(*np.nonzero(self.S)):
-            out[i] += self.S[i, j, k] * X[j] * X[k]
-        return (out / self.w[:, None]).T
 
-
-def _stage_source(S, w, u, out):
+def _stage_source(S, w, u, out, sums=None):
     """Lines computing ``out_i`` = field(u)_i, the C kernel's ``stage()``
     written out: for each component i with terms, in ``np.nonzero(S)``
     order, the sum of (S_ijk u_j) u_k from its first term, divided by w_i
-    unless w_i is 1.0.  A component without terms is conserved and gets
-    no line."""
+    unless w_i is 1.0.  With ``sums``, that sum is first named
+    ``{sums}{i}`` and then divided, so that the slope can test it.  A
+    component without terms is conserved and gets no line."""
     lines = []
     for i in range(len(w)):
         j, k = np.nonzero(S[i])
@@ -282,9 +284,12 @@ def _stage_source(S, w, u, out):
             continue
         expr = " + ".join(f"{c!r}*{u[a]}*{u[b]}"
                           for c, a, b in zip(S[i, j, k].tolist(), j, k))
-        if w[i] != 1.0:
-            expr = f"({expr})/{float(w[i])!r}"
-        lines.append(f"{out}{i} = {expr}")
+        if w[i] == 1.0:
+            lines.append(f"{out}{i} = {expr}")
+        elif sums is None:
+            lines.append(f"{out}{i} = ({expr})/{float(w[i])!r}")
+        else:
+            lines += [f"{sums}{i} = {expr}", f"{out}{i} = {sums}{i}/{float(w[i])!r}"]
     return lines
 
 
@@ -292,8 +297,9 @@ def _stage_source(S, w, u, out):
 def _compile_rk4(table: bytes, weights: bytes, hs: float):
     """Generate and compile ``rows(v, count)`` for one (table, weights, step).
 
-    ``rows`` returns the ``count`` RK4 states after the state ``v`` as one
-    flat list, row after row.
+    ``rows`` returns the ``count`` RK4 states after the state ``v`` and the
+    ``count + 1`` slopes at ``v`` and at each of them, as two flat lists,
+    row after row.
 
     The step body is straight-line float code that performs the C kernel's
     (``_rk4.c``) operations one for one and in its order: four stages from
@@ -303,13 +309,15 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
     inputs and its update are its state: the step computes no stage, stage
     input or update for it, and the stages read its state.  A numpy loop
     adds those zeros, which can turn a -0.0 into 0.0; the states stay
-    ``==``.
+    ``==``.  The slope of a state is its first stage ``a``, but 0.0 where
+    the sum is a zero and for a conserved component: (0.0 + sum) / w_i.
+    After the last step one more first stage gives the last slope.
     The source holds only identifiers and the reprs of finite floats, which
     read back as the same doubles.
 
     This step is the reference of the C kernel, which must write its states
-    bit for bit before :func:`integrate_rk4` uses it, and the integrator
-    wherever that kernel is not available.
+    and slopes bit for bit before :func:`integrate_rk4` uses it, and the
+    integrator wherever that kernel is not available.
     """
     w = np.frombuffer(weights)
     d = len(w)
@@ -317,7 +325,10 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
     moving = [i for i in range(d) if S[i].any()]
     half, sixth = 0.5 * hs, hs / 6.0
     v = [f"v{i}" for i in range(d)]
-    body = _stage_source(S, w, v, "a")
+    slope = [f"a{i} if {'a' if w[i] == 1.0 else 'x'}{i} else 0.0"
+             if i in moving else "0.0" for i in range(d)]
+    first = _stage_source(S, w, v, "a", sums="x") + [f"derive(({', '.join(slope)},))"]
+    body = list(first)
     for prev, scale, u, out in (("a", half, "p", "b"), ("b", half, "q", "e"),
                                 ("e", hs, "r", "k")):
         body += [f"{u}{i} = v{i} + {scale!r}*{prev}{i}" for i in moving]
@@ -328,9 +339,12 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
     state = ", ".join(v) + ","
     src = "\n".join(
         ["def rows(v, count):", f"    {state} = v",
-         "    out = []", "    extend = out.extend", "    for _ in range(count):"]
+         "    out = []", "    extend = out.extend",
+         "    slopes = []", "    derive = slopes.extend", "    for _ in range(count):"]
         + [f"        {line}" for line in body]
-        + [f"        extend(({state}))", "    return out"])
+        + [f"        extend(({state}))"]
+        + [f"    {line}" for line in first]
+        + ["    return out, slopes"])
     namespace = {}
     exec(compile(src, f"<rk4 step, dim {d}>", "exec"), namespace)
     return namespace["rows"]
@@ -340,25 +354,30 @@ def _compile_rk4(table: bytes, weights: bytes, hs: float):
 _CHUNK_ROWS = 256
 
 
-def _python_rows(field, hs: float, states: np.ndarray) -> int:
-    """Fill ``states[1:]`` from ``states[0]`` with the field's generated
-    Python step (:func:`_compile_rk4`), a chunk of rows at a time; stops
-    after the first chunk with a non-finite row and returns the number of
-    rows written, row 0 included."""
+def _python_rows(field, hs: float, states: np.ndarray, slopes) -> int:
+    """Fill ``states[1:]`` from ``states[0]``, and ``slopes`` (unless None)
+    with the field at each state, with the field's generated Python step
+    (:func:`_compile_rk4`), a chunk of rows at a time; stops after the
+    first chunk with a non-finite row and returns the number of rows
+    written, row 0 included."""
     rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), hs)
     d = states.shape[1]
     state = states[0].tolist()
     for start in range(1, len(states), _CHUNK_ROWS):
         block = states[start:start + _CHUNK_ROWS]
-        chunk = rows(state, len(block))
+        chunk, derivs = rows(state, len(block))
         block[...] = np.fromiter(chunk, float, block.size).reshape(block.shape)
+        if slopes is not None:
+            # the slope at the block's first state: the previous block's last
+            slopes[start - 1:start + len(block)] = np.fromiter(
+                derivs, float, len(derivs)).reshape(-1, d)
         if not np.isfinite(block).all():
             return start + len(block)
         state = chunk[-d:]
     return len(states)
 
 
-def _kernel_rows(kernel, field, hs: float, states: np.ndarray) -> int:
+def _kernel_rows(kernel, field, hs: float, states: np.ndarray, slopes) -> int:
     """:func:`_python_rows` run by the C kernel ``rk4_rows`` (``_rk4.c``),
     which stops after the first non-finite row."""
     d = len(field.w)
@@ -367,9 +386,43 @@ def _kernel_rows(kernel, field, hs: float, states: np.ndarray) -> int:
     s = field.S[i, j, k]
     j, k = j.astype(np.intc), k.astype(np.intc)
     work = np.empty(5 * d)
-    return kernel(d, start.ctypes.data, j.ctypes.data, k.ctypes.data,
-                  s.ctypes.data, field.w.ctypes.data, hs, len(states) - 1,
-                  states.ctypes.data, work.ctypes.data)
+    slopes_at = None if slopes is None else slopes.ctypes.data
+    return kernel.rows(d, start.ctypes.data, j.ctypes.data, k.ctypes.data,
+                       s.ctypes.data, field.w.ctypes.data, hs, len(states) - 1,
+                       states.ctypes.data, slopes_at, work.ctypes.data)
+
+
+def _numpy_hermite(grid, states, slopes, s):
+    """The cubic Hermite interpolant through ``states`` and ``slopes`` on
+    ``grid`` at the 1-d array of finite ``s``, each clipped to [0, 1].
+
+    Only the intervals that ``s`` falls in are formed: their coefficients,
+    with SciPy's ``CubicHermiteSpline`` operations in its order (each one
+    elementwise, so an interval's coefficients do not depend on which
+    others are formed), and its power-sum evaluation
+    c0 + c1 d + c2 d^2 + c3 (d^2 d).  The C kernel's ``hermite_at`` is its
+    twin.
+    """
+    s = np.clip(s, 0.0, 1.0)
+    i = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, len(grid) - 2)
+    x0 = grid[i]
+    dx = (grid[i + 1] - x0)[:, None]
+    y0, k0 = states[i], slopes[i]
+    slope = (states[i + 1] - y0) / dx
+    t = (k0 + slopes[i + 1] - 2 * slope) / dx
+    d = (s - x0)[:, None]
+    z = d * d
+    return y0 + k0 * d + ((slope - k0) / dx - t) * z + t / dx * (z * d)
+
+
+def _kernel_hermite(kernel, grid, states, slopes, s):
+    """:func:`_numpy_hermite` run by the C kernel ``hermite_at``."""
+    s = np.ascontiguousarray(s)
+    out = np.empty((len(s), states.shape[1]))
+    kernel.hermite_at(states.shape[1], len(grid) - 1, grid.ctypes.data,
+                      states.ctypes.data, slopes.ctypes.data, len(s),
+                      s.ctypes.data, out.ctypes.data)
+    return out
 
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
@@ -432,10 +485,17 @@ def _build(compiler: str, target: str) -> None:
             os.remove(tmp)
 
 
+class _Kernel(NamedTuple):
+    """The two entry points of the built ``_rk4.c``."""
+
+    rows: Callable          # rk4_rows: states and slopes, as _python_rows
+    hermite_at: Callable    # the interpolant, as _numpy_hermite
+
+
 def _load_kernel():
-    """``rk4_rows`` of the cached kernel, built on a miss; None without a
-    compiler or a cache directory.  The file is named by a CRC of the
-    source, the flags, the compiler and the machine."""
+    """The cached kernel, built on a miss; None without a compiler or a
+    cache directory.  The file is named by a CRC of the source, the flags,
+    the compiler and the machine."""
     compiler = _compiler()
     directory = None if compiler is None else _cache_dir()
     if directory is None:
@@ -448,27 +508,38 @@ def _load_kernel():
     path = os.path.join(directory, f"rk4-{zlib.crc32(key, zlib.crc32(source)):08x}.so")
     if not os.path.exists(path):
         _build(compiler, path)
-    kernel = ctypes.CDLL(path).rk4_rows
-    kernel.restype = ctypes.c_int
-    kernel.argtypes = ([ctypes.c_int] + [ctypes.c_void_p] * 5
-                       + [ctypes.c_double, ctypes.c_int] + [ctypes.c_void_p] * 2)
-    return kernel
+    lib = ctypes.CDLL(path)
+    int_, double, ptr = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    rows, hermite_at = lib.rk4_rows, lib.hermite_at
+    rows.restype = int_
+    rows.argtypes = [int_] + [ptr] * 5 + [double, int_] + [ptr] * 3
+    hermite_at.restype = None
+    hermite_at.argtypes = [int_, int_] + [ptr] * 3 + [int_] + [ptr] * 2
+    return _Kernel(rows, hermite_at)
 
 
 def _kernel_agrees(kernel) -> bool:
-    """Whether ``kernel`` writes the Python step's states, bit for bit, on
-    a field with non-unit weights, negative coefficients and a conserved
-    component (V^3), which is -0.0 in one of the two runs."""
+    """Whether ``kernel`` writes the Python step's states and slopes, and
+    the numpy evaluator's values, bit for bit, on a field with non-unit
+    weights, negative coefficients and a conserved component (V^3), which
+    is -0.0 in one of the two runs; the values at -0.0, the ends, every
+    grid point, points between them and points outside [0, 1]."""
     c = np.zeros((4, 4, 4))
     c[0, 1, 2], c[0, 2, 3], c[0, 3, 3] = 1.5, -0.75, 0.25
     c[1, 0, 2], c[1, 3, 1] = -1.0, 2.0
     c[2, 0, 1], c[2, 1, 3], c[2, 2, 2] = 0.5, -3.0, -0.125
     field = _QuadraticField(c, [1.0, 0.5, 2.0, 3.0])
+    grid = np.linspace(0.0, 1.0, 101)
+    s = np.concatenate([[-0.0, 0.0, 1.0, -0.5, 1.5], grid, np.linspace(-0.1, 1.1, 97)])
     for v0 in ([0.3, -0.7, 1.1, -0.4], [-0.0, 0.9, 0.0, -0.0]):
-        want, got = np.zeros((2, 101, 4))
+        want, got, want_slopes, got_slopes = np.zeros((4, 101, 4))
         want[0] = got[0] = v0
-        if (_python_rows(field, 0.01, want) != _kernel_rows(kernel, field, 0.01, got)
-                or want.tobytes() != got.tobytes()):
+        if (_python_rows(field, 0.01, want, want_slopes)
+                != _kernel_rows(kernel, field, 0.01, got, got_slopes)
+                or want.tobytes() != got.tobytes()
+                or want_slopes.tobytes() != got_slopes.tobytes()
+                or _numpy_hermite(grid, want, want_slopes, s).tobytes()
+                != _kernel_hermite(kernel, grid, got, got_slopes, s).tobytes()):
             return False
     return True
 
@@ -476,8 +547,8 @@ def _kernel_agrees(kernel) -> bool:
 @functools.cache
 def _rk4_kernel():
     """The C kernel, loaded (and built on a cache miss) and checked against
-    the Python step once per process; None, so that the Python step runs,
-    when any of that fails."""
+    the Python step and the numpy evaluator once per process; None, so
+    that those run, when any of that fails."""
     try:
         kernel = _load_kernel()
     except (OSError, AttributeError):   # AttributeError: no os.getuid, no symbol
@@ -506,6 +577,14 @@ def integrate_rk4(field, v0, h: float):
     (:func:`_compile_rk4`); the two give the same doubles.  The first row
     with a non-finite component raises ``NumericBlowup`` at its s.
     """
+    grid, states, _ = _integrate(field, v0, h, keep_slopes=False)
+    return grid, states
+
+
+def _integrate(field, v0, h: float, keep_slopes: bool):
+    """:func:`integrate_rk4`, which returns (s_grid, states), plus the
+    slopes the step writes, the field at each state, or None for them
+    unless ``keep_slopes`` (the C kernel then writes none)."""
     if not isinstance(field, _QuadraticField):
         raise TypeError(f"integrate_rk4 takes a quadratic field, such as "
                         f"ClosedFormFamily.governing_rhs(), not "
@@ -524,51 +603,41 @@ def integrate_rk4(field, v0, h: float):
     n = int(round(1.0 / h))
     hs = 1.0 / n
     grid = np.linspace(0.0, 1.0, n + 1)
-    states = np.empty((n + 1, d))
+    if keep_slopes:
+        # one allocation for both, which the allocator reuses as one block
+        states, slopes = np.empty((2, n + 1, d))
+    else:
+        states, slopes = np.empty((n + 1, d)), None
     states[0] = V
     kernel = _rk4_kernel()
     if kernel is not None:
-        filled = _kernel_rows(kernel, field, hs, states)
+        filled = _kernel_rows(kernel, field, hs, states, slopes)
     else:
-        filled = _python_rows(field, hs, states)
+        filled = _python_rows(field, hs, states, slopes)
     finite = np.isfinite(states[:filled]).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise NumericBlowup(
             f"non-finite state at s={grid[bad]:.6f}", s_reached=grid[bad])
-    return grid, states
+    return grid, states, slopes
 
 
 class _HermiteGrid:
     """Cubic Hermite interpolant through the RK4 grid states and their
-    slopes, the field at each state.
+    slopes, the field at each state, as the integrator wrote them.
 
-    Holds only the field, the grid and the states; the slopes and the
-    per-interval coefficients are computed on the first evaluation and then
-    kept (two threads that evaluate first each compute the same arrays).
-    The coefficients and the power-sum evaluation are those of SciPy's
-    ``CubicHermiteSpline``.  ``s`` is a scalar or a 1-d array of finite
-    values, clipped to [0, 1]; a non-finite or higher-dimensional ``s``
-    raises ``ValueError``.
+    Holds those three arrays and nothing else: each call forms the
+    coefficients of the intervals its points fall in, in the C kernel
+    (``hermite_at``) when this process has one, else in numpy
+    (:func:`_numpy_hermite`); the two give the same doubles.  ``s`` is a
+    scalar or a 1-d array of finite values, clipped to [0, 1]; a
+    non-finite or higher-dimensional ``s`` raises ``ValueError``.
     """
 
-    __slots__ = ("field", "grid", "states", "_coeffs")
+    __slots__ = ("grid", "states", "slopes")
 
-    def __init__(self, field, grid, states):
-        self.field, self.grid, self.states = field, grid, states
-        self._coeffs = None
-
-    def _coefficients(self):
-        coeffs = self._coeffs
-        if coeffs is None:
-            grid, states = self.grid, self.states
-            derivs = self.field.rows(states)
-            dx = np.diff(grid)[:, None]
-            slope = np.diff(states, axis=0) / dx
-            t = (derivs[:-1] + derivs[1:] - 2 * slope) / dx
-            coeffs = self._coeffs = (states[:-1], derivs[:-1],
-                                     (slope - derivs[:-1]) / dx - t, t / dx)
-        return coeffs
+    def __init__(self, grid, states, slopes):
+        self.grid, self.states, self.slopes = grid, states, slopes
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
@@ -577,13 +646,12 @@ class _HermiteGrid:
                              f"{s_arr.shape}")
         if not np.isfinite(s_arr).all():
             raise ValueError("s must be finite, got a nan or an infinity")
-        c0, c1, c2, c3 = self._coefficients()
-        grid = self.grid
-        s_clip = np.clip(np.atleast_1d(s_arr), 0.0, 1.0)
-        i = np.clip(np.searchsorted(grid, s_clip, side="right") - 1, 0, len(grid) - 2)
-        d = (s_clip - grid[i])[:, None]
-        z = d * d
-        out = c0[i] + c1[i] * d + c2[i] * z + c3[i] * (z * d)
+        points = np.atleast_1d(s_arr)
+        kernel = _rk4_kernel()
+        if kernel is not None:
+            out = _kernel_hermite(kernel, self.grid, self.states, self.slopes, points)
+        else:
+            out = _numpy_hermite(self.grid, self.states, self.slopes, points)
         return out[0] if s_arr.ndim == 0 else out
 
 
@@ -595,23 +663,21 @@ def solve_numeric(
 ) -> VelocitySolution:
     """Integrate the velocity equation with fixed-step RK4.
 
-    The dense grid states are kept on the solution so that downstream
-    quadrature shares the integrator's discretization; off-grid evaluation
-    interpolates with a cubic Hermite spline through the exact slopes
-    (:class:`_HermiteGrid`), built on the solution's first evaluation, so
-    a solution that is only measured (``bounds.length``) or read through
-    its ``states`` never builds it.
+    The grid states are kept on the solution so that downstream quadrature
+    shares the integrator's discretization, and with them the slopes the
+    integrator wrote, the field at each state.  Off-grid evaluation is the
+    cubic Hermite spline through both (:class:`_HermiteGrid`): nothing is
+    built after the solve and nothing else is kept, since each evaluation
+    forms only the intervals it touches.  ``v0`` is copied, and the copy,
+    the grid, the states and the slopes are read-only.
     """
-    v0 = np.asarray(v0, dtype=float)
+    v0 = np.array(v0, dtype=float)
     field = _QuadraticField(algebra.f, G.weights)
-    grid, states = integrate_rk4(field, v0, h)
-    return VelocitySolution(
-        algebra=algebra.name,
-        v0=v0,
-        evaluator=_HermiteGrid(field, grid, states),
-        grid=grid,
-        states=states,
-    )
+    grid, states, slopes = _integrate(field, v0, h, keep_slopes=True)
+    for a in (v0, grid, states, slopes):
+        a.setflags(write=False)
+    return VelocitySolution(algebra.name, v0, _HermiteGrid(grid, states, slopes),
+                            grid, states, slopes)
 
 
 def int_cos(s, w):
@@ -744,13 +810,15 @@ def solve_closed_form(family: ClosedFormFamily, v0) -> VelocitySolution:
     Each family is solved at its own penalties,
     ``family.default_penalties()``: unit weights for ``ho4`` and ``sp2_J``,
     diag(q, q, p, p) for ``coupled_pq`` and diag(1, p, p, p, p) for
-    ``anharm_p``.  Other penalties take :func:`solve_numeric`.
+    ``anharm_p``.  Other penalties take :func:`solve_numeric`.  ``v0`` is
+    copied, and the copy is read-only.
     """
     entry = _FAMILIES[family.tag]
     dim = family.default_penalties().dim
-    v0 = np.asarray(v0, dtype=float)
+    v0 = np.array(v0, dtype=float)
     if v0.shape != (dim,):
         raise FamilyMismatch(f"{family.tag} needs v0 of shape ({dim},), got {v0.shape}")
     _check_finite(v0)
+    v0.setflags(write=False)
     return VelocitySolution(entry.algebra, v0,
                             entry.trig(v0.tolist(), family.q, family.p))

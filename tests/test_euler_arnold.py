@@ -8,7 +8,11 @@ over ``rhs``, which stays here as the reference.  ``integrate_rk4`` runs
 the C kernel where this process has one and otherwise the generated Python
 step, which performs the kernel's operations one for one; the kernel is
 also checked bit for bit against the Python step directly, and the
-fallback under each way of not getting a kernel.
+fallback under each way of not getting a kernel.  The slopes the step
+writes are checked byte for byte against :func:`field_rows`, and both
+evaluators of a numeric solution (the kernel's ``hermite_at`` and the
+numpy one) against :func:`eager_interpolator`, which builds every
+interval up front.
 """
 
 import math
@@ -417,9 +421,10 @@ def test_compiled_step_on_tables_with_conserved_rows(data):
 def test_all_zero_table_gives_constant_states():
     field = _QuadraticField(np.zeros((2, 2, 2)), [1.0, 1.0])
     rows = _compile_rk4(field.S.tobytes(), field.w.tobytes(), 1e-2)
-    # the loop body is the extend alone
+    # the loop body is the two extends alone, of the state and of its slopes
     assert set(rows.__code__.co_varnames) == {"v", "count", "v0", "v1", "out",
-                                              "extend", "_"}
+                                              "extend", "slopes", "derive", "_"}
+    assert rows([0.3, -0.0], 2) == ([0.3, -0.0] * 2, [0.0] * 6)
     grid, states = integrate_rk4(field, [0.3, -0.0], 1e-2)
     assert states.shape == (101, 2)
     assert np.all(states == [0.3, 0.0]) and np.all(np.signbit(states[:, 1]))
@@ -464,19 +469,72 @@ def test_symmetric_table_is_the_unsymmetrised_field(name):
     check()
 
 
+def field_rows(field, X):
+    """The field at each row of ``X``, shape (n, d), as numpy computed the
+    Hermite slopes before the integrator wrote them: each nonzero term of
+    the field one numpy operation over the rows, added to a zero array in
+    the compiled step's order, then the division by the weights.  The
+    reference for the bytes of the kept slopes."""
+    X = np.ascontiguousarray(X.T)
+    out = np.zeros(X.shape)
+    for i, j, k in zip(*np.nonzero(field.S)):
+        out[i] += field.S[i, j, k] * X[j] * X[k]
+    return (out / field.w[:, None]).T
+
+
+@pytest.fixture(scope="module")
+def maybe_kernel():
+    """The C kernel as built, without the check that gates its use, or None
+    where none can be built (no compiler or no cache directory)."""
+    try:
+        return ea._load_kernel()
+    except OSError:
+        return None
+
+
 @pytest.mark.parametrize("name", qb.builtin_names())
-def test_field_rows_equal_the_field_at_each_row(name):
-    # the Hermite slopes of solve_numeric are the field at each grid state
+def test_field_rows_equal_the_field_at_each_row(name, maybe_kernel):
+    # the slopes the integrator keeps are field_rows of its states, byte for
+    # byte, from either backend; field_rows is the field at each row
     alg = qb.builtin(name)
     rng = np.random.default_rng(len(name))
-    field = _QuadraticField(alg.f, rng.uniform(0.2, 5.0, alg.dim))
     X = rng.uniform(-2.0, 2.0, (50, alg.dim))
-    assert np.array_equal(field.rows(X), [field(x) for x in X])
+    for _ in range(4):
+        field = _QuadraticField(alg.f, rng.uniform(0.2, 5.0, alg.dim))
+        assert np.array_equal(field_rows(field, X), [field(x) for x in X])
+        v0 = rng.uniform(-1.5, 1.5, alg.dim)
+        v0[rng.integers(alg.dim)] = -0.0
+        for kernel in (None, maybe_kernel):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ea, "_rk4_kernel", lambda: kernel)
+                _, states, slopes = ea._integrate(field, v0, 1e-3, keep_slopes=True)
+            assert slopes.tobytes() == field_rows(field, states).tobytes()
+
+
+def test_a_slope_is_its_sum_from_a_zero_divided(maybe_kernel):
+    # field_rows adds the terms to 0.0, then divides: a sum of -0.0
+    # ((-2 * 0.0) * 1.0) gives the slope 0.0 although the stage keeps -0.0,
+    # while a nonzero sum that the division rounds to zero (-5e-324 / 2 in
+    # V^1, from S_101 = -2) keeps its sign; a conserved component's slope
+    # is 0.0
+    c = np.zeros((3, 3, 3))
+    c[0, 0, 1], c[1, 0, 1] = -1.0, -1.0
+    field = _QuadraticField(c, [1.0, 2.0, 1.0])
+    for kernel in (None, maybe_kernel):
+        for v0, want in (([0.0, 1.0, -0.0], [0.0, 0.0, 0.0]),
+                         ([5e-324, 0.5, -0.0], [-5e-324, -0.0, 0.0])):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ea, "_rk4_kernel", lambda: kernel)
+                _, states, slopes = ea._integrate(field, v0, 1e-2, keep_slopes=True)
+            assert slopes.tobytes() == field_rows(field, states).tobytes()
+            assert slopes[0].tobytes() == np.array(want).tobytes()
+            assert np.signbit(states[:, 2]).all()
 
 
 def eager_coefficients(grid, states, derivs):
     """The Hermite coefficients of a numeric solution as they were computed
-    before the interpolant became lazy.  The reference for their bytes."""
+    when every interval was built up front.  The reference for their
+    bytes."""
     dx = np.diff(grid)[:, None]
     slope = np.diff(states, axis=0) / dx
     t = (derivs[:-1] + derivs[1:] - 2 * slope) / dx
@@ -500,37 +558,40 @@ def eager_interpolator(grid, states, derivs):
     return ev
 
 
-@pytest.fixture
-def rows_calls(monkeypatch):
-    """Counts the calls of ``_QuadraticField.rows``, the Hermite slopes."""
-    calls = []
-    rows = _QuadraticField.rows
-
-    def counted(self, X):
-        calls.append(len(X))
-        return rows(self, X)
-
-    monkeypatch.setattr(_QuadraticField, "rows", counted)
-    return calls
-
-
-def test_dense_output_is_built_on_first_evaluation(rows_calls):
+def test_a_numeric_solution_keeps_read_only_states_and_slopes():
+    # the evaluator holds the solution's own arrays and nothing else, and
+    # none of them can be written, so the states cannot leave their slopes
     alg = qb.builtin("sp4_T10")
     G = qb.PenaltyMatrix.diagonal(np.linspace(0.5, 2.0, alg.dim))
     sol = qb.solve_numeric(alg, G, RNG.uniform(-1.0, 1.0, alg.dim))
-    qb.length(sol, G)
-    assert sol.states.shape == (len(sol.grid), alg.dim)
-    assert rows_calls == []
-    first = sol(np.linspace(0.0, 1.0, 7))
+    ev = sol.evaluator
+    assert ev.grid is sol.grid and ev.states is sol.states and ev.slopes is sol.slopes
+    assert type(ev).__slots__ == ("grid", "states", "slopes")
+    assert sol.slopes.shape == sol.states.shape == (len(sol.grid), alg.dim)
+    for a in (sol.v0, sol.grid, sol.states, sol.slopes):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    first = sol(np.linspace(0.0, 1.0, 7)).tobytes()
     sol(0.3)
-    assert rows_calls == [len(sol.grid)]
-    # the kept arrays serve every later call
-    assert np.array_equal(sol(np.linspace(0.0, 1.0, 7)), first)
-    assert rows_calls == [len(sol.grid)]
+    assert sol(np.linspace(0.0, 1.0, 7)).tobytes() == first
 
 
+@pytest.mark.parametrize("solve", [
+    lambda w: qb.solve_closed_form(ClosedFormFamily("sp2_J_equal_penalty"), w),
+    lambda w: qb.solve_numeric(qb.builtin("sp2_J"), qb.PenaltyMatrix.identity(3), w),
+], ids=["closed", "numeric"])
+def test_a_solution_copies_the_callers_v0(solve):
+    # both kept the caller's array: after w[0] = 5, sol.v0[0] read 5.0
+    # while sol(0.0)[0] was still 0.3
+    w = np.array([0.3, -0.2, 0.5])
+    sol = solve(w)
+    w[0] = 5.0
+    assert sol.v0.tolist() == [0.3, -0.2, 0.5]
+    assert sol(0.0)[0] == 0.3
+    assert not sol.v0.flags.writeable
 def test_threads_evaluating_first_get_the_same_values():
-    # a race on the first evaluation at most builds the arrays twice
+    # the evaluator keeps no state, so concurrent calls cannot disturb it
     alg = qb.builtin("coupled_M4")
     G = qb.PenaltyMatrix.identity(alg.dim)
     v0 = [0.4, -0.3, 0.8, 0.1]
@@ -555,7 +616,10 @@ def test_threads_evaluating_first_get_the_same_values():
 
 
 @pytest.mark.parametrize("name", qb.builtin_names())
-def test_lazy_dense_output_equals_the_eager_interpolant(name):
+def test_lazy_dense_output_equals_the_eager_interpolant(name, maybe_kernel):
+    # a solution's values, the kernel's hermite_at and the numpy evaluator
+    # over the kept slopes give the bytes of the interpolant built up front
+    # over field_rows, which forms every interval
     alg = qb.builtin(name)
 
     @settings(max_examples=12, deadline=None)
@@ -567,21 +631,27 @@ def test_lazy_dense_output_equals_the_eager_interpolant(name):
     def check(v0, w, h, s, point, data):
         G = qb.PenaltyMatrix.diagonal(w)
         sol = qb.solve_numeric(alg, G, v0, h=h)
-        derivs = _QuadraticField(alg.f, G.weights).rows(sol.states)
-        want = eager_interpolator(sol.grid, sol.states, derivs)
+        field = _QuadraticField(alg.f, G.weights)
+        want = eager_interpolator(sol.grid, sol.states, field_rows(field, sol.states))
         on_grid = data.draw(st.lists(st.sampled_from(sol.grid.tolist()), max_size=10))
-        s = np.array(s + on_grid + [0.0, 1.0, -1e-12, 1.0 + 1e-12])
+        s = np.array(s + on_grid + [0.0, -0.0, 1.0, -1e-12, 1.0 + 1e-12])
         got = sol(s)
         assert got.shape == (len(s), alg.dim)
         assert got.tobytes() == want(s).tobytes()
-        for x in (point, 0.0, 1.0, np.float64(point)):
+        for x in (point, 0.0, -0.0, 1.0, np.float64(point)):
             assert sol(x).tobytes() == want(x).tobytes()
         assert sol(np.array([])).tobytes() == want(np.array([])).tobytes()
-        # the kept coefficients too, whose last bits rarely reach a value
-        kept = sol.evaluator._coeffs
-        for got_c, want_c in zip(kept, eager_coefficients(sol.grid, sol.states, derivs),
-                                 strict=True):
-            assert got_c.tobytes() == want_c.tobytes()
+        # two points inside every interval, where a coefficient's last bit
+        # can show
+        s = np.concatenate([s, sol.grid[:-1] + 0.3 * h, sol.grid[:-1] + 0.7 * h])
+        got = sol(s)
+        assert got.tobytes() == want(s).tobytes()
+        # both backends directly, whichever one the solution used
+        twin = ea._numpy_hermite(sol.grid, sol.states, sol.slopes, s)
+        assert twin.tobytes() == got.tobytes()
+        if maybe_kernel is not None:
+            c = ea._kernel_hermite(maybe_kernel, sol.grid, sol.states, sol.slopes, s)
+            assert c.tobytes() == got.tobytes()
 
     check()
 
@@ -591,13 +661,19 @@ def test_lazy_dense_output_equals_the_eager_interpolant(name):
     ([0.2, math.nan], "finite"), (np.array([[0.1, 0.2]]), r"shape \(1, 2\)"),
     ([[0.5]], r"shape \(1, 1\)"),
 ], ids=["nan", "inf", "-inf", "nan-in-array", "row", "1x1"])
-def test_numeric_solution_rejects_a_non_finite_or_2d_s(s, match, rows_calls):
+def test_numeric_solution_rejects_a_non_finite_or_2d_s(s, match, monkeypatch):
     # a nan used to give a silent nan row, a 2-d s numpy's broadcast error
     alg = qb.builtin("sp2_J")
     sol = qb.solve_numeric(alg, qb.PenaltyMatrix.identity(3), [0.3, -0.2, 0.5])
+
+    def evaluated(*args):
+        raise AssertionError("an evaluator ran")
+
+    # refused before either evaluator runs
+    monkeypatch.setattr(ea, "_numpy_hermite", evaluated)
+    monkeypatch.setattr(ea, "_kernel_hermite", evaluated)
     with pytest.raises(ValueError, match=f"^s must .*{match}"):
         sol(s)
-    assert rows_calls == []      # refused before the interpolant is built
 
 
 @pytest.mark.parametrize("name,weights,count", [
@@ -641,24 +717,20 @@ def test_integrator_raises_on_blowup():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def kernel():
+def kernel(maybe_kernel):
     """The C kernel as built, without the check that gates its use."""
-    try:
-        kernel = ea._load_kernel()
-    except OSError:
-        kernel = None
-    if kernel is None:
+    if maybe_kernel is None:
         pytest.skip("no C kernel here (no compiler or no cache directory)")
-    return kernel
+    return maybe_kernel
 
 
 def _outcome(field, v0, h, kernel):
-    """integrate_rk4's states, or the s_reached of its NumericBlowup, from
-    ``kernel`` or (None) the Python step."""
+    """The states and slopes of a numeric solve, stacked, or the s_reached
+    of its NumericBlowup, from ``kernel`` or (None) the Python step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ea, "_rk4_kernel", lambda: kernel)
         try:
-            return integrate_rk4(field, v0, h)[1]
+            return np.stack(ea._integrate(field, v0, h, keep_slopes=True)[1:])
         except qb.NumericBlowup as err:
             return err.s_reached
 
@@ -690,11 +762,13 @@ def test_kernel_python_step_and_generic_loop_agree(kernel, data):
     if isinstance(slow, float):
         assert fast == slow == loop
         return
-    # bit for bit, so the signs of zeros too
+    # bit for bit, so the signs of zeros too, and the slopes as well
     assert fast.tobytes() == slow.tobytes()
-    assert np.array_equal(slow, loop)
+    states, slopes = slow
+    assert np.array_equal(states, loop)
+    assert slopes.tobytes() == field_rows(field, states).tobytes()
     for i in _conserved(field):
-        assert np.all(np.signbit(fast[:, i]) == np.signbit(v0[i]))
+        assert np.all(np.signbit(states[:, i]) == np.signbit(v0[i]))
 
 
 @pytest.mark.parametrize("backend", ["kernel", "python"])
@@ -714,7 +788,7 @@ def _python_step_states(field, v0, h):
     n = int(round(1.0 / h))
     states = np.zeros((n + 1, len(v0)))
     states[0] = v0
-    assert ea._python_rows(field, 1.0 / n, states) == n + 1
+    assert ea._python_rows(field, 1.0 / n, states, None) == n + 1
     return states
 
 
@@ -771,7 +845,7 @@ def _shared_cache(mp, tmp):
 
 def _failed_check(mp, tmp):
     # a kernel that returns without writing a row
-    mp.setattr(ea, "_load_kernel", lambda: lambda *args: args[7] + 1)
+    mp.setattr(ea, "_load_kernel", lambda: ea._Kernel(lambda *args: args[7] + 1, None))
 
 
 @pytest.mark.parametrize("setup", [_no_compiler, _failing_build, _timed_out_build,
@@ -788,6 +862,28 @@ def test_without_a_usable_kernel_the_python_step_runs(capfd, fresh_process,
     assert capfd.readouterr().out == ""
     # a failed build leaves no file behind
     assert not list(fresh_process.glob("xdg/qcbound/*"))
+
+
+def test_a_kernel_whose_evaluator_disagrees_is_refused(kernel, fresh_process,
+                                                       monkeypatch):
+    # hermite_at handed the states as the slopes: the step agrees, the
+    # values do not, so the Python step and the numpy evaluator run
+    def wrong(d, n, grid, states, slopes, m, s, out):
+        kernel.hermite_at(d, n, grid, states, states, m, s, out)
+
+    assert ea._kernel_agrees(kernel)
+    monkeypatch.setattr(ea, "_load_kernel", lambda: kernel._replace(hermite_at=wrong))
+    assert ea._rk4_kernel() is None
+    field = ClosedFormFamily("coupled_pq", q=1.0, p=10.0).governing_rhs()
+    v0 = [0.4, -0.0, 1.3, -0.8]
+    assert (integrate_rk4(field, v0, 1e-3)[1].tobytes()
+            == _python_step_states(field, v0, 1e-3).tobytes())
+    sol = qb.solve_numeric(qb.builtin("coupled_M4"), qb.PenaltyMatrix.identity(4), v0)
+    s = np.linspace(-0.1, 1.1, 61)
+    want = ea._numpy_hermite(sol.grid, sol.states, sol.slopes, s)
+    assert sol(s).tobytes() == want.tobytes()
+    assert ea._kernel_hermite(kernel._replace(hermite_at=wrong), sol.grid, sol.states,
+                              sol.slopes, s).tobytes() != want.tobytes()
 
 
 def test_a_second_process_loads_the_cached_kernel_without_a_build(tmp_path):

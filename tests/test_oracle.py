@@ -515,6 +515,30 @@ def test_product_memory_does_not_grow_with_steps():
     assert peak < 8 * oracle._BLOCK_BYTES
 
 
+@pytest.mark.parametrize("name", ["sp2_K", "sp4_T10"])
+def test_product_over_a_numeric_solution_is_the_same_from_both_backends(name):
+    # the C kernel (its step and hermite_at) and the Python step with the
+    # numpy evaluator give the same solution and so the same product, byte
+    # for byte
+    from qcbound import euler_arnold as ea
+    kernel = ea._rk4_kernel()
+    if kernel is None:
+        pytest.skip("no C kernel here (no compiler or no cache directory)")
+    rep, alg = qb.matrix_rep(name), qb.builtin(name)
+    G = qb.PenaltyMatrix.diagonal(np.linspace(0.5, 2.0, alg.dim))
+    rng = np.random.default_rng(len(name))
+    for v0 in (rng.uniform(-2.0, 2.0, alg.dim), np.zeros(alg.dim)):
+        v0[0] = -0.0
+        products = []
+        for backend in (kernel, None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ea, "_rk4_kernel", lambda: backend)
+                sol = qb.solve_numeric(alg, G, v0)
+                products.append([qb.path_ordered_exponential(rep, sol, steps=steps)
+                                 .tobytes() for steps in (37, 400, 4000)])
+        assert products[0] == products[1]
+
+
 def test_batched_product_unimodular():
     rep = qb.matrix_rep("sp4_T10")
     sol = qb.solve_numeric(qb.builtin("sp4_T10"), qb.PenaltyMatrix.identity(10),
