@@ -1,22 +1,28 @@
-/* Classical fixed-step RK4 of a quadratic field, the C twin of the Python
- * step that qcbound.euler_arnold._compile_rk4 generates, and the cubic
- * Hermite evaluation of its result, the C twin of
- * qcbound.euler_arnold._numpy_hermite.
+/* The C twins of three numpy or Python routines of qcbound, each performing
+ * its twin's operations in its order, so that each result is the same
+ * double:
+ *
+ *   rk4_rows      classical fixed-step RK4 of a quadratic field, the step
+ *                 that qcbound.euler_arnold._compile_rk4 generates;
+ *   hermite_at    the cubic Hermite evaluation of its result,
+ *                 qcbound.euler_arnold._numpy_hermite;
+ *   magnus_block  one block of the oracle's product of fourth-order Magnus
+ *                 factors on a real representation,
+ *                 qcbound.oracle._numpy_block with its fixed-order products.
  *
  * The field is dv_i/ds = (sum_t s_t v_j(t) v_k(t)) / w_i over its nonzero
  * terms t, given row by row in np.nonzero order: the terms of row i are
  * start[i] .. start[i+1] - 1.  A row without terms is conserved.
  *
- * Every operation is the Python step's, in its order, so each state is
- * the same double: a moving component accumulates (s_t u_j) u_k from its
- * first term (no 0.0 start), divides by w_i only when w_i != 1, takes the
- * stage inputs v + (h/2) a, v + (h/2) b, v + h e and the update
+ * Every operation of rk4_rows is the Python step's, in its order, so each
+ * state is the same double: a moving component accumulates (s_t u_j) u_k
+ * from its first term (no 0.0 start), divides by w_i only when w_i != 1,
+ * takes the stage inputs v + (h/2) a, v + (h/2) b, v + h e and the update
  * v + (h/6)(a + 2 (b + e) + k).  A conserved component gets no stage and
  * no update: its stage inputs and its next state are its state, bit for
  * bit (a -0.0 stays -0.0).  Build with -ffp-contract=off and never with
  * -ffast-math, so that no product and sum is fused or reordered; the
- * Python side checks the result against its own step and its own
- * evaluator before using it.
+ * Python side checks each entry point against its twin before using it.
  */
 
 #include <math.h>
@@ -125,4 +131,187 @@ void hermite_at(int d, int n, const double *grid, const double *states,
             o[c] = y0[c] + k0[c] * dd + c2 * z + c3 * (z * dd);
         }
     }
+}
+
+/* The Magnus block's helpers are inlined into magnus_block once per size it
+ * dispatches on, so that 2 x 2 and 4 x 4 loops have constant bounds. */
+#if defined(__GNUC__)
+#define SIZED static inline __attribute__((always_inline))
+#else
+#define SIZED static inline
+#endif
+
+/* c = a b for row-major n x n matrices: each entry sums a_il b_lj over
+ * l = 0 .. n - 1 from its first term, as oracle._fixed_matmul does.  Two
+ * loop orders give the same sums: an entry at a time for 2 x 2, and for
+ * larger sizes a row at a time, which the compiler vectorises across the
+ * row (c must not overlap a or b).  Either order alone, or one block for
+ * every size, makes a 4000-step product 23-52 % slower on sp2_J, sp4_T10
+ * or coupled_M4 (gcc -O2, x86-64). */
+SIZED void matmul_entries(int n, const double *a, const double *b, double *c)
+{
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++) {
+            double acc = a[i * n] * b[j];
+            for (int l = 1; l < n; l++)
+                acc += a[i * n + l] * b[l * n + j];
+            c[i * n + j] = acc;
+        }
+}
+
+SIZED void matmul_rows(int n, const double *a, const double *b,
+                       double *restrict c)
+{
+    for (int i = 0; i < n; i++) {
+        double *ci = c + i * n;
+        for (int j = 0; j < n; j++)
+            ci[j] = a[i * n] * b[j];
+        for (int l = 1; l < n; l++)
+            for (int j = 0; j < n; j++)
+                ci[j] += a[i * n + l] * b[l * n + j];
+    }
+}
+
+SIZED void matmul(int n, const double *a, const double *b, double *c)
+{
+    if (n == 2)
+        matmul_entries(n, a, b, c);
+    else
+        matmul_rows(n, a, b, c);
+}
+
+/* The Taylor polynomial of ``degree`` at the n x n matrix a by Horner's
+ * rule, I + a/1 (I + a/2 (I + ...)), squared ``squarings`` times, into p;
+ * t is n x n scratch.  Each "+ I" adds 1.0 on the diagonal and 0.0 off it
+ * (a -0.0 becomes 0.0), as numpy's "+ eye" does. */
+SIZED void taylor(int n, const double *a, int degree, int squarings,
+                  double *p, double *t)
+{
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++) {
+            double one = i == j ? 1.0 : 0.0;
+            p[i * n + j] = degree == 0 ? one : a[i * n + j] / degree + one;
+        }
+    for (int q = degree - 1; q > 0; q--) {
+        matmul(n, a, p, t);
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++)
+                p[i * n + j] = t[i * n + j] / q + (i == j ? 1.0 : 0.0);
+    }
+    for (int q = 0; q < squarings; q++) {
+        matmul(n, p, p, t);
+        for (int e = 0; e < n * n; e++)
+            p[e] = t[e];
+    }
+}
+
+SIZED int block(int d, int n, int m, const double *v, double h, double c,
+                const double *gens, double *omega, double *u, double *work)
+{
+    int nn = n * n;
+    double *f = work, *a1 = f + (long)m * nn, *a2 = a1 + nn, *p21 = a2 + nn,
+        *p12 = p21 + nn;
+    for (int k = 0; k < m; k++) {
+        const double *v1 = v + (long)k * d, *v2 = v + (long)(m + k) * d;
+        double h1 = v1[0] * h, h2 = v2[0] * h;
+        for (int e = 0; e < nn; e++) {
+            a1[e] = h1 * gens[e];
+            a2[e] = h2 * gens[e];
+        }
+        for (int g = 1; g < d; g++) {
+            const double *gen = gens + (long)g * nn;
+            h1 = v1[g] * h;
+            h2 = v2[g] * h;
+            for (int e = 0; e < nn; e++) {
+                a1[e] += h1 * gen[e];
+                a2[e] += h2 * gen[e];
+            }
+        }
+        matmul(n, a2, a1, p21);
+        matmul(n, a1, a2, p12);
+        double *om = omega + (long)k * nn;
+        for (int e = 0; e < nn; e++)
+            om[e] = 0.5 * (a1[e] + a2[e]) + c * (p21[e] - p12[e]);
+    }
+
+    double theta = 0.0;
+    for (int k = 0; k < m; k++)
+        for (int j = 0; j < n; j++) {
+            const double *col = omega + (long)k * nn + j;
+            double sum = fabs(col[0]);
+            for (int i = 1; i < n; i++)
+                sum += fabs(col[i * n]);
+            if (!isfinite(sum))
+                return 1;
+            if (sum > theta)
+                theta = sum;
+        }
+    int squarings = 0, degree = 0;
+    if (theta > 0.5) {
+        frexp(theta, &squarings);
+        squarings += 1;                   /* theta / 2^squarings < 1/2 */
+        theta = ldexp(theta, -squarings);
+    }
+    double scale = ldexp(1.0, -squarings), term = theta;
+    while (term / (1.0 - theta / (degree + 2)) > 0x1p-53) {
+        degree++;
+        term *= theta / (degree + 1);
+    }
+
+    double *scaled = a1, *t = a2;
+    for (int k = 0; k < m; k++) {
+        const double *a = omega + (long)k * nn;
+        if (squarings) {
+            for (int e = 0; e < nn; e++)
+                scaled[e] = a[e] * scale;
+            a = scaled;
+        }
+        taylor(n, a, degree, squarings, f + (long)k * nn, t);
+    }
+
+    for (int len = m; len > 1; len = len / 2 + len % 2) {
+        for (int q = 0; q < len / 2; q++) {
+            matmul(n, f + (long)(2 * q + 1) * nn, f + (long)(2 * q) * nn, t);
+            for (int e = 0; e < nn; e++)
+                f[(long)q * nn + e] = t[e];
+        }
+        if (len % 2)
+            for (int e = 0; e < nn; e++)
+                f[(long)(len / 2) * nn + e] = f[(long)(len - 1) * nn + e];
+    }
+    matmul(n, f, u, t);
+    for (int e = 0; e < nn; e++)
+        if (!isfinite(t[e]))
+            return 1;
+    for (int e = 0; e < nn; e++)
+        u[e] = t[e];
+    return 0;
+}
+
+/* One block of m Magnus steps of an n x n real representation: u <- P u,
+ * P = F[m-1] ... F[1] F[0], F[k] = exp(omega[k]).
+ *
+ * ``v`` is the (2 m) x d row-major array of velocities, row k at the first
+ * Gauss point of step k and row m + k at its second, ``gens`` the d
+ * generators (d x n x n), ``h`` the step and ``c`` the commutator weight.
+ * Step k's exponent is
+ *
+ *     omega[k] = 0.5 (hA1 + hA2) + c (hA2 hA1 - hA1 hA2),
+ *     hA = sum_I (v_I h) gens[I]        (over I in order, from I = 0),
+ *
+ * written to ``omega`` (m x n x n).  The block's largest column sum theta
+ * sets the scaling 2^-squarings and the Taylor degree of every factor, with
+ * oracle._expm_taylor's rule; the factors are multiplied by the same
+ * pairwise tree as oracle._ordered_product, an odd one out carried to the
+ * next level.  ``work`` holds (m + 4) n^2 doubles.  Returns 0 with u
+ * updated, or 1 with u unchanged when theta or P u is not finite (the
+ * caller then replays the block from omega). */
+int magnus_block(int d, int n, int m, const double *v, double h, double c,
+                 const double *gens, double *omega, double *u, double *work)
+{
+    if (n == 2)
+        return block(d, 2, m, v, h, c, gens, omega, u, work);
+    if (n == 4)
+        return block(d, 4, m, v, h, c, gens, omega, u, work);
+    return block(d, n, m, v, h, c, gens, omega, u, work);
 }

@@ -48,8 +48,11 @@ list of floats, read by ``np.fromiter``.
 The kernel gives the Python step's states and slopes, signs of zeros
 included, in a tenth of the time or less, and also evaluates the Hermite
 interpolant (``hermite_at``) as the numpy evaluator :func:`_numpy_hermite`
-does, operation for operation.  A process loads it with ``ctypes`` on its
-first ``integrate_rk4`` from a private per-user cache
+does, operation for operation.  The same library holds a block of the
+oracle's Magnus product on a real representation (``magnus_block``),
+which :mod:`.oracle` checks against its own numpy twin before it uses
+it.  A process loads the kernel with ``ctypes`` on its first
+``integrate_rk4`` (or oracle product) from a private per-user cache
 (``$XDG_CACHE_HOME/qcbound`` or ``~/.cache/qcbound``, else a 0700
 ``qcbound-<uid>`` temp directory), building it there on a miss with the
 platform ``cc`` (``-O2 -ffp-contract=off``, so that no product and sum is
@@ -415,12 +418,15 @@ def _numpy_hermite(grid, states, slopes, s):
     return y0 + k0 * d + ((slope - k0) / dx - t) * z + t / dx * (z * d)
 
 
-def _kernel_hermite(kernel, grid, states, slopes, s):
-    """:func:`_numpy_hermite` run by the C kernel ``hermite_at``."""
+def _kernel_hermite(kernel, grid, states, slopes, s, at=None):
+    """:func:`_numpy_hermite` run by the C kernel ``hermite_at``.  ``at``
+    holds the pointers of ``grid``, ``states`` and ``slopes`` when the
+    caller has taken them (each ``ctypes.data`` costs about a microsecond)."""
     s = np.ascontiguousarray(s)
     out = np.empty((len(s), states.shape[1]))
-    kernel.hermite_at(states.shape[1], len(grid) - 1, grid.ctypes.data,
-                      states.ctypes.data, slopes.ctypes.data, len(s),
+    if at is None:
+        at = (grid.ctypes.data, states.ctypes.data, slopes.ctypes.data)
+    kernel.hermite_at(states.shape[1], len(grid) - 1, *at, len(s),
                       s.ctypes.data, out.ctypes.data)
     return out
 
@@ -486,10 +492,11 @@ def _build(compiler: str, target: str) -> None:
 
 
 class _Kernel(NamedTuple):
-    """The two entry points of the built ``_rk4.c``."""
+    """The three entry points of the built ``_rk4.c``."""
 
     rows: Callable          # rk4_rows: states and slopes, as _python_rows
     hermite_at: Callable    # the interpolant, as _numpy_hermite
+    magnus_block: Callable  # a block of the oracle's real Magnus product
 
 
 def _load_kernel():
@@ -510,12 +517,14 @@ def _load_kernel():
         _build(compiler, path)
     lib = ctypes.CDLL(path)
     int_, double, ptr = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
-    rows, hermite_at = lib.rk4_rows, lib.hermite_at
+    rows, hermite_at, magnus = lib.rk4_rows, lib.hermite_at, lib.magnus_block
     rows.restype = int_
     rows.argtypes = [int_] + [ptr] * 5 + [double, int_] + [ptr] * 3
     hermite_at.restype = None
     hermite_at.argtypes = [int_, int_] + [ptr] * 3 + [int_] + [ptr] * 2
-    return _Kernel(rows, hermite_at)
+    magnus.restype = int_
+    magnus.argtypes = [int_] * 3 + [ptr, double, double] + [ptr] * 4
+    return _Kernel(rows, hermite_at, magnus)
 
 
 def _kernel_agrees(kernel) -> bool:
@@ -631,13 +640,15 @@ class _HermiteGrid:
     (``hermite_at``) when this process has one, else in numpy
     (:func:`_numpy_hermite`); the two give the same doubles.  ``s`` is a
     scalar or a 1-d array of finite values, clipped to [0, 1]; a
-    non-finite or higher-dimensional ``s`` raises ``ValueError``.
+    non-finite or higher-dimensional ``s`` raises ``ValueError``.  The
+    pointers the kernel reads the three arrays at are taken once, here.
     """
 
-    __slots__ = ("grid", "states", "slopes")
+    __slots__ = ("grid", "states", "slopes", "at")
 
     def __init__(self, grid, states, slopes):
         self.grid, self.states, self.slopes = grid, states, slopes
+        self.at = (grid.ctypes.data, states.ctypes.data, slopes.ctypes.data)
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
@@ -649,7 +660,8 @@ class _HermiteGrid:
         points = np.atleast_1d(s_arr)
         kernel = _rk4_kernel()
         if kernel is not None:
-            out = _kernel_hermite(kernel, self.grid, self.states, self.slopes, points)
+            out = _kernel_hermite(kernel, self.grid, self.states, self.slopes,
+                                  points, self.at)
         else:
             out = _numpy_hermite(self.grid, self.states, self.slopes, points)
         return out[0] if s_arr.ndim == 0 else out

@@ -20,21 +20,35 @@ otherwise (the Fock representations), and the result is T U T^-1.  The
 product is blocked: each block's factors are exponentiated at once by a
 scaled Taylor polynomial and multiplied in a log-depth pairwise tree, so
 its cost is a few array operations per block and its memory is bounded
-whatever the step count.  The same Taylor exponential serves the single
-(complex) exponentials of :func:`exponential_of_coefficients` and
-:func:`random_group_element`, so the module needs numpy only.
+whatever the step count.
+
+On a real representation each matrix product sums its terms in a fixed
+order (:func:`_fixed_matmul`, in place of ``@``, whose order is BLAS's),
+so that a block is the numpy twin of the C kernel's ``magnus_block``
+(``_rk4.c``, loaded by :mod:`.euler_arnold`), which runs it whenever this
+process has the kernel and the kernel has given the twin's bytes on a
+check (:func:`_magnus_kernel`); both give the same doubles, and without
+a compiler the twin runs.  On a 2 x 2 or 4 x 4 stack numpy's ``@`` makes
+one BLAS call per matrix, so the kernel is the fast path and the twin,
+about 6x slower than ``@`` on a (256, 4, 4) stack, the fallback.  A
+complex (Fock) representation keeps ``@``, which is the fast path at
+16-32 levels, and so do the single (complex) exponentials of
+:func:`exponential_of_coefficients` and :func:`random_group_element`,
+which share the Taylor exponential.
 
 The right-invariant line element is evaluated directly from its trace form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import euler_arnold
 from .algebra import builtin
 from .errors import DegenerateDirection, DimMismatch, NotRegistered, NumericBlowup
 from .euler_arnold import PenaltyMatrix, VelocitySolution
@@ -270,14 +284,29 @@ def _largest_one_norm(A: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(A).swapaxes(0, 1).reshape(n, -1)).max())
 
 
-def _expm_taylor(A: np.ndarray) -> np.ndarray:
+def _fixed_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for real stacks, each entry summed over l = 0 .. q-1 from its
+    first term: A[..., :, 0] B[..., 0, :] + A[..., :, 1] B[..., 1, :] + ...
+
+    The C kernel's ``magnus_block`` forms each product in this order, so the
+    two give the same doubles, where ``@`` leaves the order to BLAS (one
+    call per matrix of a stack).
+    """
+    C = A[..., :, :1] * B[..., :1, :]
+    for l in range(1, A.shape[-1]):
+        C += A[..., :, l:l + 1] * B[..., l:l + 1, :]
+    return C
+
+
+def _expm_taylor(A: np.ndarray, mul=np.matmul) -> np.ndarray:
     """exp of every matrix in a (k, n, n) stack by a scaled Taylor polynomial.
 
     The stack's largest 1-norm theta (:func:`_largest_one_norm`) sets one
     scaling 2^-j (theta <= 1/2 afterwards) and the smallest degree whose
     remainder bound theta^(m+1)/(m+1)! / (1 - theta/(m+2)) is below 2^-53
     (Higham 2005; Al-Mohy & Higham 2009).  A non-finite stack gives
-    non-finite factors.
+    non-finite factors.  ``mul`` forms the matrix products: ``@``, or
+    :func:`_fixed_matmul` for the real product.
     """
     theta = _largest_one_norm(A)
     if not math.isfinite(theta):
@@ -297,19 +326,19 @@ def _expm_taylor(A: np.ndarray) -> np.ndarray:
     else:                                # the innermost term A I is A
         P = A / degree + eye
     for j in range(degree - 1, 0, -1):   # Horner: I + A/1 (I + A/2 (I + ...))
-        P = A @ P
+        P = mul(A, P)
         P /= j
         P += eye
     for _ in range(squarings):
-        P = P @ P
+        P = mul(P, P)
     return P
 
 
-def _ordered_product(F: np.ndarray) -> np.ndarray:
+def _ordered_product(F: np.ndarray, mul=np.matmul) -> np.ndarray:
     """F[-1] @ ... @ F[1] @ F[0] by a log-depth pairwise tree."""
     while len(F) > 1:
         even = len(F) - len(F) % 2
-        pairs = F[1:even:2] @ F[0:even:2]
+        pairs = mul(F[1:even:2], F[0:even:2])
         F = np.concatenate([pairs, F[even:]]) if even < len(F) else pairs
     return F[0]
 
@@ -346,12 +375,16 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     The product U runs on the generators of :func:`_generators`, real or
     complex n x n, and T U T^-1 in the rep's frame T is returned as
     complex.
-    The factors are formed and multiplied a block at a time: one call
-    samples the velocity at both Gauss points of every step in the block,
-    one matrix product builds A_1 and A_2, two batched products give the
-    commutators, one batched Taylor exponential gives the factors and a
-    pairwise tree multiplies them, and the block products are chained in
-    order.  A block whose product is not finite is replayed one factor at a
+    The factors are formed and multiplied a block at a time
+    (:func:`_numpy_block`): one call samples the velocity at both Gauss
+    points of every step in the block, one matrix product builds A_1 and
+    A_2, two batched products give the commutators, one batched Taylor
+    exponential gives the factors and a pairwise tree multiplies them, and
+    the block products are chained in order.  On a real representation
+    every matrix product sums in a fixed order (:func:`_fixed_matmul`), and
+    the C kernel's ``magnus_block`` runs each block when this process has
+    one (:func:`_magnus_kernel`), with the same doubles; a complex one uses
+    ``@``.  A block whose product is not finite is replayed one factor at a
     time, so ``NumericBlowup.s_reached`` is the midpoint s_k of the first
     step at which the running product stops being finite.  A solution whose
     dimension is not the number of generators raises ``DimMismatch``.
@@ -363,26 +396,123 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
         raise DimMismatch(f"velocity has shape {np.shape(sol.v0)}, but the "
                           f"representation has {d} generators")
     U = np.eye(n, dtype=gens.dtype)
-    gens = gens.reshape(d, -1)
+    gens = np.ascontiguousarray(gens.reshape(d, -1))
+    mul = np.matmul if np.iscomplexobj(gens) else _fixed_matmul
     h = 1.0 / steps
     block = _block_length(n)
+    kernel = None if mul is np.matmul else _magnus_kernel()
+    if kernel is None:
+        def advance(V):
+            return _numpy_block(gens, V, h, U, mul)
+    else:
+        advance = _kernel_block(kernel, gens, h, U, block)
     # overflow is detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, block):
             s_mid = (np.arange(lo, min(lo + block, steps)) + 0.5) * h
             s_gauss = np.concatenate([s_mid - _GAUSS * h, s_mid + _GAUSS * h])
-            V = np.atleast_2d(sol(s_gauss))
-            hA1, hA2 = ((V * h) @ gens).reshape(2, len(s_mid), n, n)
-            omega = 0.5 * (hA1 + hA2) + _COMMUTATOR * (hA2 @ hA1 - hA1 @ hA2)
-            U_next = _ordered_product(_expm_taylor(omega)) @ U
-            if not np.all(np.isfinite(U_next)):
-                U_next = _replay(omega, U, s_mid)
-            U = U_next
+            V = np.ascontiguousarray(np.atleast_2d(sol(s_gauss)), dtype=float)
+            if V.shape != (len(s_gauss), d):
+                raise DimMismatch(f"the velocity at {len(s_gauss)} points has "
+                                  f"shape {V.shape}, not {(len(s_gauss), d)}")
+            omega = advance(V)
+            if omega is not None:
+                U[...] = _replay(omega, U, s_mid, mul)
     U = U.astype(complex)
     if rep.frame is not None:
         T, T_inv = rep.frame
         U = T @ U @ T_inv
     return U
+
+
+def _numpy_block(gens: np.ndarray, V: np.ndarray, h: float, U: np.ndarray,
+                 mul) -> np.ndarray | None:
+    """One block of the product: U <- P U in place, with P the ordered
+    product of the block's Magnus factors.
+
+    ``gens`` is the (d, n^2) stack of generators and ``V`` the (2 m, d)
+    velocities, the m first Gauss points and then the m second ones.
+    Returns None, or the (m, n, n) exponents Omega_k with U unchanged when
+    P U is not finite.  With ``mul`` :func:`_fixed_matmul` this is the twin
+    of the C kernel's ``magnus_block``, with ``@`` the complex product.
+    """
+    m, n = len(V) // 2, U.shape[-1]
+    hA1, hA2 = mul(V * h, gens).reshape(2, m, n, n)
+    omega = 0.5 * (hA1 + hA2) + _COMMUTATOR * (mul(hA2, hA1) - mul(hA1, hA2))
+    U_next = mul(_ordered_product(_expm_taylor(omega, mul), mul), U)
+    if not np.all(np.isfinite(U_next)):
+        return omega
+    U[...] = U_next
+    return None
+
+
+def _kernel_block(kernel, gens: np.ndarray, h: float, U: np.ndarray,
+                  block: int):
+    """:func:`_numpy_block` with :func:`_fixed_matmul`, for one product of
+    blocks of at most ``block`` steps, run by the C kernel's
+    ``magnus_block``: a function of V that updates U in place and returns
+    what the twin returns.  The pointers of the generators, U and the
+    scratch arrays are taken once here, that of V once per block; the
+    function holds the arrays, so that none is freed while it lives."""
+    d, n = gens.shape[0], U.shape[-1]
+    arrays = (gens, np.empty((block, n, n)), U, np.empty((block + 4) * n * n))
+    at = tuple(a.ctypes.data for a in arrays)
+
+    def advance(V):
+        m = len(V) // 2
+        if kernel.magnus_block(d, n, m, V.ctypes.data, h, _COMMUTATOR, *at):
+            return arrays[1][:m]
+        return None
+
+    return advance
+
+
+# a theta at which a remainder bound of 2^-52 would give the Taylor
+# polynomial one degree fewer (13) than 2^-53 does (14)
+_DEGREE_BOUNDARY_THETA = 0.44
+
+
+def _magnus_agrees(kernel) -> bool:
+    """Whether ``kernel``'s ``magnus_block`` gives the twin's U and
+    exponents byte for byte on irregular real generators (2 x 2, 3 x 3 and
+    4 x 4), over blocks of 1, 2 and 3 steps from a non-identity U:
+    velocities with -0.0 entries, a zero velocity (Taylor degree 0), large
+    ones (squarings), a non-finite one (U unchanged), and one step along
+    diag(1 .. -1) at ``_DEGREE_BOUNDARY_THETA``, where the bytes of
+    exp(Omega) = diag(e^theta .. e^-theta) show a Taylor degree one too
+    low."""
+    def irregular(shape, phase):
+        return np.sin(np.arange(1.0, 1.0 + math.prod(shape)) * 2.39 + phase).reshape(shape)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        cases = []
+        for d, n in ((3, 2), (2, 3), (10, 4)):
+            gens = irregular((d, n * n), 0.0)
+            start = np.eye(n) + 0.25 * irregular((n, n), 1.0)
+            for m, scale in ((1, 0.0), (2, 1.0), (3, 40.0), (3, math.inf)):
+                V = scale * irregular((2 * m, d), m)
+                V[0, 0] = V[-1, -1] = -0.0
+                cases.append((gens, start, V))
+            diagonal = np.diag(np.linspace(1.0, -1.0, n)).reshape(1, n * n)
+            cases.append((diagonal, start, np.full((2, 1), _DEGREE_BOUNDARY_THETA / 0.1)))
+        for gens, start, V in cases:
+            want, got = start.copy(), start.copy()
+            twin = _numpy_block(gens, V, 0.1, want, _fixed_matmul)
+            ours = _kernel_block(kernel, gens, 0.1, got, len(V) // 2)(V)
+            if (want.tobytes() != got.tobytes() or (twin is None) != (ours is None)
+                    or (twin is not None and twin.tobytes() != ours.tobytes())):
+                return False
+    return True
+
+
+@functools.cache
+def _magnus_kernel():
+    """The C kernel of :func:`.euler_arnold._rk4_kernel`, once its
+    ``magnus_block`` has passed :func:`_magnus_agrees` in this process;
+    None, so that the numpy twin runs, when there is no kernel or it fails
+    the check."""
+    kernel = euler_arnold._rk4_kernel()
+    return kernel if kernel is not None and _magnus_agrees(kernel) else None
 
 
 def _whole(value, name: str, least: int, most: int | None = None) -> int:
@@ -398,10 +528,11 @@ def _whole(value, name: str, least: int, most: int | None = None) -> int:
     return count
 
 
-def _replay(A: np.ndarray, U: np.ndarray, s_mid: np.ndarray) -> np.ndarray:
+def _replay(A: np.ndarray, U: np.ndarray, s_mid: np.ndarray,
+            mul=np.matmul) -> np.ndarray:
     """Serial product over one block; raises at the first non-finite step."""
     for k in range(len(A)):
-        U = _expm_taylor(A[k:k + 1])[0] @ U
+        U = mul(_expm_taylor(A[k:k + 1], mul)[0], U)
         if not np.all(np.isfinite(U)):
             raise NumericBlowup(f"non-finite product at s={s_mid[k]:.6f}",
                                 s_reached=float(s_mid[k]))
@@ -466,12 +597,17 @@ def line_element(rep: MatrixRep, U: np.ndarray, dU: np.ndarray,
            / (Tr[M_I M_I^dag] Tr[M_J M_J^dag]),
     with diagonal G.  Right-invariance is exact: replacing (U, dU) by
     (U g, dU g) leaves every trace unchanged.  ``G`` must have one weight
-    per generator (``DimMismatch``); a non-finite ``U`` or ``dU`` and a
-    singular ``U`` raise ``ValueError``.
+    per generator and ``U`` and ``dU`` must be n x n for the rep's n
+    (``DimMismatch``); a non-finite ``U`` or ``dU`` and a singular ``U``
+    raise ``ValueError``.
     """
     if G.dim != len(rep.matrices):
         raise DimMismatch(f"penalty matrix has dimension {G.dim}, but the "
                           f"representation has {len(rep.matrices)} generators")
+    n = rep.dim
+    if np.shape(U) != (n, n) or np.shape(dU) != (n, n):
+        raise DimMismatch(f"U has shape {np.shape(U)} and dU {np.shape(dU)}, "
+                          f"but the representation is {n} x {n}")
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(dU))):
         raise ValueError("U and dU must be finite")
     try:

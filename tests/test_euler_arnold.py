@@ -559,14 +559,16 @@ def eager_interpolator(grid, states, derivs):
 
 
 def test_a_numeric_solution_keeps_read_only_states_and_slopes():
-    # the evaluator holds the solution's own arrays and nothing else, and
-    # none of them can be written, so the states cannot leave their slopes
+    # the evaluator holds the solution's own arrays, and the pointers the
+    # kernel reads them at, and nothing else, and none of them can be
+    # written, so the states cannot leave their slopes
     alg = qb.builtin("sp4_T10")
     G = qb.PenaltyMatrix.diagonal(np.linspace(0.5, 2.0, alg.dim))
     sol = qb.solve_numeric(alg, G, RNG.uniform(-1.0, 1.0, alg.dim))
     ev = sol.evaluator
     assert ev.grid is sol.grid and ev.states is sol.states and ev.slopes is sol.slopes
-    assert type(ev).__slots__ == ("grid", "states", "slopes")
+    assert type(ev).__slots__ == ("grid", "states", "slopes", "at")
+    assert ev.at == tuple(a.ctypes.data for a in (sol.grid, sol.states, sol.slopes))
     assert sol.slopes.shape == sol.states.shape == (len(sol.grid), alg.dim)
     for a in (sol.v0, sol.grid, sol.states, sol.slopes):
         assert not a.flags.writeable
@@ -845,7 +847,8 @@ def _shared_cache(mp, tmp):
 
 def _failed_check(mp, tmp):
     # a kernel that returns without writing a row
-    mp.setattr(ea, "_load_kernel", lambda: ea._Kernel(lambda *args: args[7] + 1, None))
+    mp.setattr(ea, "_load_kernel",
+               lambda: ea._Kernel(lambda *args: args[7] + 1, None, None))
 
 
 @pytest.mark.parametrize("setup", [_no_compiler, _failing_build, _timed_out_build,

@@ -1,12 +1,13 @@
 """Matrix-level verification of the algebraic machinery."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -197,6 +198,19 @@ def test_path_ordered_rejects_a_solution_of_another_dimension(rep_name, sol):
         qb.path_ordered_exponential(qb.matrix_rep(rep_name), sol)
 
 
+@pytest.mark.parametrize("rep_name", ["sp2_J", "sp4_T10"])
+@pytest.mark.parametrize("width", [1, 4])
+def test_path_ordered_rejects_velocities_of_another_width(rep_name, width):
+    # a solution whose v0 fits but whose evaluator returns another number of
+    # components is refused before a block is formed from it (the kernel
+    # would read past the velocities)
+    d = len(qb.matrix_rep(rep_name).matrices)
+    sol = qb.VelocitySolution(rep_name, np.zeros(d),
+                              lambda s: np.zeros((np.size(s), width)))
+    with pytest.raises(qb.DimMismatch, match=rf"shape \(\d+, {width}\)"):
+        qb.path_ordered_exponential(qb.matrix_rep(rep_name), sol)
+
+
 @pytest.mark.parametrize("coeffs", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], []],
                          ids=["too-few", "too-many", "none"])
 def test_exponential_of_coefficients_rejects_a_wrong_count(coeffs):
@@ -373,6 +387,20 @@ def test_line_element_rejects_a_singular_U():
                         qb.PenaltyMatrix.identity(3))
 
 
+@pytest.mark.parametrize("U", [np.eye(2, 3), np.eye(3)], ids=["2x3", "3x3"])
+def test_line_element_rejects_a_point_of_another_shape(U):
+    # a 2 x 3 U used to be called singular, a 3 x 3 one to end in numpy's
+    # matmul core-dimension error
+    rep = qb.matrix_rep("sp2_J")
+    G = qb.PenaltyMatrix.identity(3)
+    dU = -1e-3j * rep.matrices[0]
+    with pytest.raises(qb.DimMismatch, match=re.escape(f"U has shape {U.shape}")):
+        qb.line_element(rep, U, dU, G)
+    with pytest.raises(qb.DimMismatch, match=re.escape(f"dU {U.shape}, but the "
+                                                       f"representation is 2 x 2")):
+        qb.line_element(rep, np.eye(2), U, G)
+
+
 @pytest.mark.parametrize("which", ["U", "dU"])
 def test_line_element_rejects_a_non_finite_point(which):
     # a nan used to give a silent nan
@@ -515,28 +543,159 @@ def test_product_memory_does_not_grow_with_steps():
     assert peak < 8 * oracle._BLOCK_BYTES
 
 
-@pytest.mark.parametrize("name", ["sp2_K", "sp4_T10"])
-def test_product_over_a_numeric_solution_is_the_same_from_both_backends(name):
-    # the C kernel (its step and hermite_at) and the Python step with the
-    # numpy evaluator give the same solution and so the same product, byte
-    # for byte
-    from qcbound import euler_arnold as ea
-    kernel = ea._rk4_kernel()
-    if kernel is None:
-        pytest.skip("no C kernel here (no compiler or no cache directory)")
-    rep, alg = qb.matrix_rep(name), qb.builtin(name)
+def _weighted_numeric_sol(alg_name):
+    alg = qb.builtin(alg_name)
     G = qb.PenaltyMatrix.diagonal(np.linspace(0.5, 2.0, alg.dim))
+    return lambda v0: qb.solve_numeric(alg, G, v0)
+
+
+def _closed_form_sol(tag, **params):
+    fam = ClosedFormFamily(tag, **params)
+    return lambda v0: qb.solve_closed_form(fam, v0)
+
+
+# case -> (real representation, v0 -> velocity solution)
+BACKEND_CASES = {
+    "sp2_K": ("sp2_K", _weighted_numeric_sol("sp2_K")),
+    "sp4_T10": ("sp4_T10", _weighted_numeric_sol("sp4_T10")),
+    "sp2_J_closed": ("sp2_J", _closed_form_sol("sp2_J_equal_penalty")),
+    "coupled_M4_closed": ("coupled_M4",
+                          _closed_form_sol("coupled_pq", q=1.0, p=10.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The C kernel as built, without the checks that gate its use."""
+    from qcbound import euler_arnold as ea
+    try:
+        built = ea._load_kernel()
+    except OSError:
+        built = None
+    if built is None:
+        pytest.skip("no C kernel here (no compiler or no cache directory)")
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(BACKEND_CASES))
+def test_product_over_a_numeric_solution_is_the_same_from_both_backends(name, kernel):
+    # the C kernel (its RK4 step, hermite_at and magnus_block) and the Python
+    # step with the numpy evaluator and the numpy twin of the Magnus block
+    # give the same solution and so the same product, byte for byte
+    from qcbound import euler_arnold as ea
+    assert oracle._magnus_agrees(kernel)
+    rep_name, make_sol = BACKEND_CASES[name]
+    rep = qb.matrix_rep(rep_name)
+    d = len(rep.matrices)
     rng = np.random.default_rng(len(name))
-    for v0 in (rng.uniform(-2.0, 2.0, alg.dim), np.zeros(alg.dim)):
+    for v0 in (rng.uniform(-2.0, 2.0, d), np.zeros(d)):
         v0[0] = -0.0
         products = []
         for backend in (kernel, None):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ea, "_rk4_kernel", lambda: backend)
-                sol = qb.solve_numeric(alg, G, v0)
+                mp.setattr(oracle, "_magnus_kernel", lambda: backend)
+                sol = make_sol(v0)
                 products.append([qb.path_ordered_exponential(rep, sol, steps=steps)
                                  .tobytes() for steps in (37, 400, 4000)])
         assert products[0] == products[1]
+
+
+@pytest.mark.parametrize("m", ["1", "2", "3", "B-1", "B+1"])
+@pytest.mark.parametrize("name", ["sp2_J", "sp4_T10"])
+def test_kernel_block_gives_the_twins_bytes(name, m, kernel):
+    # magnus_block and _numpy_block with the fixed-order product, on the
+    # real 2 x 2 and 4 x 4 generators, over blocks as short as one step and
+    # one step either side of the product's block length (B + 1 leaves a
+    # factor to carry up the tree at its first level): the same U, the same
+    # exponents and the same verdict on finiteness
+    gens = oracle._generators(qb.matrix_rep(name))
+    d, n = gens.shape[:2]
+    gens = np.ascontiguousarray(gens.reshape(d, -1))
+    B = oracle._block_length(n)
+    steps = {"1": 1, "2": 2, "3": 3, "B-1": B - 1, "B+1": B + 1}[m]
+
+    @settings(max_examples=12, deadline=None)
+    # a zero velocity (Taylor degree 0), theta > 1/2 (squarings), a nan, and
+    # a velocity along one generator, where signed zeros reach U
+    @example(seed=0, scale=0.0, h=1e-2, zeros=0, lone=None, bad=None, start=True)
+    @example(seed=1, scale=60.0, h=1e-2, zeros=2, lone=None, bad=None, start=False)
+    @example(seed=2, scale=0.5, h=1e-2, zeros=3, lone=None, bad=math.nan, start=True)
+    @example(seed=3, scale=0.5, h=1e-2, zeros=0, lone=0, bad=None, start=False)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([0.0, 0.5, 60.0, 4e3]),
+           h=st.sampled_from([2.5e-4, 1e-2]),
+           zeros=st.integers(0, 4),
+           lone=st.one_of(st.none(), st.integers(0, 9)),
+           bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+           start=st.booleans())
+    def check(seed, scale, h, zeros, lone, bad, start):
+        rng = np.random.default_rng(seed)
+        V = scale * rng.uniform(-1.0, 1.0, (2 * steps, d))
+        if lone is not None:      # the other components +-0.0
+            others = np.arange(d) != lone % d
+            V[:, others] = np.copysign(0.0, rng.uniform(-1.0, 1.0, (2 * steps, d - 1)))
+        V.flat[rng.integers(V.size, size=zeros)] = -0.0
+        if bad is not None:
+            V.flat[rng.integers(V.size)] = bad
+        U0 = np.eye(n) + (0.3 * rng.standard_normal((n, n)) if start else 0.0)
+        want, got = U0.copy(), U0.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            twin = oracle._numpy_block(gens, V, h, want, oracle._fixed_matmul)
+            ours = oracle._kernel_block(kernel, gens, h, got, steps)(V)
+        assert got.tobytes() == want.tobytes()
+        assert (ours is None) == (twin is None)
+        if twin is not None:
+            assert ours.tobytes() == twin.tobytes()
+            assert got.tobytes() == U0.tobytes()     # unchanged
+        if bad is not None:
+            assert twin is not None
+
+    check()
+
+
+def test_a_kernel_whose_magnus_block_disagrees_is_refused(kernel, monkeypatch):
+    # a block that leaves U as it was: the numpy twin runs instead
+    from qcbound import euler_arnold as ea
+
+    def unchanged(*args):
+        return 0
+
+    monkeypatch.setattr(ea, "_rk4_kernel", lambda: kernel._replace(magnus_block=unchanged))
+    oracle._magnus_kernel.cache_clear()
+    try:
+        assert oracle._magnus_kernel() is None
+        rep, make_sol = BATCH_CASES["sp2_J"]
+        sol = make_sol(np.array([0.3, -0.2, 0.5]))
+        U = qb.path_ordered_exponential(rep, sol, steps=400)
+        assert not np.allclose(U, np.eye(2))
+    finally:
+        oracle._magnus_kernel.cache_clear()
+
+
+def test_the_gate_sees_a_taylor_degree_rule_that_is_slightly_off(kernel, monkeypatch):
+    # with the twin's remainder bound at 2^-52 in place of the kernel's
+    # 2^-53 the two pick other Taylor degrees only on a narrow band of
+    # theta, which the gate's step at _DEGREE_BOUNDARY_THETA reaches: the
+    # gate refuses the pair
+    assert oracle._magnus_agrees(kernel)
+    monkeypatch.setattr(oracle, "_UNIT_ROUNDOFF", 2.0 ** -52)
+    assert not oracle._magnus_agrees(kernel)
+
+
+def test_complex_products_and_single_exponentials_use_matmul(monkeypatch):
+    # the Fock products and the single exponentials keep numpy's @: the
+    # fixed-order product serves the real representations only
+    def fixed(*args):
+        raise AssertionError("the fixed-order product ran")
+
+    monkeypatch.setattr(oracle, "_fixed_matmul", fixed)
+    rep, make_sol = BATCH_CASES["fock_ho4"]
+    qb.path_ordered_exponential(rep, make_sol(np.array([0.1, 0.2, -0.3, 0.4])), steps=7)
+    for name in ("sp2_J", "sp4_T10"):
+        rep = qb.matrix_rep(name)
+        oracle.exponential_of_coefficients(rep, np.full(len(rep.matrices), 0.3))
+        oracle.random_group_element(rep, np.random.default_rng(1))
 
 
 def test_batched_product_unimodular():
