@@ -1,6 +1,6 @@
-/* The C twins of three numpy or Python routines of qcbound, each performing
+/* The C twins of four numpy or Python routines of qcbound, each performing
  * its twin's operations in its order, so that each result is the same
- * double:
+ * double, or the same text:
  *
  *   rk4_rows      classical fixed-step RK4 of a quadratic field, the step
  *                 that qcbound.euler_arnold._compile_rk4 generates;
@@ -8,7 +8,9 @@
  *                 qcbound.euler_arnold._numpy_hermite;
  *   magnus_block  one block of the oracle's product of fourth-order Magnus
  *                 factors on a real representation,
- *                 qcbound.oracle._numpy_block with its fixed-order products.
+ *                 qcbound.oracle._numpy_block with its fixed-order products;
+ *   csv_rows      one curve's figure CSV rows, qcbound.cli._twin_rows, with
+ *                 each number written as Python's "%.12g" writes it.
  *
  * The field is dv_i/ds = (sum_t s_t v_j(t) v_k(t)) / w_i over its nonzero
  * terms t, given row by row in np.nonzero order: the terms of row i are
@@ -23,9 +25,22 @@
  * bit (a -0.0 stays -0.0).  Build with -ffp-contract=off and never with
  * -ffast-math, so that no product and sum is fused or reordered; the
  * Python side checks each entry point against its twin before using it.
+ *
+ * csv_rows is exact for another reason: Python's "%.12g" is the correctly
+ * rounded 12-digit decimal, ties to even (Gay's dtoa), and csv_rows
+ * computes that same integer with no rounding error at all, as Ryu printf
+ * does (Adams, PLDI 2019): for |x| = m 2^q and k = 11 - e, with e the
+ * decimal exponent of |x|, the 12 digits are round-half-even(m 5^k 2^(q+k))
+ * taken in 128-bit integers, where 5^|k| fits 64 bits for |k| <= 27.  A
+ * value outside that range (|x| below about 1e-16 or from 1e39 up, or
+ * subnormal), and every value without a 128-bit integer type, is written by
+ * the C library's snprintf("%.12g"), which glibc also rounds exactly.
  */
 
 #include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* The field at u into out.  With ``slope`` set, also the field as a sum
  * from 0.0, (0.0 + sum) / w_i: out[i] unless the sum is a zero, then 0.0
@@ -314,4 +329,190 @@ int magnus_block(int d, int n, int m, const double *v, double h, double c,
     if (n == 4)
         return block(d, 4, m, v, h, c, gens, omega, u, work);
     return block(d, n, m, v, h, c, gens, omega, u, work);
+}
+
+/* Figure CSV rows.  A number is written as Python's "%.12g": its 12 digits
+ * d.ddddddddddd x 10^x correctly rounded, ties to even; for -4 <= x < 12 in
+ * fixed notation, else as d.ddde+XX (at least two exponent digits); in
+ * either, trailing zeros and then a bare point are dropped.  "-0", "inf",
+ * "-inf" and "nan" (whatever its sign) are written directly. */
+
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1ull, 5ull, 25ull, 125ull, 625ull, 3125ull, 15625ull, 78125ull,
+    390625ull, 1953125ull, 9765625ull, 48828125ull, 244140625ull,
+    1220703125ull, 6103515625ull, 30517578125ull, 152587890625ull,
+    762939453125ull, 3814697265625ull, 19073486328125ull, 95367431640625ull,
+    476837158203125ull, 2384185791015625ull, 11920928955078125ull,
+    59604644775390625ull, 298023223876953125ull, 1490116119384765625ull,
+    7450580596923828125ull};
+
+/* round-half-even(m 5^k 2^s) for |k| <= 27, as the quotient of two 128-bit
+ * integers, or -1 when one of them does not fit. */
+static int64_t scaled(uint64_t m, int k, int s)
+{
+    u128 num = m, den = 1, q, r;
+    if (k >= 0)
+        num *= POW5[k];
+    else
+        den = POW5[-k];
+    if (s >= 0) {
+        if (s > 63 || num >> (127 - s))   /* num 2^s stays below 2^127 */
+            return -1;
+        num <<= s;
+    } else if (k >= 0) {                  /* den = 2^-s: a shift */
+        if (s < -126)
+            return -1;
+        u128 half = (u128)1 << (-s - 1);
+        q = num >> -s;
+        r = num & (2 * half - 1);
+        return (int64_t)(q + (r > half || (r == half && (q & 1))));
+    } else {
+        if (s < -63 || den >> (126 + s))  /* den 2^-s below 2^126: 2 r fits */
+            return -1;
+        den <<= -s;
+    }
+    q = num / den;
+    r = num - q * den;
+    return (int64_t)(q + (2 * r > den || (2 * r == den && (q & 1))));
+}
+
+/* The 12 digits n (10^11 <= n < 10^12) of d.ddd x 10^x, |x| < 100, laid out
+ * as "%g" does, at p; returns the end. */
+static char *layout(int64_t n, int x, char *p)
+{
+    char d[12];
+    for (int i = 11; i >= 0; i--) {
+        d[i] = (char)('0' + n % 10);
+        n /= 10;
+    }
+    int len = 12;                         /* d[0] is not '0' */
+    while (d[len - 1] == '0')
+        len--;
+    if (x < -4 || x >= 12) {
+        *p++ = d[0];
+        if (len > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, len - 1);
+            p += len - 1;
+        }
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        x = x < 0 ? -x : x;
+        *p++ = (char)('0' + x / 10);
+        *p++ = (char)('0' + x % 10);
+    } else if (x >= 0) {
+        memcpy(p, d, x + 1);
+        p += x + 1;
+        if (len > x + 1) {
+            *p++ = '.';
+            memcpy(p, d + x + 1, len - x - 1);
+            p += len - x - 1;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > x; i--)
+            *p++ = '0';
+        memcpy(p, d, len);
+        p += len;
+    }
+    return p;
+}
+#endif
+
+/* x as "%.12g" at p; returns the end, or null when the C library's text
+ * holds anything but [0-9.e+-] (a locale's decimal point). */
+static char *g12(double x, char *p)
+{
+    if (isnan(x)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (signbit(x)) {
+        *p++ = '-';
+        x = -x;
+    }
+    if (isinf(x)) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (x == 0.0) {
+        *p++ = '0';
+        return p;
+    }
+#if defined(__SIZEOF_INT128__)
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52);
+    if (biased > 0) {                     /* normal: x = m 2^q */
+        uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52;
+        int e2 = biased - 1023, q = biased - 1075;
+        /* e = floor(e2 log10 2), so 10^e <= x < 20 10^e and the first
+         * n lies in [10^11, 2 10^12); at 10^12 or more, e is one more */
+        int e = e2 >= 0 ? (e2 * 78913) >> 18 : -((-e2 * 78913 + 262143) >> 18);
+        int k = 11 - e;
+        int64_t n = k >= -27 && k <= 27 ? scaled(m, k, q + k) : -1;
+        if (n >= 1000000000000) {
+            k--;
+            n = k >= -27 ? scaled(m, k, q + k) : -1;
+        }
+        if (n >= 0)
+            return layout(n, 11 - k, p);
+    }
+#endif
+    char text[32];
+    int len = snprintf(text, sizeof text, "%.12g", x);
+    if (len <= 0 || len >= (int)sizeof text
+            || strspn(text, "0123456789.e+-") != (size_t)len)
+        return 0;
+    memcpy(p, text, len);
+    return p + len;
+}
+
+static char *decimal(int64_t v, char *p)
+{
+    char d[20];
+    int len = 0;
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    if (v < 0)
+        *p++ = '-';
+    do {
+        d[len++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (len)
+        *p++ = d[--len];
+    return p;
+}
+
+/* The n rows "t,value,branch,0<suffix>\n" of one curve into ``out``, or
+ * "t,,branch,1<suffix>\n" where the value is not finite, with t and the
+ * value as "%.12g" and the branch in decimal.
+ * ``out`` holds n (64 + suffix_len) bytes: a number takes at most 19, a
+ * branch 20.  Returns the number of bytes written, or -1 when a number
+ * fell back to a C library text that is not Python's. */
+long csv_rows(long n, const double *t, const double *value,
+              const int64_t *branch, const char *suffix, long suffix_len,
+              char *out)
+{
+    char *p = out;
+    for (long i = 0; i < n; i++) {
+        int finite = isfinite(value[i]) != 0;
+        if (!(p = g12(t[i], p)))
+            return -1;
+        *p++ = ',';
+        if (finite && !(p = g12(value[i], p)))
+            return -1;
+        *p++ = ',';
+        p = decimal(branch[i], p);
+        *p++ = ',';
+        *p++ = finite ? '0' : '1';
+        memcpy(p, suffix, suffix_len);
+        p += suffix_len;
+        *p++ = '\n';
+    }
+    return (long)(p - out);
 }

@@ -237,13 +237,39 @@ def anharm_length(v0, g11: float, p: float):
     shape (5, n) gives an array, equal element by element to the scalar
     form.
     """
-    return _anharm_length(v0[0], *anharm_integrand_coeffs(v0, g11, p))
+    return _anharm_length_of(v0, g11, p, *anharm_integrand_coeffs(v0, g11, p))
+
+
+def _anharm_length_of(v0, g11: float, p: float, A, B, C):
+    """:func:`anharm_length` from ``v0`` and its integrand's (A, B, C), for
+    a system whose measurement needs the coefficients too.
+
+    Where A is below ``_TINY`` its squares may have underflowed, so (A, B,
+    C) are taken again of ``v0 * _SCALE``, the phase keeps the unscaled v1,
+    and the length, exactly homogeneous in sqrt(A + R), is divided by
+    ``_SCALE``; a retaken length that overflows (penalties near the
+    smallest doubles) is left unused.
+    """
+    value = _anharm_length(v0[0], A, B, C)
+    if isinstance(A, np.ndarray):
+        tiny = A < _TINY
+        if tiny.any():
+            v = np.asarray(v0)[:, tiny]
+            retaken = _anharm_length(
+                v[0], *anharm_integrand_coeffs(v * _SCALE, g11, p)) / _SCALE
+            value[tiny] = np.where(np.isinf(retaken), value[tiny], retaken)
+        return value
+    if A < _TINY:
+        retaken = _anharm_length(v0[0], *anharm_integrand_coeffs(
+            [c * _SCALE for c in v0], g11, p)) / _SCALE
+        if not math.isinf(retaken):
+            return retaken
+    return value
 
 
 def _anharm_length(v1, A, B, C):
-    """:func:`anharm_length` from the phase velocity ``v1`` and the
-    integrand's (A, B, C), for a system whose measurement needs the
-    coefficients too; every case but the elliptic one is decided here."""
+    """The length from the phase velocity ``v1`` and the integrand's (A, B,
+    C); every case but the elliptic one is decided here."""
     if isinstance(A, np.ndarray):
         return _anharm_length_array(np.asarray(v1, dtype=float), A, B, C)
     v1 = float(v1)

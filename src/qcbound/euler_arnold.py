@@ -51,8 +51,10 @@ interpolant (``hermite_at``) as the numpy evaluator :func:`_numpy_hermite`
 does, operation for operation.  The same library holds a block of the
 oracle's Magnus product on a real representation (``magnus_block``),
 which :mod:`.oracle` checks against its own numpy twin before it uses
-it.  A process loads the kernel with ``ctypes`` on its first
-``integrate_rk4`` (or oracle product) from a private per-user cache
+it, and the figure CSV writer (``csv_rows``), which :mod:`.cli` checks
+against its Python twin, and nothing else, before it writes a figure.  A
+process loads the kernel with ``ctypes`` on its first ``integrate_rk4``
+(or oracle product, or figure) from a private per-user cache
 (``$XDG_CACHE_HOME/qcbound`` or ``~/.cache/qcbound``, else a 0700
 ``qcbound-<uid>`` temp directory), building it there on a miss with the
 platform ``cc`` (``-O2 -ffp-contract=off``, so that no product and sum is
@@ -492,11 +494,12 @@ def _build(compiler: str, target: str) -> None:
 
 
 class _Kernel(NamedTuple):
-    """The three entry points of the built ``_rk4.c``."""
+    """The four entry points of the built ``_rk4.c``."""
 
     rows: Callable          # rk4_rows: states and slopes, as _python_rows
     hermite_at: Callable    # the interpolant, as _numpy_hermite
     magnus_block: Callable  # a block of the oracle's real Magnus product
+    csv_rows: Callable      # a curve's figure CSV rows, as cli._twin_rows
 
 
 def _load_kernel():
@@ -516,15 +519,19 @@ def _load_kernel():
     if not os.path.exists(path):
         _build(compiler, path)
     lib = ctypes.CDLL(path)
-    int_, double, ptr = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    int_, long_, double = ctypes.c_int, ctypes.c_long, ctypes.c_double
+    ptr = ctypes.c_void_p
     rows, hermite_at, magnus = lib.rk4_rows, lib.hermite_at, lib.magnus_block
+    csv_rows = lib.csv_rows
     rows.restype = int_
     rows.argtypes = [int_] + [ptr] * 5 + [double, int_] + [ptr] * 3
     hermite_at.restype = None
     hermite_at.argtypes = [int_, int_] + [ptr] * 3 + [int_] + [ptr] * 2
     magnus.restype = int_
     magnus.argtypes = [int_] * 3 + [ptr, double, double] + [ptr] * 4
-    return _Kernel(rows, hermite_at, magnus)
+    csv_rows.restype = long_
+    csv_rows.argtypes = [long_] + [ptr] * 3 + [ctypes.c_char_p, long_, ptr]
+    return _Kernel(rows, hermite_at, magnus, csv_rows)
 
 
 def _kernel_agrees(kernel) -> bool:

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import _anharm_length, anharm_integrand_coeffs, norm_measure
+from .bounds import _anharm_length_of, anharm_integrand_coeffs, norm_measure
 from .errors import Unsupported
 from .euler_arnold import ClosedFormFamily
 from .matching import (POLE_TOL, _modulus, match_displacement_product_form,
@@ -295,7 +295,7 @@ def _anharm_cubic(p, notes):
 
 def _anharm_measure(p, v0):
     A, B, C = anharm_integrand_coeffs(v0, p["g11"], p["p"])
-    return _anharm_length(v0[0], A, B, C), {"A": A, "B": B, "C": C}
+    return _anharm_length_of(v0, p["g11"], p["p"], A, B, C), {"A": A, "B": B, "C": C}
 
 
 ANHARM_CUBIC = SystemSpec(

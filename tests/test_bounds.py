@@ -478,6 +478,21 @@ def test_tiny_cubic_target_is_bounded_by_its_path_length():
     assert curve.value[1] >= norm * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("t", [1e-200, 1e-160, 5e-324])
+def test_tiny_cubic_target_keeps_its_squares(t):
+    # v0 = [t, t / 20, 0, 0, 0] (to rounding): the squares of (A, B, C)
+    # underflow, and used to give A = B = C = 0, a bound of 0.0; the length
+    # is homogeneous in v0, so the bound is t times that at t = 1e-100
+    target = qb.TargetSpec.anharm_cubic(1.0, 0.05, t)
+    want = 1.1180339887498949e-100 / 1e-100 * t
+    assert qb.bound(target).value == pytest.approx(want, rel=1e-13, abs=0.0)
+    curve = qb.bound_curve(target, np.array([0.0, t, 1e-100]))
+    assert curve.value.tolist() == [0.0, qb.bound(target).value,
+                                    qb.bound(target.with_time(1e-100)).value]
+    v0 = np.array([qb.bound(target.with_time(x)).v0 for x in (t, 1e-100)]).T
+    assert qb.anharm_length(v0, 1.0, 100.0).tolist() == curve.value[1:].tolist()
+
+
 _TINY_TIMES = [0.0, 5e-324, 1e-170, 1e-155, 1.0]
 
 

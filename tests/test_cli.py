@@ -1,12 +1,16 @@
 """Command-line interface: output format, exit codes, CSV determinism."""
 
 import contextlib
+import ctypes
+import functools
 import hashlib
 import io
 import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 import qcbound as qb
 from qcbound import cli
+from qcbound import euler_arnold as ea
 from qcbound.cli import main
 from qcbound.systems import CLI_NAMES
 
@@ -87,6 +92,19 @@ def test_figure_rejects_more_than_a_million_grid_points(steps, tmp_path, capsys)
     # MemoryError traceback from np.linspace)
     out = tmp_path / "f.csv"
     assert main(["figure", "fig2", "--t-steps", str(steps), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: need finite t_min < t_max and 2 <= t_steps <= 1000000\n")
+    assert not out.exists()
+
+
+def test_figure_refuses_a_grid_span_that_overflows(tmp_path, capsys):
+    # t_max - t_min is inf: np.linspace used to warn twice (a traceback
+    # under -W error) before the usage error
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["figure", "fig2", "--t-min", "-1e308", "--t-max", "1e308",
+                     "--t-steps", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: need finite t_min < t_max and 2 <= t_steps <= 1000000\n")
     assert not out.exists()
@@ -338,6 +356,26 @@ def reference_csv(grid, curves):
     return "\n".join(lines) + "\n", len(lines) - 1
 
 
+@functools.cache
+def _built_writer():
+    """The C library as built, without the check that gates its CSV
+    writer, or None where none can be built (no compiler or no cache)."""
+    try:
+        return ea._load_kernel()
+    except (OSError, AttributeError):   # as cli._csv_kernel
+        return None
+
+
+def _csv_texts(grid, curves):
+    """``cli._csv_text`` from the C writer (the twin where none is built)
+    and from the twin."""
+    texts = []
+    for kernel in (_built_writer(), None):
+        with mock.patch.object(cli, "_csv_kernel", lambda kernel=kernel: kernel):
+            texts.append(cli._csv_text(grid, curves))
+    return texts
+
+
 def _with_poles(target, n_max=3):
     """The target and its documented pole times (ho_linear, ho_quadratic)."""
     p = target.params
@@ -379,7 +417,7 @@ def test_bulk_csv_writer_matches_per_row_reference(targets, points, labels):
     grid = np.sort(np.array(points + poles + [0.0, 1.0]))
     curves = [(label, qb.bound_curve(target, grid))
               for label, (target, _) in zip(labels, targets)]
-    assert cli._csv_text(grid, curves) == reference_csv(grid, curves)
+    assert _csv_texts(grid, curves) == [reference_csv(grid, curves)] * 2
 
 
 def test_bulk_csv_writer_on_two_point_grid_with_divergent_rows():
@@ -390,6 +428,106 @@ def test_bulk_csv_writer_on_two_point_grid_with_divergent_rows():
     assert (text, rows) == reference_csv(grid, curves)
     assert text.splitlines()[1:3] == ["6.28318530718,,1,1,%,",
                                       "18.8495559215,,2,1,%,"]
+
+
+# (2 m + 1) / 2^j is an exact tie of 12-digit rounding when its 13
+# significant digits, those of 5^j (2 m + 1), end in 5
+_TIES = st.one_of(
+    st.integers(1, 18).flatmap(
+        lambda j: st.integers(-(-10 ** 12 // 5 ** j), (10 ** 13 - 1) // 5 ** j)
+        .map(lambda m: (m | 1) / 2 ** j)),
+    st.integers(10 ** 11, 10 ** 12 - 1).map(lambda a: float(10 * a + 5)),
+)
+# 10^k and its neighbours up to 3 ulps away: the edges of the writer's
+# exact integer path, of the fixed notation, and of a rounding to 10^12
+_DECADES = st.builds(
+    lambda k, steps: functools.reduce(
+        lambda x, _: math.nextafter(x, math.copysign(math.inf, steps)),
+        range(abs(steps)), float(f"1e{k}")),
+    st.integers(-330, 308), st.integers(-3, 3))
+_CSV_NUMBERS = st.one_of(
+    st.floats(),                  # every double, +-0.0, inf and nan among them
+    st.builds(math.copysign, st.one_of(_TIES, _DECADES), st.sampled_from([1, -1])),
+)
+
+
+@pytest.mark.skipif(_built_writer() is None, reason="no C library here")
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_CSV_NUMBERS, _CSV_NUMBERS,
+                               st.integers(-2 ** 63, 2 ** 63 - 1)),
+                     min_size=1, max_size=30),
+       labels=st.lists(st.text(), min_size=1, max_size=3))
+@example(rows=[(1234567890125.0, 12345678901.25, -2 ** 63),
+               (-0.0, math.nan, 2 ** 62), (5e-324, math.inf, -2 ** 62),
+               (1.797e308, -math.inf, 2 ** 63 - 1), (1e-300, 999999999999.5, 0)],
+         labels=["p=5%", "a,b%d"])
+def test_c_writer_writes_the_twins_text(rows, labels):
+    grid, value, branch = (np.array(column) for column in zip(*rows))
+    branch = branch.astype(np.int64)
+    for label in labels:
+        suffix = f",{label}"
+        assert (cli._kernel_rows(_built_writer(), grid, value, branch, suffix)
+                == cli._twin_rows(grid, value, branch, suffix))
+    curves = [(label, SimpleNamespace(value=value, branch=branch))
+              for label in labels]
+    assert _csv_texts(grid, curves) == [reference_csv(grid, curves)] * 2
+
+
+def test_rows_the_writer_declines_come_from_the_twin():
+    # csv_rows returns -1 where the C library's text is not Python's (a
+    # locale's decimal point): that curve's rows come from the twin
+    grid = np.array([0.0, 1.5e-300])
+    curves = [("", SimpleNamespace(value=2 * grid, branch=np.zeros(2, dtype=np.int64)))]
+    declining = SimpleNamespace(csv_rows=lambda *args: -1)
+    with mock.patch.object(cli, "_csv_kernel", lambda: declining):
+        assert cli._csv_text(grid, curves) == reference_csv(grid, curves)
+
+
+@pytest.fixture
+def unloaded_writer():
+    """No CSV writer loaded yet in this process, nor after the test."""
+    cli._csv_kernel.cache_clear()
+    yield
+    cli._csv_kernel.cache_clear()
+
+
+def test_a_writer_that_rounds_ties_up_is_refused(unloaded_writer, monkeypatch,
+                                                 tmp_path):
+    # the C library as built, but with a tie of the check's corpus rounded
+    # half up: it is refused, and the twin writes the figure
+    writer = _built_writer()
+    if writer is None:
+        pytest.skip("no C library here")
+
+    def half_up(n, t, value, branch, suffix, size, out):
+        written = writer.csv_rows(n, t, value, branch, suffix, size, out)
+        text = ctypes.string_at(out, written).replace(b"1.23456789012e+12",
+                                                      b"1.23456789013e+12")
+        ctypes.memmove(out, text, len(text))
+        return written
+
+    assert cli._csv_agrees(writer)
+    monkeypatch.setattr(ea, "_load_kernel", lambda: writer._replace(csv_rows=half_up))
+    twin_calls = []
+    twin = cli._twin_rows
+    monkeypatch.setattr(cli, "_twin_rows",
+                        lambda *args: twin_calls.append(args) or twin(*args))
+    assert cli._csv_kernel() is None
+    out = tmp_path / "fig2.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["figure", "fig2", "--out", str(out)]) == 0
+    assert len(twin_calls) == 2           # the check's and the figure's
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPECTED_SHA256["fig2"]
+
+
+def test_without_a_c_library_the_twin_writes_the_figure(unloaded_writer,
+                                                        monkeypatch, tmp_path):
+    monkeypatch.setattr(ea, "_compiler", lambda: None)
+    assert cli._csv_kernel() is None
+    out = tmp_path / "fig5.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["figure", "fig5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPECTED_SHA256["fig5"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -848,7 +848,7 @@ def _shared_cache(mp, tmp):
 def _failed_check(mp, tmp):
     # a kernel that returns without writing a row
     mp.setattr(ea, "_load_kernel",
-               lambda: ea._Kernel(lambda *args: args[7] + 1, None, None))
+               lambda: ea._Kernel(lambda *args: args[7] + 1, None, None, None))
 
 
 @pytest.mark.parametrize("setup", [_no_compiler, _failing_build, _timed_out_build,

@@ -32,8 +32,10 @@ for spec in SYSTEMS.values():
     for f in spec.cli_flags:
         argv += [f.option, "3" if f.name == "t" else repr(f.default)]
     assert cli.main(argv) == 0, argv
+assert cli._csv_kernel.cache_info().misses == 0
 assert cli.main(["figure", "fig2", "--t-steps", "5", "--out", "fig2.csv"]) == 0
-# bound and figure never build or load the RK4 kernel; verify does
+# bound never loads the C library; figure loads it for its CSV writer alone,
+# and neither checks or runs the RK4 kernel; verify does
 from qcbound.euler_arnold import _rk4_kernel
 assert _rk4_kernel.cache_info().misses == 0
 assert cli.main(["verify", "all", "--out", "verify.json"]) == 0
