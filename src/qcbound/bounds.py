@@ -260,11 +260,19 @@ def _anharm_length_of(v0, g11: float, p: float, A, B, C):
             value[tiny] = np.where(np.isinf(retaken), value[tiny], retaken)
         return value
     if A < _TINY:
-        retaken = _anharm_length(v0[0], *anharm_integrand_coeffs(
-            [c * _SCALE for c in v0], g11, p)) / _SCALE
-        if not math.isinf(retaken):
-            return retaken
+        retaken = _anharm_retaken(v0, g11, p)
+        if retaken is not None:
+            return retaken[0]
     return value
+
+
+def _anharm_retaken(v0, g11: float, p: float):
+    """The scalar length of a tiny cubic target taken of ``v0 * _SCALE``
+    and divided back, with the (A, B, C) of ``v0 * _SCALE`` it was taken
+    of; None where that length overflows."""
+    coeffs = anharm_integrand_coeffs([c * _SCALE for c in v0], g11, p)
+    retaken = _anharm_length(v0[0], *coeffs) / _SCALE
+    return None if math.isinf(retaken) else (retaken, coeffs)
 
 
 def _anharm_length(v1, A, B, C):

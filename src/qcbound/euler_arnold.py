@@ -48,13 +48,16 @@ list of floats, read by ``np.fromiter``.
 The kernel gives the Python step's states and slopes, signs of zeros
 included, in a tenth of the time or less, and also evaluates the Hermite
 interpolant (``hermite_at``) as the numpy evaluator :func:`_numpy_hermite`
-does, operation for operation.  The same library holds a block of the
-oracle's Magnus product on a real representation (``magnus_block``),
-which :mod:`.oracle` checks against its own numpy twin before it uses
-it, and the figure CSV writer (``csv_rows``), which :mod:`.cli` checks
-against its Python twin, and nothing else, before it writes a figure.  A
-process loads the kernel with ``ctypes`` on its first ``integrate_rk4``
-(or oracle product, or figure) from a private per-user cache
+does, operation for operation; on the uniform grid it guesses a point's
+interval from the point and binary-searches only where the grid refutes
+the guess, so that it takes searchsorted's interval on any sorted grid.
+The same library holds a block of the oracle's Magnus product on a real
+representation (``magnus_block``), which :mod:`.oracle` checks against
+its own numpy twin before it uses it, and the figure CSV writer
+(``csv_rows``), which :mod:`.cli` checks against its Python twin, and
+nothing else, before it writes a figure.  A process loads the kernel
+with ``ctypes`` on its first ``integrate_rk4`` (or oracle product, or
+figure) from a private per-user cache
 (``$XDG_CACHE_HOME/qcbound`` or ``~/.cache/qcbound``, else a 0700
 ``qcbound-<uid>`` temp directory), building it there on a miss with the
 platform ``cc`` (``-O2 -ffp-contract=off``, so that no product and sum is
@@ -528,7 +531,7 @@ def _load_kernel():
     hermite_at.restype = None
     hermite_at.argtypes = [int_, int_] + [ptr] * 3 + [int_] + [ptr] * 2
     magnus.restype = int_
-    magnus.argtypes = [int_] * 3 + [ptr, double, double] + [ptr] * 4
+    magnus.argtypes = [int_] * 3 + [ptr, double, double] + [ptr] * 6
     csv_rows.restype = long_
     csv_rows.argtypes = [long_] + [ptr] * 3 + [ctypes.c_char_p, long_, ptr]
     return _Kernel(rows, hermite_at, magnus, csv_rows)
@@ -539,7 +542,9 @@ def _kernel_agrees(kernel) -> bool:
     the numpy evaluator's values, bit for bit, on a field with non-unit
     weights, negative coefficients and a conserved component (V^3), which
     is -0.0 in one of the two runs; the values at -0.0, the ends, every
-    grid point, points between them and points outside [0, 1]."""
+    grid point, points between them and points outside [0, 1], on the
+    uniform grid and on a non-uniform one, where the kernel's interval
+    guess fails and it searches."""
     c = np.zeros((4, 4, 4))
     c[0, 1, 2], c[0, 2, 3], c[0, 3, 3] = 1.5, -0.75, 0.25
     c[1, 0, 2], c[1, 3, 1] = -1.0, 2.0
@@ -553,10 +558,12 @@ def _kernel_agrees(kernel) -> bool:
         if (_python_rows(field, 0.01, want, want_slopes)
                 != _kernel_rows(kernel, field, 0.01, got, got_slopes)
                 or want.tobytes() != got.tobytes()
-                or want_slopes.tobytes() != got_slopes.tobytes()
-                or _numpy_hermite(grid, want, want_slopes, s).tobytes()
-                != _kernel_hermite(kernel, grid, got, got_slopes, s).tobytes()):
+                or want_slopes.tobytes() != got_slopes.tobytes()):
             return False
+        for points in (grid, grid * grid):
+            if (_numpy_hermite(points, want, want_slopes, s).tobytes()
+                    != _kernel_hermite(kernel, points, got, got_slopes, s).tobytes()):
+                return False
     return True
 
 
@@ -630,9 +637,8 @@ def _integrate(field, v0, h: float, keep_slopes: bool):
         filled = _kernel_rows(kernel, field, hs, states, slopes)
     else:
         filled = _python_rows(field, hs, states, slopes)
-    finite = np.isfinite(states[:filled]).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    if not np.isfinite(states[:filled]).all():
+        bad = int(np.argmin(np.isfinite(states[:filled]).all(axis=1)))
         raise NumericBlowup(
             f"non-finite state at s={grid[bad]:.6f}", s_reached=grid[bad])
     return grid, states, slopes

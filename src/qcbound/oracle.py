@@ -24,15 +24,22 @@ whatever the step count.
 
 On a real representation each matrix product sums its terms in a fixed
 order (:func:`_fixed_matmul`, in place of ``@``, whose order is BLAS's),
-so that a block is the numpy twin of the C kernel's ``magnus_block``
-(``_rk4.c``, loaded by :mod:`.euler_arnold`), which runs it whenever this
-process has the kernel and the kernel has given the twin's bytes on a
-check (:func:`_magnus_kernel`); both give the same doubles, and without
-a compiler the twin runs.  On a 2 x 2 or 4 x 4 stack numpy's ``@`` makes
-one BLAS call per matrix, so the kernel is the fast path and the twin,
-about 6x slower than ``@`` on a (256, 4, 4) stack, the fallback.  A
-complex (Fock) representation keeps ``@``, which is the fast path at
-16-32 levels, and so do the single (complex) exponentials of
+and hA_1, hA_2 = sum_I (V^I h) T^-1 (-i M_I) T are summed over the
+generators' nonzero entries only, in increasing generator index from an
+entry's first term (:class:`_GeneratorTerms`; sp4_T10's ten 4 x 4
+generators hold 28 nonzeros of 160, and a zero term would change no sum
+but the sign of a zero, which no factor sees).  A block is so the numpy
+twin of the C kernel's ``magnus_block`` (``_rk4.c``, loaded by
+:mod:`.euler_arnold`), which runs it whenever this process has the kernel
+and the kernel has given the twin's bytes on a check
+(:func:`_magnus_kernel`); both give the same doubles, and without a
+compiler the twin runs.  The kernel also computes a 2 x 2 or 4 x 4
+block's Taylor factors four at a time, lane-interleaved, with each
+factor's operations in their order.  On a 2 x 2 or 4 x 4 stack numpy's
+``@`` makes one BLAS call per matrix, so the kernel is the fast path and
+the twin, about 6x slower than ``@`` on a (256, 4, 4) stack, the
+fallback.  A complex (Fock) representation keeps ``@``, which is the fast
+path at 16-32 levels, and so do the single (complex) exponentials of
 :func:`exponential_of_coefficients` and :func:`random_group_element`,
 which share the Taylor exponential.
 
@@ -381,12 +388,15 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     A_2, two batched products give the commutators, one batched Taylor
     exponential gives the factors and a pairwise tree multiplies them, and
     the block products are chained in order.  On a real representation
-    every matrix product sums in a fixed order (:func:`_fixed_matmul`), and
-    the C kernel's ``magnus_block`` runs each block when this process has
-    one (:func:`_magnus_kernel`), with the same doubles; a complex one uses
-    ``@``.  A block whose product is not finite is replayed one factor at a
-    time, so ``NumericBlowup.s_reached`` is the midpoint s_k of the first
-    step at which the running product stops being finite.  A solution whose
+    A_1 and A_2 are summed over the generators' nonzero entries and every
+    matrix product in a fixed order (:func:`_fixed_matmul`), and the C
+    kernel's ``magnus_block`` runs each block when this process has one
+    (:func:`_magnus_kernel`), four Taylor factors per pass, with the same
+    doubles; a complex one uses ``@``.  A block whose product is not finite
+    is replayed one factor at a time, so ``NumericBlowup.s_reached`` is the
+    midpoint s_k of the first step at which the running product stops
+    being finite (a non-finite velocity makes its own step's exponent
+    non-finite, whatever zeros the generators hold).  A solution whose
     dimension is not the number of generators raises ``DimMismatch``.
     """
     steps = _whole(steps, "steps", 1)
@@ -400,12 +410,13 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     mul = np.matmul if np.iscomplexobj(gens) else _fixed_matmul
     h = 1.0 / steps
     block = _block_length(n)
-    kernel = None if mul is np.matmul else _magnus_kernel()
+    terms = None if mul is np.matmul else _GeneratorTerms(gens)
+    kernel = None if terms is None else _magnus_kernel()
     if kernel is None:
         def advance(V):
-            return _numpy_block(gens, V, h, U, mul)
+            return _numpy_block(gens, V, h, U, mul, terms)
     else:
-        advance = _kernel_block(kernel, gens, h, U, block)
+        advance = _kernel_block(kernel, gens, h, U, block, terms)
     # overflow is detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, block):
@@ -425,8 +436,66 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     return U
 
 
+class _GeneratorTerms:
+    """The nonzero entries of (d, n^2) real generators, the terms that the
+    twin's and the kernel's sums of hA_1 and hA_2 both run over.
+
+    Entry by entry and, within an entry, in increasing generator index:
+    the terms of entry e are ``start[e] .. start[e + 1] - 1``, term t the
+    value ``value[t]`` of generator ``index[t]``.  A -0.0 is a zero.
+    ``levels`` lays them out for numpy (:func:`_sparse_combination`); it
+    is built on first use, since the kernel does not read it.
+    """
+
+    def __init__(self, gens: np.ndarray):
+        entry, index = np.nonzero(gens.T)
+        self.gens = gens
+        self.start = np.searchsorted(entry, np.arange(gens.shape[1] + 1)).astype(np.intc)
+        self.index = index.astype(np.intc)
+        self.value = gens[index, entry]
+
+    @functools.cached_property
+    def levels(self) -> tuple:
+        """(L, n^2) generator indexes and values, L the most terms of an
+        entry: level r holds each entry's r-th term, or for an entry with
+        fewer a pad of value 1.0 at index d, a column of 0.0, on level 0
+        and at index d + 1, a column of -0.0, on the others."""
+        d, width = self.gens.shape
+        count = np.diff(self.start)
+        entry = np.repeat(np.arange(width), count)
+        rank = np.arange(len(self.index)) - self.start[entry]
+        index = np.full((max(int(count.max(initial=0)), 1), width), d + 1)
+        index[0] = d
+        value = np.ones(index.shape)
+        index[rank, entry] = self.index
+        value[rank, entry] = self.value
+        return index, value
+
+
+def _sparse_combination(V: np.ndarray, h: float, terms: _GeneratorTerms) -> np.ndarray:
+    """sum_I (V[:, I] h) gens[I] over the generators' nonzero entries only,
+    as the kernel's ``magnus_block`` sums: each entry's sum runs over its
+    terms in order, from the first, and an entry without terms is 0.0.
+
+    One gather takes every level's terms at once.  A pad adds nothing:
+    on level 0 it is the 0.0 of an entry without terms, on later levels a
+    -0.0, and x + -0.0 is x, bit for bit, for every x."""
+    index, value = terms.levels
+    rows, d = V.shape
+    Vh = np.empty((rows, d + 2))
+    np.multiply(V, h, out=Vh[:, :d])
+    Vh[:, d] = 0.0
+    Vh[:, d + 1] = -0.0
+    T = Vh[:, index]
+    T *= value
+    out = T[:, 0]
+    for r in range(1, len(index)):
+        out = out + T[:, r]
+    return out
+
+
 def _numpy_block(gens: np.ndarray, V: np.ndarray, h: float, U: np.ndarray,
-                 mul) -> np.ndarray | None:
+                 mul, terms: _GeneratorTerms | None = None) -> np.ndarray | None:
     """One block of the product: U <- P U in place, with P the ordered
     product of the block's Magnus factors.
 
@@ -434,10 +503,17 @@ def _numpy_block(gens: np.ndarray, V: np.ndarray, h: float, U: np.ndarray,
     velocities, the m first Gauss points and then the m second ones.
     Returns None, or the (m, n, n) exponents Omega_k with U unchanged when
     P U is not finite.  With ``mul`` :func:`_fixed_matmul` this is the twin
-    of the C kernel's ``magnus_block``, with ``@`` the complex product.
+    of the C kernel's ``magnus_block``: hA_1 and hA_2 are summed over the
+    generators' nonzero entries (``terms``, built from ``gens`` unless
+    given; :func:`_sparse_combination`), and every matrix product in its
+    fixed order.  With ``@`` it is the complex product, hA = (V h) @ gens.
     """
     m, n = len(V) // 2, U.shape[-1]
-    hA1, hA2 = mul(V * h, gens).reshape(2, m, n, n)
+    if mul is np.matmul:
+        hA = (V * h) @ gens
+    else:
+        hA = _sparse_combination(V, h, terms or _GeneratorTerms(gens))
+    hA1, hA2 = hA.reshape(2, m, n, n)
     omega = 0.5 * (hA1 + hA2) + _COMMUTATOR * (mul(hA2, hA1) - mul(hA1, hA2))
     U_next = mul(_ordered_product(_expm_taylor(omega, mul), mul), U)
     if not np.all(np.isfinite(U_next)):
@@ -447,21 +523,25 @@ def _numpy_block(gens: np.ndarray, V: np.ndarray, h: float, U: np.ndarray,
 
 
 def _kernel_block(kernel, gens: np.ndarray, h: float, U: np.ndarray,
-                  block: int):
+                  block: int, terms: _GeneratorTerms | None = None):
     """:func:`_numpy_block` with :func:`_fixed_matmul`, for one product of
     blocks of at most ``block`` steps, run by the C kernel's
     ``magnus_block``: a function of V that updates U in place and returns
-    what the twin returns.  The pointers of the generators, U and the
-    scratch arrays are taken once here, that of V once per block; the
-    function holds the arrays, so that none is freed while it lives."""
+    what the twin returns.  The kernel reads the generators as their
+    nonzero terms (``terms``, built from ``gens`` unless given).  The
+    pointers of the terms, U and the scratch arrays are taken once here,
+    that of V once per block; the function holds the arrays, so that none
+    is freed while it lives."""
     d, n = gens.shape[0], U.shape[-1]
-    arrays = (gens, np.empty((block, n, n)), U, np.empty((block + 4) * n * n))
+    terms = terms or _GeneratorTerms(gens)
+    arrays = (terms.start, terms.index, terms.value, np.empty((block, n, n)), U,
+              np.empty((block + 4) * n * n + 2 * d))
     at = tuple(a.ctypes.data for a in arrays)
 
     def advance(V):
         m = len(V) // 2
         if kernel.magnus_block(d, n, m, V.ctypes.data, h, _COMMUTATOR, *at):
-            return arrays[1][:m]
+            return arrays[3][:m]
         return None
 
     return advance
@@ -475,12 +555,14 @@ _DEGREE_BOUNDARY_THETA = 0.44
 def _magnus_agrees(kernel) -> bool:
     """Whether ``kernel``'s ``magnus_block`` gives the twin's U and
     exponents byte for byte on irregular real generators (2 x 2, 3 x 3 and
-    4 x 4), over blocks of 1, 2 and 3 steps from a non-identity U:
+    4 x 4), over blocks of 1, 2, 3 and 5 steps from a non-identity U:
     velocities with -0.0 entries, a zero velocity (Taylor degree 0), large
-    ones (squarings), a non-finite one (U unchanged), and one step along
-    diag(1 .. -1) at ``_DEGREE_BOUNDARY_THETA``, where the bytes of
-    exp(Omega) = diag(e^theta .. e^-theta) show a Taylor degree one too
-    low."""
+    ones (squarings), a non-finite one (U unchanged), five steps (four
+    factors at once and one alone) over generators with +0.0 and -0.0
+    entries and an entry that none of them has, once with an infinite
+    component, and one step along diag(1 .. -1) at
+    ``_DEGREE_BOUNDARY_THETA``, where the bytes of exp(Omega) =
+    diag(e^theta .. e^-theta) show a Taylor degree one too low."""
     def irregular(shape, phase):
         return np.sin(np.arange(1.0, 1.0 + math.prod(shape)) * 2.39 + phase).reshape(shape)
 
@@ -488,17 +570,23 @@ def _magnus_agrees(kernel) -> bool:
         cases = []
         for d, n in ((3, 2), (2, 3), (10, 4)):
             gens = irregular((d, n * n), 0.0)
+            # one to three terms an entry, none in entry 0, +0.0 and -0.0 zeros
+            kept = np.add.outer(np.arange(d), np.arange(n * n)) % 4
+            kept[:, 0] = 1
+            sparse = np.where(kept == 0, gens, np.copysign(0.0, kept - 2.5))
+            diagonal = np.diag(np.linspace(1.0, -1.0, n)).reshape(1, n * n)
+            gens, sparse, diagonal = (_GeneratorTerms(g) for g in (gens, sparse, diagonal))
             start = np.eye(n) + 0.25 * irregular((n, n), 1.0)
-            for m, scale in ((1, 0.0), (2, 1.0), (3, 40.0), (3, math.inf)):
+            for m, scale, terms in ((1, 0.0, gens), (2, 1.0, gens), (5, 40.0, sparse),
+                                    (3, math.inf, sparse)):
                 V = scale * irregular((2 * m, d), m)
                 V[0, 0] = V[-1, -1] = -0.0
-                cases.append((gens, start, V))
-            diagonal = np.diag(np.linspace(1.0, -1.0, n)).reshape(1, n * n)
+                cases.append((terms, start, V))
             cases.append((diagonal, start, np.full((2, 1), _DEGREE_BOUNDARY_THETA / 0.1)))
-        for gens, start, V in cases:
+        for terms, start, V in cases:
             want, got = start.copy(), start.copy()
-            twin = _numpy_block(gens, V, 0.1, want, _fixed_matmul)
-            ours = _kernel_block(kernel, gens, 0.1, got, len(V) // 2)(V)
+            twin = _numpy_block(terms.gens, V, 0.1, want, _fixed_matmul, terms)
+            ours = _kernel_block(kernel, terms.gens, 0.1, got, len(V) // 2, terms)(V)
             if (want.tobytes() != got.tobytes() or (twin is None) != (ours is None)
                     or (twin is not None and twin.tobytes() != ours.tobytes())):
                 return False

@@ -31,7 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import _anharm_length_of, anharm_integrand_coeffs, norm_measure
+from .bounds import (_SCALE, _TINY, _anharm_length_of, _anharm_retaken,
+                     anharm_integrand_coeffs, norm_measure)
 from .errors import Unsupported
 from .euler_arnold import ClosedFormFamily
 from .matching import (POLE_TOL, _modulus, match_displacement_product_form,
@@ -294,7 +295,17 @@ def _anharm_cubic(p, notes):
 
 
 def _anharm_measure(p, v0):
+    """The cubic length with its integrand's (A, B, C) as extras.  Where a
+    point's A is below ``_TINY`` the length is taken of ``v0 * _SCALE``
+    (:func:`.bounds._anharm_length_of`), and the extras are the (A, B, C)
+    it used, those of ``v0 * scale``, with ``scale`` = ``_SCALE``: the
+    coefficients of ``v0`` itself are theirs divided by scale^2."""
     A, B, C = anharm_integrand_coeffs(v0, p["g11"], p["p"])
+    if not isinstance(A, np.ndarray) and A < _TINY:
+        retaken = _anharm_retaken(v0, p["g11"], p["p"])
+        if retaken is not None:
+            value, (A, B, C) = retaken
+            return value, {"A": A, "B": B, "C": C, "scale": _SCALE}
     return _anharm_length_of(v0, p["g11"], p["p"], A, B, C), {"A": A, "B": B, "C": C}
 
 

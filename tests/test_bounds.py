@@ -493,6 +493,24 @@ def test_tiny_cubic_target_keeps_its_squares(t):
     assert qb.anharm_length(v0, 1.0, 100.0).tolist() == curve.value[1:].tolist()
 
 
+def test_tiny_cubic_target_reports_the_coefficients_its_length_used():
+    # at t = 1e-200 the squares of (A, B, C) underflow: the extras read
+    # A = B = C = 0.0 beside a length of 1.118e-200; they are now the
+    # coefficients of v0 * scale that the length was taken of
+    target = qb.TargetSpec.anharm_cubic(1.0, 0.05, 1e-200)
+    res = qb.bound(target)
+    scale = res.extras["scale"]
+    A, B, C = anharm_integrand_coeffs(res.v0 * scale, 1.0, 100.0)
+    assert res.extras == {"A": A, "B": B, "C": C, "scale": scale}
+    assert A > 0.0 and B != 0.0
+    assert res.value == qb.bounds._anharm_length(res.v0[0], A, B, C) / scale
+    assert res.value == pytest.approx(1.1180339887498949e-200, rel=1e-13)
+    # a point whose squares do not underflow reports its own coefficients
+    regular = qb.bound(target.with_time(1e-100))
+    assert regular.extras == dict(zip("ABC", anharm_integrand_coeffs(
+        regular.v0, 1.0, 100.0)))
+
+
 _TINY_TIMES = [0.0, 5e-324, 1e-170, 1e-155, 1.0]
 
 

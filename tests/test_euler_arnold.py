@@ -773,6 +773,62 @@ def test_kernel_python_step_and_generic_loop_agree(kernel, data):
         assert np.all(np.signbit(states[:, i]) == np.signbit(v0[i]))
 
 
+@pytest.mark.parametrize("v0,row", [
+    pytest.param(1e200, 1, id="row-1"),
+    # rows 257 .. 512 are one chunk of the Python step
+    pytest.param(3.0, 336, id="mid-chunk"),
+    pytest.param(1.00244140625, 1000, id="last-row"),
+])
+@pytest.mark.parametrize("backend", ["kernel", "python"])
+def test_a_blowup_is_reported_at_the_first_non_finite_row(request, backend, v0, row):
+    # dV/ds = V^2 on 1000 steps: the integrator checks its states with one
+    # flat test and finds the row only when that fails; the kernel stops at
+    # the first non-finite row, the Python step at the end of its chunk
+    kernel = request.getfixturevalue("kernel") if backend == "kernel" else None
+    field = _QuadraticField([[[1.0]]], [1.0])
+    s_row = np.linspace(0.0, 1.0, 1001)[row]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(qb.NumericBlowup) as loop:
+            rk4_loop(field, [v0], 1e-3)
+    assert loop.value.s_reached == s_row
+    assert _outcome(field, [v0], 1e-3, kernel) == s_row
+    if row == 336:
+        assert (row - 1) % _CHUNK_ROWS not in (0, _CHUNK_ROWS - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_evaluator_gives_the_numpy_evaluators_bytes(kernel, data):
+    # hermite_at guesses a point's interval as on a uniform grid and checks
+    # the guess against the grid; on uniform grids and on random sorted
+    # ones, at -0.0, 0.0, 1.0, every grid point, its neighbours and points
+    # outside [0, 1], its values are _numpy_hermite's, byte for byte
+    n = data.draw(st.integers(1, 60))
+    if data.draw(st.booleans()):
+        grid = np.linspace(0.0, 1.0, n + 1)
+    else:
+        inner = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1,
+                                   max_size=n + 1, unique=True))
+        grid = np.sort(np.array(inner))
+        n = len(grid) - 1
+        if n == 0:
+            grid = np.array([0.0, 1.0])
+            n = 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    d = data.draw(st.integers(1, 4))
+    states, slopes = rng.standard_normal((2, n + 1, d))
+    s = np.concatenate([
+        [-0.0, 0.0, 1.0, -0.25, 1.75, np.nextafter(1.0, 0.0), 5e-324],
+        grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0),
+        rng.uniform(-0.2, 1.2, 40),
+        np.array(data.draw(st.lists(st.floats(-0.5, 1.5), max_size=10)))])
+    # intervals a few ulps wide overflow, in both evaluators alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ea._numpy_hermite(grid, states, slopes, s)
+    got = ea._kernel_hermite(kernel, grid, states, slopes, s)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("backend", ["kernel", "python"])
 def test_a_field_without_components_is_a_dim_mismatch(request, backend):
     # the kernel wrote (101, 0) states and the Python step's source did not

@@ -654,6 +654,41 @@ def test_kernel_block_gives_the_twins_bytes(name, m, kernel):
     check()
 
 
+class _BrokenVelocity:
+    """A constant velocity whose component ``i`` is ``bad`` from s = 0.3 on."""
+
+    def __init__(self, v0, i, bad):
+        self.v0, self.i, self.bad = np.asarray(v0, dtype=float), i, bad
+
+    def __call__(self, s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        V = np.tile(self.v0, (len(s), 1))
+        V[s >= 0.3, self.i] = self.bad
+        return V
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name,i", [("sp2_J", 2), ("coupled_M4", 1), ("sp4_T10", 7)])
+@pytest.mark.parametrize("backend", ["kernel", "twin"])
+def test_a_non_finite_velocity_over_structural_zeros_raises_at_its_step(
+        request, backend, name, i, bad):
+    # the generators' zero entries (sp2_J's frame has a -0.0, coupled_M4's
+    # diagonal no term at all) are left out of hA: where inf 0 gave nan
+    # they now give nothing, and the step whose velocity is not finite is
+    # still the first non-finite one, the reference's
+    kernel = request.getfixturevalue("kernel") if backend == "kernel" else None
+    rep = qb.matrix_rep(name)
+    sol = _BrokenVelocity(np.linspace(0.4, -0.3, len(rep.matrices)), i, bad)
+    for steps in (37, 400):
+        _, s_want = serial_path_ordered(rep, sol, steps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_magnus_kernel", lambda: kernel)
+            with pytest.raises(qb.NumericBlowup) as info:
+                qb.path_ordered_exponential(rep, sol, steps=steps)
+        assert info.value.s_reached == s_want
+        assert s_want < 0.3 + 1.0 / steps
+
+
 def test_a_kernel_whose_magnus_block_disagrees_is_refused(kernel, monkeypatch):
     # a block that leaves U as it was: the numpy twin runs instead
     from qcbound import euler_arnold as ea

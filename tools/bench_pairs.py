@@ -44,7 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("geodesics", "curves", "points")
 COMMAND = "perfbench/run.py --workload {} --seed {} --seconds 10 --trace 0"
-CLAIM = ("curves", "op_ms_p50")          # the metric whose gain is claimed
+CLAIM = ("geodesics", "op_ms_tail")     # the metric whose gain is claimed
 FAMILY_PROBE = """
 import json, sys, time
 import numpy as np
