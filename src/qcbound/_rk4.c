@@ -23,8 +23,9 @@
  * v + (h/6)(a + 2 (b + e) + k).  A conserved component gets no stage and
  * no update: its stage inputs and its next state are its state, bit for
  * bit (a -0.0 stays -0.0).  Build with -ffp-contract=off and never with
- * -ffast-math, so that no product and sum is fused or reordered; the
- * Python side checks each entry point against its twin before using it.
+ * -ffast-math, so that no product and sum is fused or reordered.
+ * qcbound._kernel builds and loads the library, and each caller uses an
+ * entry point only once it has given its twin's bytes on a check.
  *
  * Three shortcuts leave every result as it was.  hermite_at guesses a
  * point's interval on the uniform grid of a numeric solution and keeps the
@@ -35,9 +36,11 @@
  * in the exponents reaches a factor, since each "+ I" of the Taylor
  * polynomial turns -0.0 into 0.0.  (A non-finite velocity still makes
  * its step's exponent non-finite through the nonzero entries; only some
- * of that exponent's entries may be finite where inf 0 made them nan.)  For
- * n = 2 and 4 it also computes the block's Taylor factors four at a time,
- * lane-interleaved, since all of them share one degree and one scaling.
+ * of that exponent's entries may be finite where inf 0 made them nan.)  It
+ * also computes the block's Taylor factors four at a time, lane-interleaved,
+ * since all of them share one degree and one scaling: lanes serve every
+ * size, and a last group of fewer than four is padded with zero exponents,
+ * whose factors are thrown away.
  *
  * csv_rows is exact for another reason: Python's "%.12g" is the correctly
  * rounded 12-digit decimal, ties to even (Gay's dtoa), and csv_rows
@@ -226,40 +229,15 @@ SIZED void matmul(int n, const double *a, const double *b, double *c)
         matmul_rows(n, a, b, c);
 }
 
-/* The Taylor polynomial of ``degree`` at the n x n matrix a by Horner's
- * rule, I + a/1 (I + a/2 (I + ...)), squared ``squarings`` times, into p;
- * t is n x n scratch.  Each "+ I" adds 1.0 on the diagonal and 0.0 off it
- * (a -0.0 becomes 0.0), as numpy's "+ eye" does. */
-SIZED void taylor(int n, const double *a, int degree, int squarings,
-                  double *p, double *t)
-{
-    for (int i = 0; i < n; i++)
-        for (int j = 0; j < n; j++) {
-            double one = i == j ? 1.0 : 0.0;
-            p[i * n + j] = degree == 0 ? one : a[i * n + j] / degree + one;
-        }
-    for (int q = degree - 1; q > 0; q--) {
-        matmul(n, a, p, t);
-        for (int i = 0; i < n; i++)
-            for (int j = 0; j < n; j++)
-                p[i * n + j] = t[i * n + j] / q + (i == j ? 1.0 : 0.0);
-    }
-    for (int q = 0; q < squarings; q++) {
-        matmul(n, p, p, t);
-        for (int e = 0; e < n * n; e++)
-            p[e] = t[e];
-    }
-}
-
-/* taylor() on LANES matrices at once, for n = 2 and n = 4, in a
- * lane-interleaved layout: entry e of matrix l is at LANES e + l of a, p
- * and t, so each entry is a run of LANES doubles.  Every lane gets
- * taylor()'s operations in its order (each product entry summed from its
- * first term, each "/ q" a division, then "+ I", then the squarings), so
- * each lane is the matrix taylor() gives; the lane loops run over
- * consecutive doubles, which the compiler vectorises.  Against one factor
- * at a time, a block of random velocities takes about 19 % less time on
- * sp4_T10, 13 % on coupled_M4 and 5 % on sp2_J (gcc -O2, x86-64). */
+/* The Taylor polynomial of ``degree`` by Horner's rule, I + a/1 (I + a/2
+ * (I + ...)), squared ``squarings`` times, of LANES n x n matrices at once
+ * into p, with scratch t.  Entry e of matrix l is at LANES e + l, so the
+ * lane loops, which the compiler vectorises, run over consecutive doubles.
+ * Each lane gets oracle._expm_taylor's operations in its order: products
+ * summed from their first term, each "/ q" a division, then "+ I" (0.0 off
+ * the diagonal, so a -0.0 becomes 0.0, as numpy's "+ eye" does), then the
+ * squarings.  Against one factor at a time, a block takes about 19 % less
+ * time on sp4_T10, 13 % on coupled_M4 and 5 % on sp2_J (gcc -O2, x86-64). */
 #define LANES 4
 
 SIZED void matmul_lanes(int n, const double *a, const double *b,
@@ -307,7 +285,8 @@ SIZED int block(int d, int n, int m, const double *v, double h, double c,
 {
     int nn = n * n;
     double *f = work, *a1 = f + (long)m * nn, *a2 = a1 + nn, *p21 = a2 + nn,
-        *p12 = p21 + nn, *vh1 = p12 + nn, *vh2 = vh1 + d;
+        *p12 = p21 + nn, *al = p12 + nn, *pl = al + LANES * nn,
+        *tl = pl + LANES * nn, *vh1 = tl + LANES * nn, *vh2 = vh1 + d;
     for (int k = 0; k < m; k++) {
         const double *v1 = v + (long)k * d, *v2 = v + (long)(m + k) * d;
         for (int g = 0; g < d; g++) {
@@ -359,32 +338,23 @@ SIZED int block(int d, int n, int m, const double *v, double h, double c,
         term *= theta / (degree + 1);
     }
 
-    /* the factors LANES at a time for n = 2 and 4 (a x 1.0 is a, bit for
-     * bit), the m mod LANES left one at a time */
-    int k = 0;
-    if (n == 4 || n == 2)
-        for (; k + LANES <= m; k += LANES) {
-            double al[LANES * 16], pl[LANES * 16], tl[LANES * 16];
-            const double *a = omega + (long)k * nn;
-            for (int e = 0; e < nn; e++)
-                for (int l = 0; l < LANES; l++)
-                    al[LANES * e + l] = a[nn * l + e] * scale;
-            taylor_lanes(n, al, degree, squarings, pl, tl);
-            double *fk = f + (long)k * nn;
-            for (int e = 0; e < nn; e++)
-                for (int l = 0; l < LANES; l++)
-                    fk[nn * l + e] = pl[LANES * e + l];
-        }
-    double *scaled = a1, *t = a2;
-    for (; k < m; k++) {
+    /* the factors LANES at a time (a x 1.0 is a, bit for bit); the last
+     * group is padded with zero exponents, whose factors are not kept */
+    for (int k = 0; k < m; k += LANES) {
+        int lanes = m - k < LANES ? m - k : LANES;
         const double *a = omega + (long)k * nn;
-        if (squarings) {
+        if (lanes < LANES)
+            memset(al, 0, LANES * nn * sizeof *al);
+        for (int l = 0; l < lanes; l++)
             for (int e = 0; e < nn; e++)
-                scaled[e] = a[e] * scale;
-            a = scaled;
-        }
-        taylor(n, a, degree, squarings, f + (long)k * nn, t);
+                al[LANES * e + l] = a[nn * l + e] * scale;
+        taylor_lanes(n, al, degree, squarings, pl, tl);
+        double *fk = f + (long)k * nn;
+        for (int l = 0; l < lanes; l++)
+            for (int e = 0; e < nn; e++)
+                fk[nn * l + e] = pl[LANES * e + l];
     }
+    double *t = a2;
 
     for (int len = m; len > 1; len = len / 2 + len % 2) {
         for (int q = 0; q < len / 2; q++) {
@@ -421,11 +391,13 @@ SIZED int block(int d, int n, int m, const double *v, double h, double c,
  *
  * written to ``omega`` (m x n x n).  The block's largest column sum theta
  * sets the scaling 2^-squarings and the Taylor degree of every factor, with
- * oracle._expm_taylor's rule; the factors are multiplied by the same
- * pairwise tree as oracle._ordered_product, an odd one out carried to the
- * next level.  ``work`` holds (m + 4) n^2 + 2 d doubles.  Returns 0 with u
- * updated, or 1 with u unchanged when theta or P u is not finite (the
- * caller then replays the block from omega). */
+ * oracle._expm_taylor's rule; the factors are computed LANES at a time,
+ * for every n, the last group padded with zero exponents, and multiplied by
+ * the same pairwise tree as oracle._ordered_product, an odd one out carried
+ * to the next level.  ``work`` holds (m + 16) n^2 + 2 d doubles: the
+ * factors, four n x n and three LANES n x n scratch matrices, and v h.
+ * Returns 0 with u updated, or 1 with u unchanged when theta or P u is not
+ * finite (the caller then replays the block from omega). */
 int magnus_block(int d, int n, int m, const double *v, double h, double c,
                  const int *start, const int *index, const double *value,
                  double *omega, double *u, double *work)

@@ -15,12 +15,12 @@ single-point bound, or a ``nan`` in a figure (which then writes no file),
 multi-series figures), 12 significant digits and LF line endings, so files
 regenerate byte-identically.  Every number is written as ``%.12g`` (the text
 of ``format(x, ".12g")``: the correctly rounded 12-digit decimal, ties to
-even).  A curve's rows come from the C writer ``csv_rows`` of ``_rk4.c``,
-which :mod:`.euler_arnold` builds and loads, once it has written the Python
-twin's exact text on a fixed corpus in this process (:func:`_csv_kernel`);
-without a compiler, or if that check fails, from the twin itself, one ``%``
-pass per curve.  Both give the same bytes; a 1601-row curve took 0.14 ms
-from the writer and 1.1 ms from the twin on a 2-vCPU x86-64 host.
+even).  A curve's rows come from the C writer ``csv_rows`` of ``_rk4.c``
+(:mod:`._kernel`) once it has written the Python twin's exact text on a
+fixed corpus in this process (:func:`_csv_agrees`), else from the twin
+itself, one ``%`` pass per curve.  Both give the same bytes; a 1601-row
+curve took 0.14 ms from the writer and 1.1 ms from the twin on a 2-vCPU
+x86-64 host.
 :func:`main` builds its parser once per process, on its first call.
 """
 
@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, euler_arnold
+from . import __version__, _kernel
 from .algebra import builtin, table_to_json
 from .bounds import POSITIVITY_CAVEAT, bound, bound_curve
 from .errors import NotRegistered, QcBoundError
@@ -210,25 +210,13 @@ def _csv_agrees(kernel) -> bool:
             == _twin_rows(grid, value, branch, suffix))
 
 
-@functools.cache
-def _csv_kernel():
-    """The C library of :mod:`.euler_arnold`, loaded (and built on a cache
-    miss) once per process and used for CSV rows once its ``csv_rows`` has
-    passed :func:`_csv_agrees`; None, so that :func:`_twin_rows` runs, when
-    any of that fails.  Neither the RK4 nor the Magnus check runs here."""
-    try:
-        kernel = euler_arnold._load_kernel()
-    except (OSError, AttributeError):   # AttributeError: no os.getuid, no symbol
-        return None
-    return kernel if kernel is not None and _csv_agrees(kernel) else None
-
-
 def _csv_text(grid: np.ndarray, curves) -> tuple[str, int]:
     """CSV text and row count of ``[(label, BoundCurve)]``, each curve's
-    rows from the C writer (:func:`_csv_kernel`), else from the twin."""
+    rows from the C writer once it passes :func:`_csv_agrees`, else from
+    the twin."""
     multi = len(curves) > 1
     grid = np.ascontiguousarray(grid, dtype=np.float64)
-    kernel = _csv_kernel()
+    kernel = _kernel.checked(_csv_agrees)
     parts = ["t,value,branch,divergent" + (",series" if multi else "") + "\n"]
     for label, curve in curves:
         suffix = f",{label}" if multi else ""

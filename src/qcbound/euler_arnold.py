@@ -51,21 +51,10 @@ interpolant (``hermite_at``) as the numpy evaluator :func:`_numpy_hermite`
 does, operation for operation; on the uniform grid it guesses a point's
 interval from the point and binary-searches only where the grid refutes
 the guess, so that it takes searchsorted's interval on any sorted grid.
-The same library holds a block of the oracle's Magnus product on a real
-representation (``magnus_block``), which :mod:`.oracle` checks against
-its own numpy twin before it uses it, and the figure CSV writer
-(``csv_rows``), which :mod:`.cli` checks against its Python twin, and
-nothing else, before it writes a figure.  A process loads the kernel
-with ``ctypes`` on its first ``integrate_rk4`` (or oracle product, or
-figure) from a private per-user cache
-(``$XDG_CACHE_HOME/qcbound`` or ``~/.cache/qcbound``, else a 0700
-``qcbound-<uid>`` temp directory), building it there on a miss with the
-platform ``cc`` (``-O2 -ffp-contract=off``, so that no product and sum is
-fused), and uses it only once it has written the Python step's states and
-slopes, and the numpy evaluator's values, bit for bit on a test field.
-No compiler, no usable cache, a failed or timed-out build or a failed
-check leave the Python step and the numpy evaluator in use; nothing but
-what the process finds selects the backend.
+The library is built and loaded by :mod:`._kernel`, and used here only
+once it has written the Python step's states and slopes, and the numpy
+evaluator's values, bit for bit on a test field (:func:`_kernel_agrees`);
+else the Python step and the numpy evaluator run.
 
 Every closed-form family is one :class:`TrigFamily`: the velocity is a
 fixed mix of (1, cos w_1 s, sin w_1 s, cos w_2 s, ...) with coefficients
@@ -84,20 +73,14 @@ tag:
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import numbers
-import os
-import platform
-import shutil
-import sys
-import tempfile
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _kernel
 from .algebra import LieAlgebraSpec, builtin
 from .errors import DimMismatch, FamilyMismatch, NumericBlowup
 
@@ -395,9 +378,9 @@ def _kernel_rows(kernel, field, hs: float, states: np.ndarray, slopes) -> int:
     j, k = j.astype(np.intc), k.astype(np.intc)
     work = np.empty(5 * d)
     slopes_at = None if slopes is None else slopes.ctypes.data
-    return kernel.rows(d, start.ctypes.data, j.ctypes.data, k.ctypes.data,
-                       s.ctypes.data, field.w.ctypes.data, hs, len(states) - 1,
-                       states.ctypes.data, slopes_at, work.ctypes.data)
+    return kernel.rk4_rows(d, start.ctypes.data, j.ctypes.data, k.ctypes.data,
+                           s.ctypes.data, field.w.ctypes.data, hs, len(states) - 1,
+                           states.ctypes.data, slopes_at, work.ctypes.data)
 
 
 def _numpy_hermite(grid, states, slopes, s):
@@ -436,107 +419,6 @@ def _kernel_hermite(kernel, grid, states, slopes, s, at=None):
     return out
 
 
-_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
-# no -ffast-math and no -march: the kernel must round as the Python step does
-_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_BUILD_TIMEOUT_S = 60.0
-
-
-def _compiler():
-    """The platform C compiler, the first ``cc`` on ``PATH``, or None."""
-    return shutil.which("cc")
-
-
-def _cache_dir():
-    """A private per-user directory for the built kernel, or None.
-
-    ``qcbound`` under ``$XDG_CACHE_HOME`` (else ``~/.cache``), else
-    ``qcbound-<uid>`` in the temp directory; made with mode 0700 and used
-    only if this user owns it and no one else can write to it.
-    """
-    uid = os.getuid()
-
-    def candidates():
-        base = (os.environ.get("XDG_CACHE_HOME")
-                or os.path.join(os.path.expanduser("~"), ".cache"))
-        yield os.path.join(base, "qcbound")
-        yield os.path.join(tempfile.gettempdir(), f"qcbound-{uid}")
-
-    for path in candidates():
-        try:
-            os.makedirs(path, mode=0o700, exist_ok=True)
-            st = os.stat(path)
-        except OSError:
-            continue
-        if (st.st_uid == uid and not st.st_mode & 0o022
-                and os.access(path, os.W_OK | os.X_OK)):
-            return path
-    return None
-
-
-def _build(compiler: str, target: str) -> None:
-    """Compile ``_rk4.c`` into the shared library ``target`` within
-    ``_BUILD_TIMEOUT_S``, or raise ``OSError``.  The library is written to
-    a name of this thread's own and then renamed, so that no process loads
-    half a file."""
-    import subprocess
-    import threading
-
-    tmp = f"{target}.{os.getpid()}-{threading.get_ident()}.tmp"
-    try:
-        subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, _KERNEL_SOURCE],
-                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL, timeout=_BUILD_TIMEOUT_S,
-                       check=True)
-        os.replace(tmp, target)
-    except subprocess.SubprocessError as err:
-        raise OSError(f"cannot build {target}: {err}") from err
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-class _Kernel(NamedTuple):
-    """The four entry points of the built ``_rk4.c``."""
-
-    rows: Callable          # rk4_rows: states and slopes, as _python_rows
-    hermite_at: Callable    # the interpolant, as _numpy_hermite
-    magnus_block: Callable  # a block of the oracle's real Magnus product
-    csv_rows: Callable      # a curve's figure CSV rows, as cli._twin_rows
-
-
-def _load_kernel():
-    """The cached kernel, built on a miss; None without a compiler or a
-    cache directory.  The file is named by a CRC of the source, the flags,
-    the compiler and the machine."""
-    compiler = _compiler()
-    directory = None if compiler is None else _cache_dir()
-    if directory is None:
-        return None
-    with open(_KERNEL_SOURCE, "rb") as f:
-        source = f.read()
-    st = os.stat(compiler)
-    key = repr((_KERNEL_FLAGS, os.path.realpath(compiler), st.st_size,
-                st.st_mtime_ns, sys.platform, platform.machine())).encode()
-    path = os.path.join(directory, f"rk4-{zlib.crc32(key, zlib.crc32(source)):08x}.so")
-    if not os.path.exists(path):
-        _build(compiler, path)
-    lib = ctypes.CDLL(path)
-    int_, long_, double = ctypes.c_int, ctypes.c_long, ctypes.c_double
-    ptr = ctypes.c_void_p
-    rows, hermite_at, magnus = lib.rk4_rows, lib.hermite_at, lib.magnus_block
-    csv_rows = lib.csv_rows
-    rows.restype = int_
-    rows.argtypes = [int_] + [ptr] * 5 + [double, int_] + [ptr] * 3
-    hermite_at.restype = None
-    hermite_at.argtypes = [int_, int_] + [ptr] * 3 + [int_] + [ptr] * 2
-    magnus.restype = int_
-    magnus.argtypes = [int_] * 3 + [ptr, double, double] + [ptr] * 6
-    csv_rows.restype = long_
-    csv_rows.argtypes = [long_] + [ptr] * 3 + [ctypes.c_char_p, long_, ptr]
-    return _Kernel(rows, hermite_at, magnus, csv_rows)
-
-
 def _kernel_agrees(kernel) -> bool:
     """Whether ``kernel`` writes the Python step's states and slopes, and
     the numpy evaluator's values, bit for bit, on a field with non-unit
@@ -567,18 +449,6 @@ def _kernel_agrees(kernel) -> bool:
     return True
 
 
-@functools.cache
-def _rk4_kernel():
-    """The C kernel, loaded (and built on a cache miss) and checked against
-    the Python step and the numpy evaluator once per process; None, so
-    that those run, when any of that fails."""
-    try:
-        kernel = _load_kernel()
-    except (OSError, AttributeError):   # AttributeError: no os.getuid, no symbol
-        return None
-    return kernel if kernel is not None and _kernel_agrees(kernel) else None
-
-
 def _check_finite(v0: np.ndarray) -> None:
     if not np.isfinite(v0).all():
         raise ValueError(f"v0 must be finite, got {v0}")
@@ -596,8 +466,8 @@ def integrate_rk4(field, v0, h: float):
     anything is allocated.
 
     The states come from the C kernel ``_rk4.c`` when this process has one
-    (:func:`_rk4_kernel`), else from the field's generated Python step
-    (:func:`_compile_rk4`); the two give the same doubles.  The first row
+    that passes :func:`_kernel_agrees`, else from the field's generated
+    Python step (:func:`_compile_rk4`); the two give the same doubles.  The first row
     with a non-finite component raises ``NumericBlowup`` at its s.
     """
     grid, states, _ = _integrate(field, v0, h, keep_slopes=False)
@@ -632,7 +502,7 @@ def _integrate(field, v0, h: float, keep_slopes: bool):
     else:
         states, slopes = np.empty((n + 1, d)), None
     states[0] = V
-    kernel = _rk4_kernel()
+    kernel = _kernel.checked(_kernel_agrees)
     if kernel is not None:
         filled = _kernel_rows(kernel, field, hs, states, slopes)
     else:
@@ -671,7 +541,7 @@ class _HermiteGrid:
         if not np.isfinite(s_arr).all():
             raise ValueError("s must be finite, got a nan or an infinity")
         points = np.atleast_1d(s_arr)
-        kernel = _rk4_kernel()
+        kernel = _kernel.checked(_kernel_agrees)
         if kernel is not None:
             out = _kernel_hermite(kernel, self.grid, self.states, self.slopes,
                                   points, self.at)

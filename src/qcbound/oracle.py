@@ -29,13 +29,12 @@ generators' nonzero entries only, in increasing generator index from an
 entry's first term (:class:`_GeneratorTerms`; sp4_T10's ten 4 x 4
 generators hold 28 nonzeros of 160, and a zero term would change no sum
 but the sign of a zero, which no factor sees).  A block is so the numpy
-twin of the C kernel's ``magnus_block`` (``_rk4.c``, loaded by
-:mod:`.euler_arnold`), which runs it whenever this process has the kernel
-and the kernel has given the twin's bytes on a check
-(:func:`_magnus_kernel`); both give the same doubles, and without a
-compiler the twin runs.  The kernel also computes a 2 x 2 or 4 x 4
-block's Taylor factors four at a time, lane-interleaved, with each
-factor's operations in their order.  On a 2 x 2 or 4 x 4 stack numpy's
+twin of the C kernel's ``magnus_block`` (``_rk4.c``), which runs it
+whenever :mod:`._kernel` has the library and its block has given the
+twin's bytes on a check (:func:`_magnus_agrees`); both give the same
+doubles, and otherwise the twin runs.  The kernel computes a block's
+Taylor factors four at a time, lane-interleaved, with each factor's
+operations in their order.  On a 2 x 2 or 4 x 4 stack numpy's
 ``@`` makes one BLAS call per matrix, so the kernel is the fast path and
 the twin, about 6x slower than ``@`` on a (256, 4, 4) stack, the
 fallback.  A complex (Fock) representation keeps ``@``, which is the fast
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import euler_arnold
+from . import _kernel
 from .algebra import builtin
 from .errors import DegenerateDirection, DimMismatch, NotRegistered, NumericBlowup
 from .euler_arnold import PenaltyMatrix, VelocitySolution
@@ -391,7 +390,7 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     A_1 and A_2 are summed over the generators' nonzero entries and every
     matrix product in a fixed order (:func:`_fixed_matmul`), and the C
     kernel's ``magnus_block`` runs each block when this process has one
-    (:func:`_magnus_kernel`), four Taylor factors per pass, with the same
+    (:func:`_magnus_agrees`), four Taylor factors per pass, with the same
     doubles; a complex one uses ``@``.  A block whose product is not finite
     is replayed one factor at a time, so ``NumericBlowup.s_reached`` is the
     midpoint s_k of the first step at which the running product stops
@@ -411,7 +410,7 @@ def path_ordered_exponential(rep, sol: VelocitySolution,
     h = 1.0 / steps
     block = _block_length(n)
     terms = None if mul is np.matmul else _GeneratorTerms(gens)
-    kernel = None if terms is None else _magnus_kernel()
+    kernel = None if terms is None else _kernel.checked(_magnus_agrees)
     if kernel is None:
         def advance(V):
             return _numpy_block(gens, V, h, U, mul, terms)
@@ -535,7 +534,7 @@ def _kernel_block(kernel, gens: np.ndarray, h: float, U: np.ndarray,
     d, n = gens.shape[0], U.shape[-1]
     terms = terms or _GeneratorTerms(gens)
     arrays = (terms.start, terms.index, terms.value, np.empty((block, n, n)), U,
-              np.empty((block + 4) * n * n + 2 * d))
+              np.empty((block + 16) * n * n + 2 * d))
     at = tuple(a.ctypes.data for a in arrays)
 
     def advance(V):
@@ -557,12 +556,12 @@ def _magnus_agrees(kernel) -> bool:
     exponents byte for byte on irregular real generators (2 x 2, 3 x 3 and
     4 x 4), over blocks of 1, 2, 3 and 5 steps from a non-identity U:
     velocities with -0.0 entries, a zero velocity (Taylor degree 0), large
-    ones (squarings), a non-finite one (U unchanged), five steps (four
-    factors at once and one alone) over generators with +0.0 and -0.0
-    entries and an entry that none of them has, once with an infinite
-    component, and one step along diag(1 .. -1) at
-    ``_DEGREE_BOUNDARY_THETA``, where the bytes of exp(Omega) =
-    diag(e^theta .. e^-theta) show a Taylor degree one too low."""
+    ones (squarings), a non-finite one (U unchanged), five steps over
+    generators with +0.0 and -0.0 entries and an entry that none of them
+    has, once with an infinite component, and one step along
+    diag(1 .. -1) at ``_DEGREE_BOUNDARY_THETA``, where the bytes of
+    exp(Omega) = diag(e^theta .. e^-theta) show a Taylor degree one too
+    low."""
     def irregular(shape, phase):
         return np.sin(np.arange(1.0, 1.0 + math.prod(shape)) * 2.39 + phase).reshape(shape)
 
@@ -591,16 +590,6 @@ def _magnus_agrees(kernel) -> bool:
                     or (twin is not None and twin.tobytes() != ours.tobytes())):
                 return False
     return True
-
-
-@functools.cache
-def _magnus_kernel():
-    """The C kernel of :func:`.euler_arnold._rk4_kernel`, once its
-    ``magnus_block`` has passed :func:`_magnus_agrees` in this process;
-    None, so that the numpy twin runs, when there is no kernel or it fails
-    the check."""
-    kernel = euler_arnold._rk4_kernel()
-    return kernel if kernel is not None and _magnus_agrees(kernel) else None
 
 
 def _whole(value, name: str, least: int, most: int | None = None) -> int:

@@ -18,8 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
-from qcbound import cli
-from qcbound import euler_arnold as ea
+from qcbound import _kernel, cli
 from qcbound.cli import main
 from qcbound.systems import CLI_NAMES
 
@@ -360,10 +359,7 @@ def reference_csv(grid, curves):
 def _built_writer():
     """The C library as built, without the check that gates its CSV
     writer, or None where none can be built (no compiler or no cache)."""
-    try:
-        return ea._load_kernel()
-    except (OSError, AttributeError):   # as cli._csv_kernel
-        return None
+    return _kernel._library()
 
 
 def _csv_texts(grid, curves):
@@ -371,7 +367,7 @@ def _csv_texts(grid, curves):
     and from the twin."""
     texts = []
     for kernel in (_built_writer(), None):
-        with mock.patch.object(cli, "_csv_kernel", lambda kernel=kernel: kernel):
+        with mock.patch.object(_kernel, "checked", lambda agrees, kernel=kernel: kernel):
             texts.append(cli._csv_text(grid, curves))
     return texts
 
@@ -479,16 +475,19 @@ def test_rows_the_writer_declines_come_from_the_twin():
     grid = np.array([0.0, 1.5e-300])
     curves = [("", SimpleNamespace(value=2 * grid, branch=np.zeros(2, dtype=np.int64)))]
     declining = SimpleNamespace(csv_rows=lambda *args: -1)
-    with mock.patch.object(cli, "_csv_kernel", lambda: declining):
+    with mock.patch.object(_kernel, "checked", lambda agrees: declining):
         assert cli._csv_text(grid, curves) == reference_csv(grid, curves)
 
 
 @pytest.fixture
 def unloaded_writer():
-    """No CSV writer loaded yet in this process, nor after the test."""
-    cli._csv_kernel.cache_clear()
+    """No library loaded or checked in this process yet, nor after the test."""
+    caches = (_kernel._library, _kernel.checked)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    cli._csv_kernel.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def test_a_writer_that_rounds_ties_up_is_refused(unloaded_writer, monkeypatch,
@@ -507,12 +506,12 @@ def test_a_writer_that_rounds_ties_up_is_refused(unloaded_writer, monkeypatch,
         return written
 
     assert cli._csv_agrees(writer)
-    monkeypatch.setattr(ea, "_load_kernel", lambda: writer._replace(csv_rows=half_up))
+    monkeypatch.setattr(_kernel, "_library", lambda: SimpleNamespace(csv_rows=half_up))
     twin_calls = []
     twin = cli._twin_rows
     monkeypatch.setattr(cli, "_twin_rows",
                         lambda *args: twin_calls.append(args) or twin(*args))
-    assert cli._csv_kernel() is None
+    assert _kernel.checked(cli._csv_agrees) is None
     out = tmp_path / "fig2.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["figure", "fig2", "--out", str(out)]) == 0
@@ -522,8 +521,8 @@ def test_a_writer_that_rounds_ties_up_is_refused(unloaded_writer, monkeypatch,
 
 def test_without_a_c_library_the_twin_writes_the_figure(unloaded_writer,
                                                         monkeypatch, tmp_path):
-    monkeypatch.setattr(ea, "_compiler", lambda: None)
-    assert cli._csv_kernel() is None
+    monkeypatch.setattr(_kernel, "_compiler", lambda: None)
+    assert _kernel.checked(cli._csv_agrees) is None
     out = tmp_path / "fig5.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["figure", "fig5", "--out", str(out)]) == 0

@@ -17,12 +17,9 @@ interval up front.
 
 import math
 import numbers
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,13 +28,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbound as qb
+from qcbound import _kernel
 from qcbound import euler_arnold as ea
 from qcbound.euler_arnold import (_CHUNK_ROWS, DEFAULT_STEP, MAX_STEP, MIN_STEP,
                                   ClosedFormFamily, _compile_rk4, _QuadraticField,
                                   integrate_rk4)
 
 RNG = np.random.default_rng(42)
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rk4_loop(fn, v0, h: float):
@@ -486,10 +483,7 @@ def field_rows(field, X):
 def maybe_kernel():
     """The C kernel as built, without the check that gates its use, or None
     where none can be built (no compiler or no cache directory)."""
-    try:
-        return ea._load_kernel()
-    except OSError:
-        return None
+    return _kernel._library()
 
 
 @pytest.mark.parametrize("name", qb.builtin_names())
@@ -506,7 +500,7 @@ def test_field_rows_equal_the_field_at_each_row(name, maybe_kernel):
         v0[rng.integers(alg.dim)] = -0.0
         for kernel in (None, maybe_kernel):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ea, "_rk4_kernel", lambda: kernel)
+                mp.setattr(_kernel, "checked", lambda agrees: kernel)
                 _, states, slopes = ea._integrate(field, v0, 1e-3, keep_slopes=True)
             assert slopes.tobytes() == field_rows(field, states).tobytes()
 
@@ -524,7 +518,7 @@ def test_a_slope_is_its_sum_from_a_zero_divided(maybe_kernel):
         for v0, want in (([0.0, 1.0, -0.0], [0.0, 0.0, 0.0]),
                          ([5e-324, 0.5, -0.0], [-5e-324, -0.0, 0.0])):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ea, "_rk4_kernel", lambda: kernel)
+                mp.setattr(_kernel, "checked", lambda agrees: kernel)
                 _, states, slopes = ea._integrate(field, v0, 1e-2, keep_slopes=True)
             assert slopes.tobytes() == field_rows(field, states).tobytes()
             assert slopes[0].tobytes() == np.array(want).tobytes()
@@ -730,7 +724,7 @@ def _outcome(field, v0, h, kernel):
     """The states and slopes of a numeric solve, stacked, or the s_reached
     of its NumericBlowup, from ``kernel`` or (None) the Python step."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ea, "_rk4_kernel", lambda: kernel)
+        mp.setattr(_kernel, "checked", lambda agrees: kernel)
         try:
             return np.stack(ea._integrate(field, v0, h, keep_slopes=True)[1:])
         except qb.NumericBlowup as err:
@@ -850,125 +844,30 @@ def _python_step_states(field, v0, h):
     return states
 
 
-@pytest.fixture
-def fresh_process(monkeypatch, tmp_path):
-    """No kernel loaded yet, and the cache in an empty directory."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    monkeypatch.setattr(ea, "tempfile", SimpleNamespace(
-        gettempdir=lambda: str(tmp_path / "tmp")))
-    ea._rk4_kernel.cache_clear()
-    yield tmp_path
-    ea._rk4_kernel.cache_clear()
-
-
-def _script(path, body):
-    path.write_text(f"#!/bin/sh\n{body}\n")
-    path.chmod(0o755)
-    return str(path)
-
-
-def _no_compiler(mp, tmp):
-    mp.setattr(ea, "_compiler", lambda: None)
-
-
-def _failing_build(mp, tmp):
-    cc = _script(tmp / "cc", "echo broken; exit 1")
-    mp.setattr(ea, "_compiler", lambda: cc)
-
-
-def _timed_out_build(mp, tmp):
-    cc = _script(tmp / "cc", "exec sleep 30")
-    mp.setattr(ea, "_compiler", lambda: cc)
-    mp.setattr(ea, "_BUILD_TIMEOUT_S", 0.2)
-
-
-def _unwritable_cache(mp, tmp):
-    # both candidate directories lie under a regular file
-    (tmp / "xdg").write_text("")
-    (tmp / "tmp").write_text("")
-
-
-def _foreign_cache(mp, tmp):
-    # the directories this process makes belong to another user
-    uid = os.getuid()
-    mp.setattr(os, "getuid", lambda: uid + 1)
-
-
-def _shared_cache(mp, tmp):
-    # both candidate directories are writable by everyone
-    for path in (tmp / "xdg" / "qcbound", tmp / "tmp" / f"qcbound-{os.getuid()}"):
-        path.mkdir(parents=True)
-        path.chmod(0o777)
-
-
-def _failed_check(mp, tmp):
-    # a kernel that returns without writing a row
-    mp.setattr(ea, "_load_kernel",
-               lambda: ea._Kernel(lambda *args: args[7] + 1, None, None, None))
-
-
-@pytest.mark.parametrize("setup", [_no_compiler, _failing_build, _timed_out_build,
-                                   _unwritable_cache, _foreign_cache, _shared_cache,
-                                   _failed_check])
-def test_without_a_usable_kernel_the_python_step_runs(capfd, fresh_process,
-                                                      monkeypatch, setup):
-    setup(monkeypatch, fresh_process)
-    field = ClosedFormFamily("coupled_pq", q=1.0, p=10.0).governing_rhs()
-    v0 = [0.4, -0.0, 1.3, -0.8]
-    _, got = integrate_rk4(field, v0, 1e-3)
-    assert ea._rk4_kernel() is None
-    assert got.tobytes() == _python_step_states(field, v0, 1e-3).tobytes()
-    assert capfd.readouterr().out == ""
-    # a failed build leaves no file behind
-    assert not list(fresh_process.glob("xdg/qcbound/*"))
-
-
-def test_a_kernel_whose_evaluator_disagrees_is_refused(kernel, fresh_process,
-                                                       monkeypatch):
+def test_a_kernel_whose_evaluator_disagrees_is_refused(kernel, monkeypatch):
     # hermite_at handed the states as the slopes: the step agrees, the
     # values do not, so the Python step and the numpy evaluator run
     def wrong(d, n, grid, states, slopes, m, s, out):
         kernel.hermite_at(d, n, grid, states, states, m, s, out)
 
     assert ea._kernel_agrees(kernel)
-    monkeypatch.setattr(ea, "_load_kernel", lambda: kernel._replace(hermite_at=wrong))
-    assert ea._rk4_kernel() is None
-    field = ClosedFormFamily("coupled_pq", q=1.0, p=10.0).governing_rhs()
-    v0 = [0.4, -0.0, 1.3, -0.8]
-    assert (integrate_rk4(field, v0, 1e-3)[1].tobytes()
-            == _python_step_states(field, v0, 1e-3).tobytes())
-    sol = qb.solve_numeric(qb.builtin("coupled_M4"), qb.PenaltyMatrix.identity(4), v0)
-    s = np.linspace(-0.1, 1.1, 61)
-    want = ea._numpy_hermite(sol.grid, sol.states, sol.slopes, s)
-    assert sol(s).tobytes() == want.tobytes()
-    assert ea._kernel_hermite(kernel._replace(hermite_at=wrong), sol.grid, sol.states,
-                              sol.slopes, s).tobytes() != want.tobytes()
-
-
-def test_a_second_process_loads_the_cached_kernel_without_a_build(tmp_path):
-    if ea._compiler() is None:
-        pytest.skip("no C compiler on PATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path)}
-    code = """
-import sys
-from qcbound import euler_arnold as ea
-cached = sys.argv[1] == "cached"
-if cached:
-    def no_build(*args):
-        raise AssertionError("the compiler ran")
-    ea._build = no_build
-assert ea._rk4_kernel() is not None
-# loading a cached kernel imports neither of them
-assert not cached or not {"hashlib", "subprocess"} & set(sys.modules)
-"""
-    for run in ("first", "cached"):
-        proc = subprocess.run([sys.executable, "-c", code, run], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, (run, proc.stderr)
-        assert proc.stdout == ""
-    built = list((tmp_path / "qcbound").iterdir())
-    assert len(built) == 1 and built[0].suffix == ".so"
-    assert (tmp_path / "qcbound").stat().st_mode & 0o777 == 0o700
+    mutant = SimpleNamespace(rk4_rows=kernel.rk4_rows, hermite_at=wrong)
+    monkeypatch.setattr(_kernel, "_library", lambda: mutant)
+    _kernel.checked.cache_clear()
+    try:
+        assert _kernel.checked(ea._kernel_agrees) is None
+        field = ClosedFormFamily("coupled_pq", q=1.0, p=10.0).governing_rhs()
+        v0 = [0.4, -0.0, 1.3, -0.8]
+        assert (integrate_rk4(field, v0, 1e-3)[1].tobytes()
+                == _python_step_states(field, v0, 1e-3).tobytes())
+        sol = qb.solve_numeric(qb.builtin("coupled_M4"), qb.PenaltyMatrix.identity(4), v0)
+        s = np.linspace(-0.1, 1.1, 61)
+        want = ea._numpy_hermite(sol.grid, sol.states, sol.slopes, s)
+        assert sol(s).tobytes() == want.tobytes()
+        assert ea._kernel_hermite(mutant, sol.grid, sol.states,
+                                  sol.slopes, s).tobytes() != want.tobytes()
+    finally:
+        _kernel.checked.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import qcbound as qb
-from qcbound import oracle
+from qcbound import _kernel, oracle
 from qcbound.euler_arnold import ClosedFormFamily
 
 PI = math.pi
@@ -567,11 +568,7 @@ BACKEND_CASES = {
 @pytest.fixture(scope="module")
 def kernel():
     """The C kernel as built, without the checks that gate its use."""
-    from qcbound import euler_arnold as ea
-    try:
-        built = ea._load_kernel()
-    except OSError:
-        built = None
+    built = _kernel._library()
     if built is None:
         pytest.skip("no C kernel here (no compiler or no cache directory)")
     return built
@@ -582,7 +579,6 @@ def test_product_over_a_numeric_solution_is_the_same_from_both_backends(name, ke
     # the C kernel (its RK4 step, hermite_at and magnus_block) and the Python
     # step with the numpy evaluator and the numpy twin of the Magnus block
     # give the same solution and so the same product, byte for byte
-    from qcbound import euler_arnold as ea
     assert oracle._magnus_agrees(kernel)
     rep_name, make_sol = BACKEND_CASES[name]
     rep = qb.matrix_rep(rep_name)
@@ -593,8 +589,7 @@ def test_product_over_a_numeric_solution_is_the_same_from_both_backends(name, ke
         products = []
         for backend in (kernel, None):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ea, "_rk4_kernel", lambda: backend)
-                mp.setattr(oracle, "_magnus_kernel", lambda: backend)
+                mp.setattr(_kernel, "checked", lambda agrees: backend)
                 sol = make_sol(v0)
                 products.append([qb.path_ordered_exponential(rep, sol, steps=steps)
                                  .tobytes() for steps in (37, 400, 4000)])
@@ -682,7 +677,7 @@ def test_a_non_finite_velocity_over_structural_zeros_raises_at_its_step(
     for steps in (37, 400):
         _, s_want = serial_path_ordered(rep, sol, steps)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_magnus_kernel", lambda: kernel)
+            mp.setattr(_kernel, "checked", lambda agrees: kernel)
             with pytest.raises(qb.NumericBlowup) as info:
                 qb.path_ordered_exponential(rep, sol, steps=steps)
         assert info.value.s_reached == s_want
@@ -691,21 +686,19 @@ def test_a_non_finite_velocity_over_structural_zeros_raises_at_its_step(
 
 def test_a_kernel_whose_magnus_block_disagrees_is_refused(kernel, monkeypatch):
     # a block that leaves U as it was: the numpy twin runs instead
-    from qcbound import euler_arnold as ea
-
     def unchanged(*args):
         return 0
 
-    monkeypatch.setattr(ea, "_rk4_kernel", lambda: kernel._replace(magnus_block=unchanged))
-    oracle._magnus_kernel.cache_clear()
+    monkeypatch.setattr(_kernel, "_library", lambda: SimpleNamespace(magnus_block=unchanged))
+    _kernel.checked.cache_clear()
     try:
-        assert oracle._magnus_kernel() is None
+        assert _kernel.checked(oracle._magnus_agrees) is None
         rep, make_sol = BATCH_CASES["sp2_J"]
         sol = make_sol(np.array([0.3, -0.2, 0.5]))
         U = qb.path_ordered_exponential(rep, sol, steps=400)
         assert not np.allclose(U, np.eye(2))
     finally:
-        oracle._magnus_kernel.cache_clear()
+        _kernel.checked.cache_clear()
 
 
 def test_the_gate_sees_a_taylor_degree_rule_that_is_slightly_off(kernel, monkeypatch):

@@ -23,8 +23,14 @@ def test_non_cubic_commands_load_no_scipy(tmp_path):
     # every system but the cubic oscillator, its flags at their defaults
     _run("""
 import sys
-from qcbound import cli
+from qcbound import _kernel, cli, euler_arnold, oracle
 from qcbound.systems import ANHARM_CUBIC, SYSTEMS
+checks = []
+for module, name in ((euler_arnold, "_kernel_agrees"), (oracle, "_magnus_agrees"),
+                     (cli, "_csv_agrees")):
+    agrees = getattr(module, name)
+    setattr(module, name, lambda lib, name=name, agrees=agrees:
+            checks.append(name) or agrees(lib))
 for spec in SYSTEMS.values():
     if spec is ANHARM_CUBIC:
         continue
@@ -32,13 +38,15 @@ for spec in SYSTEMS.values():
     for f in spec.cli_flags:
         argv += [f.option, "3" if f.name == "t" else repr(f.default)]
     assert cli.main(argv) == 0, argv
-assert cli._csv_kernel.cache_info().misses == 0
+# bound never loads the C library; figure loads it and runs the CSV
+# writer's check alone; verify runs the RK4 and Magnus checks too
+assert _kernel._library.cache_info().misses == 0
 assert cli.main(["figure", "fig2", "--t-steps", "5", "--out", "fig2.csv"]) == 0
-# bound never loads the C library; figure loads it for its CSV writer alone,
-# and neither checks or runs the RK4 kernel; verify does
-from qcbound.euler_arnold import _rk4_kernel
-assert _rk4_kernel.cache_info().misses == 0
+built = _kernel._library() is not None
+assert checks == (["_csv_agrees"] if built else []), checks
 assert cli.main(["verify", "all", "--out", "verify.json"]) == 0
+assert sorted(checks) == (["_csv_agrees", "_kernel_agrees", "_magnus_agrees"]
+                          if built else []), checks
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded
 """, tmp_path)
