@@ -58,7 +58,6 @@ from .geodesic import (
 from .matching import (
     MatchResult,
     match,
-    match_displacement_product_form,
     reduce_periodic_signed,
     verify_match,
 )
@@ -71,7 +70,7 @@ from .oracle import (
     path_ordered_exponential,
     spectrum_period_check,
 )
-from .systems import TargetSpec
+from .systems import TargetSpec, match_displacement_product_form
 from .verification import run_suite
 
 __all__ = [

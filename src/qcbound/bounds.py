@@ -9,6 +9,8 @@ For the truncated cubic oscillator the integrand oscillates at frequency
 evaluated here in closed form: one ``ellipeinc`` call per length, on the
 stacked angles of both ends of the integral, for a float and for an array
 alike (the tests check it against a Gauss-Legendre quadrature).
+:func:`anharm_measure` is the cubic's measurement and :func:`norm_measure`
+the other systems' default; both retake a sum of squares that underflows.
 
 The module needs numpy only, apart from SciPy's ``ellipeinc``, which the
 first cubic length imports and the module keeps.  :func:`length`
@@ -55,6 +57,7 @@ __all__ = [
     "bound_curve",
     "anharm_integrand_coeffs",
     "anharm_length",
+    "anharm_measure",
 ]
 
 STANDARD_CAVEAT = "upper bound only: leading-order Dyson, truncated group"
@@ -176,11 +179,11 @@ def _gauss_legendre(f, epsabs: float, epsrel: float, panels: int = 1) -> float:
 
 def _speed(V, w):
     """Speed under the weights ``w`` of each row of ``V``, shape (n, dim); a
-    squared speed below ``_TINY`` is taken again as ``math.hypot`` of the
-    weighted components, exact at any weights (``V * _SCALE`` can overflow)."""
+    squared speed below ``_TINY`` max(1, w) is taken again as ``math.hypot``
+    of the weighted components, exact at any weights."""
     squared = np.einsum("i,ni->n", w, V ** 2)
     speed = np.sqrt(squared)
-    tiny = squared < _TINY
+    tiny = squared < _TINY * max(1.0, w.max())
     if tiny.any():
         speed[tiny] = [math.hypot(*row) for row in (V[tiny] * np.sqrt(w)).tolist()]
     return speed
@@ -235,44 +238,47 @@ def anharm_length(v0, g11: float, p: float):
     not finite (an overflow of the coefficients), and otherwise ``nan``
     when the positivity guard A > R of a real integrand fails.  ``v0`` of
     shape (5, n) gives an array, equal element by element to the scalar
-    form.
+    form.  It is the value of :func:`anharm_measure`.
     """
-    return _anharm_length_of(v0, g11, p, *anharm_integrand_coeffs(v0, g11, p))
+    return anharm_measure(v0, g11, p)[0]
 
 
-def _anharm_length_of(v0, g11: float, p: float, A, B, C):
-    """:func:`anharm_length` from ``v0`` and its integrand's (A, B, C), for
-    a system whose measurement needs the coefficients too.
+def anharm_measure(v0, g11: float, p: float):
+    """The cubic length of ``v0`` (:func:`anharm_length`) with the
+    integrand's (A, B, C) it was taken of, as ``(value, extras)``.
 
-    Where A is below ``_TINY`` its squares may have underflowed, so (A, B,
-    C) are taken again of ``v0 * _SCALE``, the phase keeps the unscaled v1,
+    Where A < ``_TINY`` max(1, g11, p), (A, B, C) are taken again of
+    ``v0 * scale`` (:func:`_power_of_two`), the phase keeps the unscaled v1,
     and the length, exactly homogeneous in sqrt(A + R), is divided by
-    ``_SCALE``; a retaken length that overflows (penalties near the
-    smallest doubles) is left unused.
+    ``scale``; a float point then reports the (A, B, C) of ``v0 * scale``
+    and ``scale``, an array of shape (5, n) the (A, B, C) of ``v0``.
     """
-    value = _anharm_length(v0[0], A, B, C)
+    A, B, C = anharm_integrand_coeffs(v0, g11, p)
+    tiny = A < _TINY * max(1.0, g11, p)
     if isinstance(A, np.ndarray):
-        tiny = A < _TINY
+        value = _anharm_length(v0[0], A, B, C)
         if tiny.any():
             v = np.asarray(v0)[:, tiny]
-            retaken = _anharm_length(
-                v[0], *anharm_integrand_coeffs(v * _SCALE, g11, p)) / _SCALE
-            value[tiny] = np.where(np.isinf(retaken), value[tiny], retaken)
-        return value
-    if A < _TINY:
-        retaken = _anharm_retaken(v0, g11, p)
-        if retaken is not None:
-            return retaken[0]
-    return value
+            scale = _power_of_two(v, g11, p)
+            value[tiny] = _anharm_length(
+                v[0], *anharm_integrand_coeffs(v * scale, g11, p)) / scale
+        return value, {"A": A, "B": B, "C": C}
+    if tiny:
+        scale = float(_power_of_two(v0, g11, p))
+        A, B, C = anharm_integrand_coeffs([c * scale for c in v0], g11, p)
+        return (_anharm_length(v0[0], A, B, C) / scale,
+                {"A": A, "B": B, "C": C, "scale": scale})
+    return _anharm_length(v0[0], A, B, C), {"A": A, "B": B, "C": C}
 
 
-def _anharm_retaken(v0, g11: float, p: float):
-    """The scalar length of a tiny cubic target taken of ``v0 * _SCALE``
-    and divided back, with the (A, B, C) of ``v0 * _SCALE`` it was taken
-    of; None where that length overflows."""
-    coeffs = anharm_integrand_coeffs([c * _SCALE for c in v0], g11, p)
-    retaken = _anharm_length(v0[0], *coeffs) / _SCALE
-    return None if math.isinf(retaken) else (retaken, coeffs)
+def _power_of_two(v0, g11: float, p: float):
+    """2^k per point of ``v0`` (five floats, or shape (5, n)), k <= 1023,
+    where 2^-k is within a factor 4 of the largest sqrt(w_I) |v_I| over the
+    nonzero components, w = (g11, p, p, p, p)."""
+    v = np.asarray(v0, dtype=float).T
+    half = np.array([math.frexp(g11)[1]] + 4 * [math.frexp(p)[1]]) // 2
+    top = np.where(v != 0.0, np.frexp(v)[1] + half, -1023).max(axis=-1)
+    return np.ldexp(1.0, np.minimum(-top, 1023))
 
 
 def _anharm_length(v1, A, B, C):
@@ -339,9 +345,11 @@ def _sum_squares(components):
     return total
 
 
-# A sum of squares below _TINY may have lost digits, or everything, to
-# underflow; it is then taken again over the components times _SCALE, where
-# every nonzero square is a normal number, and the root divided back.
+# A sum of squares below _TINY times its largest weight (1 at least) may
+# have lost digits to underflow (a square's error, 2^-1075 times its weight,
+# is then no longer below 2^-75 of the sum); it is taken again over scaled
+# components, where every square that counts is normal, and the root
+# divided back.  The unit-weight norm scales by _SCALE.
 _TINY = 2.0 ** -1000
 _SCALE = 2.0 ** 600
 

@@ -26,7 +26,9 @@ value is meaningless and the reduction raises :class:`PrecisionLoss`.
 :func:`match` and its array form :func:`match_curve` run the same kernel
 per system, written once for a float and an array of times (see
 :mod:`qcbound.systems`, the registry of systems), so every column of a
-curve equals the scalar result bit for bit.
+curve equals the scalar result bit for bit.  A system's other routes live
+in its registry entry too, such as the displacement's ordered-product form
+(:func:`qcbound.systems.match_displacement_product_form`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "match",
     "match_curve",
     "verify_match",
-    "match_displacement_product_form",
     "x_cot_x",
 ]
 
@@ -262,27 +263,3 @@ def verify_match(result: MatchResult, target: TargetSpec) -> float:
     if target.spec.sign_symmetric:
         resid = min(resid, float(np.max(np.abs(achieved + expected))))
     return resid
-
-
-def match_displacement_product_form(alpha: complex):
-    """Velocities from the ordered-product parametrization of the displacement.
-
-    This route produces imaginary intermediate momentum/position velocities
-    and the alternate value 2|alpha| for the length, ``inf`` when |alpha|
-    overflows; it is exposed for comparison with the sqrt(2)|alpha| result
-    of the single-exponential matching and is not used by :func:`match`.
-    """
-    alpha = complex(alpha)
-    v_p = 1j * math.sqrt(2) * alpha.imag
-    v_q = 1j * math.sqrt(2) * alpha.real
-    value = 2.0 * _modulus(alpha)
-    return {"v_P": v_p, "v_Q": v_q, "v_H": 0.0, "value": value}
-
-
-def _modulus(z: complex) -> float:
-    """|z|, or ``inf`` where it overflows (``abs`` raises ``OverflowError``
-    there, where a product would give ``inf``)."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf

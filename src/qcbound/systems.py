@@ -31,15 +31,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import (_SCALE, _TINY, _anharm_length_of, _anharm_retaken,
-                     anharm_integrand_coeffs, norm_measure)
+from .bounds import anharm_measure, norm_measure
 from .errors import Unsupported
 from .euler_arnold import ClosedFormFamily
-from .matching import (POLE_TOL, _modulus, match_displacement_product_form,
-                       math_call, reduce_periodic_signed, reduce_with_notes,
-                       x_cot_x)
+from .matching import (POLE_TOL, math_call, reduce_periodic_signed,
+                       reduce_with_notes, x_cot_x)
 
-__all__ = ["Param", "SystemSpec", "SYSTEMS", "CLI_NAMES", "TargetSpec"]
+__all__ = ["Param", "SystemSpec", "SYSTEMS", "CLI_NAMES", "TargetSpec",
+           "match_displacement_product_form"]
 
 
 class Param(NamedTuple):
@@ -99,6 +98,30 @@ def _displacement(p, notes):
     return v0, 0, (), [
         "velocities follow the conventional sign choice, which matches the "
         "coefficient equations up to an overall sign; the length is unaffected"]
+
+
+def match_displacement_product_form(alpha: complex):
+    """Velocities from the ordered-product parametrization of the displacement.
+
+    This route produces imaginary intermediate momentum/position velocities
+    and the alternate value 2|alpha| for the length, ``inf`` when |alpha|
+    overflows; it is exposed for comparison with the sqrt(2)|alpha| result
+    of the single-exponential matching and is not used by ``match``.
+    """
+    alpha = complex(alpha)
+    v_p = 1j * math.sqrt(2) * alpha.imag
+    v_q = 1j * math.sqrt(2) * alpha.real
+    value = 2.0 * _modulus(alpha)
+    return {"v_P": v_p, "v_Q": v_q, "v_H": 0.0, "value": value}
+
+
+def _modulus(z: complex) -> float:
+    """|z|, or ``inf`` where it overflows (``abs`` raises ``OverflowError``
+    there, where a product would give ``inf``)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 DISPLACEMENT = SystemSpec(
@@ -294,21 +317,6 @@ def _anharm_cubic(p, notes):
     return v0, branch, poles, [_NOTE_CUBIC]
 
 
-def _anharm_measure(p, v0):
-    """The cubic length with its integrand's (A, B, C) as extras.  Where a
-    point's A is below ``_TINY`` the length is taken of ``v0 * _SCALE``
-    (:func:`.bounds._anharm_length_of`), and the extras are the (A, B, C)
-    it used, those of ``v0 * scale``, with ``scale`` = ``_SCALE``: the
-    coefficients of ``v0`` itself are theirs divided by scale^2."""
-    A, B, C = anharm_integrand_coeffs(v0, p["g11"], p["p"])
-    if not isinstance(A, np.ndarray) and A < _TINY:
-        retaken = _anharm_retaken(v0, p["g11"], p["p"])
-        if retaken is not None:
-            value, (A, B, C) = retaken
-            return value, {"A": A, "B": B, "C": C, "scale": _SCALE}
-    return _anharm_length_of(v0, p["g11"], p["p"], A, B, C), {"A": A, "B": B, "C": C}
-
-
 ANHARM_CUBIC = SystemSpec(
     "anharm_cubic", "oscillator plus cubic position term",
     (_OMEGA, _LAM, _T,
@@ -317,7 +325,7 @@ ANHARM_CUBIC = SystemSpec(
      Param("p", 100.0, optional=True, positive=True, help="hard-direction penalty")),
     "anharm_p", "anharm_elliptic", _anharm_cubic,
     lambda p: [_wrap(p["omega"] * p["t"]), p["lam"] * p["t"], 0.0, 0.0, 0.0],
-    measure=_anharm_measure)
+    measure=lambda p, v0: anharm_measure(v0, p["g11"], p["p"]))
 
 
 SYSTEMS: dict[str, SystemSpec] = {s.tag: s for s in (

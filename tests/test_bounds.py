@@ -407,7 +407,6 @@ def test_cubic_bound_computes_its_coefficients_once(monkeypatch):
         return anharm_integrand_coeffs(*args)
 
     monkeypatch.setattr(qb.bounds, "anharm_integrand_coeffs", counted)
-    monkeypatch.setattr(qb.systems, "anharm_integrand_coeffs", counted)
     res = qb.bound(qb.TargetSpec.anharm_cubic(1.0, 0.05, 1.0))
     assert len(calls) == 1
     assert res.extras == dict(zip("ABC", anharm_integrand_coeffs(
@@ -420,11 +419,17 @@ def test_tiny_constant_speed_length_is_not_zero():
     sol = qb.solve_closed_form(ClosedFormFamily("ho4_equal_penalty"),
                                [0.0, 0.0, 0.0, 1e-170])
     assert qb.length(sol, qb.PenaltyMatrix.identity(4)) == pytest.approx(
-        1e-170, rel=1e-15)
+        1e-170, rel=1e-15, abs=0.0)
     assert qb.length(sol, qb.PenaltyMatrix.diagonal([1.0, 1.0, 1.0, 4.0])) == (
-        pytest.approx(2e-170, rel=1e-15))
+        pytest.approx(2e-170, rel=1e-15, abs=0.0))
     assert qb.length(sol, qb.PenaltyMatrix.diagonal([1.0, 1.0, 1.0, 1e300])) == (
-        pytest.approx(1e-20, rel=1e-15))
+        pytest.approx(1e-20, rel=1e-15, abs=0.0))
+    # V^2 is subnormal and its weight large: the squared speed clears 2^-1000
+    # but has lost digits, and read 1.3000763725346696e-10
+    sol = qb.solve_closed_form(ClosedFormFamily("ho4_equal_penalty"),
+                               [0.0, 0.0, 0.0, 1.3e-160])
+    assert qb.length(sol, qb.PenaltyMatrix.diagonal([1.0, 1.0, 1.0, 1e300])) == (
+        pytest.approx(1.3e-10, rel=1e-15, abs=0.0))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e300])
@@ -478,19 +483,25 @@ def test_tiny_cubic_target_is_bounded_by_its_path_length():
     assert curve.value[1] >= norm * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("t", [1e-200, 1e-160, 5e-324])
-def test_tiny_cubic_target_keeps_its_squares(t):
-    # v0 = [t, t / 20, 0, 0, 0] (to rounding): the squares of (A, B, C)
+@pytest.mark.parametrize("t,lam,g11,p", [
+    (1e-200, 0.05, 1.0, 100.0), (1e-160, 0.05, 1.0, 100.0),
+    (5e-324, 0.05, 1.0, 100.0),
+    # a retake by a fixed 2^600 overflowed against p and gave 0.0
+    (1e-170, 1.0, 1.0, 1e300),
+    # A cleared 2^-1000 with subnormal squares and read 9.99994433576e-111
+    (1e-160, 0.01, 1e100, 1e200)])
+def test_tiny_cubic_target_keeps_its_squares(t, lam, g11, p):
+    # v0 = [t, lam t, 0, 0, 0] (to rounding): the squares of (A, B, C)
     # underflow, and used to give A = B = C = 0, a bound of 0.0; the length
     # is homogeneous in v0, so the bound is t times that at t = 1e-100
-    target = qb.TargetSpec.anharm_cubic(1.0, 0.05, t)
-    want = 1.1180339887498949e-100 / 1e-100 * t
+    target = qb.TargetSpec.anharm_cubic(1.0, lam, t, g11=g11, p=p)
+    want = qb.bound(target.with_time(1e-100)).value / 1e-100 * t
     assert qb.bound(target).value == pytest.approx(want, rel=1e-13, abs=0.0)
     curve = qb.bound_curve(target, np.array([0.0, t, 1e-100]))
     assert curve.value.tolist() == [0.0, qb.bound(target).value,
                                     qb.bound(target.with_time(1e-100)).value]
     v0 = np.array([qb.bound(target.with_time(x)).v0 for x in (t, 1e-100)]).T
-    assert qb.anharm_length(v0, 1.0, 100.0).tolist() == curve.value[1:].tolist()
+    assert qb.anharm_length(v0, g11, p).tolist() == curve.value[1:].tolist()
 
 
 def test_tiny_cubic_target_reports_the_coefficients_its_length_used():
@@ -504,7 +515,8 @@ def test_tiny_cubic_target_reports_the_coefficients_its_length_used():
     assert res.extras == {"A": A, "B": B, "C": C, "scale": scale}
     assert A > 0.0 and B != 0.0
     assert res.value == qb.bounds._anharm_length(res.v0[0], A, B, C) / scale
-    assert res.value == pytest.approx(1.1180339887498949e-200, rel=1e-13)
+    assert res.value == pytest.approx(1.1180339887498949e-200, rel=1e-13,
+                                      abs=0.0)
     # a point whose squares do not underflow reports its own coefficients
     regular = qb.bound(target.with_time(1e-100))
     assert regular.extras == dict(zip("ABC", anharm_integrand_coeffs(

@@ -12,6 +12,9 @@ invariants the bounds rely on.
   oscillator away from v1 = 0), tiny targets included, where the sum of
   squares underflows;
 * the oscillator bound has period 4 pi / omega in t, to 1e-9;
+* a tiny cubic bound, whose squares underflow, agrees to 1e-13 with
+  sqrt((A + B) / 2) of its matched v0 in exact arithmetic, at penalties
+  from 1e-307 to 1e307, and ``bound_curve`` equals it exactly;
 * matched cubic-oscillator velocities satisfy A > hypot(B, C);
 * the closed-form cubic length agrees with its quadrature to 1e-9, and
   the cubic bound is at least ||c||_G, as v1 -> 0 (a known defect, both
@@ -21,6 +24,9 @@ invariants the bounds rely on.
 """
 
 import math
+import sys
+from decimal import Context
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,6 +237,35 @@ def test_cubic_bound_is_at_least_the_one_parameter_path_as_v1_vanishes(
     res = qb.bound(target)
     assume(not res.is_divergent)
     assert res.value >= _path_length(target) * (1 - 1e-12)
+
+
+def _frozen_cubic_length(v0, g11, p):
+    """sqrt((A + B) / 2) = sqrt(g11 v1^2 + p (v4^2 + ... + v7^2)) of ``v0``
+    in exact arithmetic, rounded once: the cubic length where the phase
+    4 v1 s does not move."""
+    v1, *rest = map(Fraction, v0)
+    half = Fraction(g11) * v1 ** 2 + Fraction(p) * sum(v * v for v in rest)
+    ctx = Context(prec=60, Emin=-999999, Emax=999999)
+    root = ctx.sqrt(ctx.divide(half.numerator, half.denominator))
+    return float(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_t=floats(-320.0, -120.0), lam=floats(0.01, 1.0),
+       log_g11=floats(-307.0, 307.0), log_p=floats(-307.0, 307.0))
+@example(log_t=-170.0, lam=1.0, log_g11=0.0, log_p=300.0)
+@example(log_t=-160.0, lam=0.01, log_g11=100.0, log_p=200.0)
+def test_tiny_cubic_bound_is_the_exact_length(log_t, lam, log_g11, log_p):
+    # the squares of (A, B, C) underflow, or lose digits against the
+    # penalties; a retake by a fixed scale read 0 or missed by up to 100 %
+    target = T.anharm_cubic(1.0, lam, 10.0 ** log_t, g11=10.0 ** log_g11,
+                            p=10.0 ** log_p)
+    res = qb.bound(target)
+    exact = _frozen_cubic_length(res.v0, target.params["g11"], target.params["p"])
+    assume(sys.float_info.min <= exact <= sys.float_info.max)
+    assert abs(res.value - exact) <= 1e-13 * exact
+    curve = qb.bound_curve(target, np.array([target.params["t"]]))
+    assert curve.value.tolist() == [res.value]
 
 
 @settings(max_examples=300, deadline=None)
