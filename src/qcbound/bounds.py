@@ -212,19 +212,20 @@ def anharm_integrand_coeffs(v0, g11: float, p: float):
     cubic solution is  speed^2(s) = (A + B cos(4 s v1) + C sin(4 s v1)) / 2.
     ``v0`` is five floats (a list or an array of shape (5,)), giving
     floats, or an array of shape (5, n), giving arrays; both run the same
-    arithmetic.
+    arithmetic.  The brackets are halved before p weights them, so that a
+    subnormal p keeps its digits.
     """
     if isinstance(v0, np.ndarray) and v0.ndim == 1:
         v0 = v0.tolist()
     v1, v4, v5, v6, v7 = v0
-    A = 2 * g11 * (v1 * v1) + 0.5 * p * (
+    A = 2 * g11 * (v1 * v1) + p * (0.5 * (
         7 * (v4 * v4) - 2 * v4 * v7 + 7 * (v5 * v5) - 2 * v5 * v6
         + 3 * (v6 * v6 + v7 * v7)
-    )
-    B = 0.5 * p * (
+    ))
+    B = p * (0.5 * (
         -3 * (v4 * v4) + 2 * v4 * v7 - 3 * (v5 * v5) + 2 * v5 * v6
         + v6 * v6 + v7 * v7
-    )
+    ))
     C = 2 * p * (v5 * v7 - v4 * v6)
     return A, B, C
 
@@ -272,13 +273,18 @@ def anharm_measure(v0, g11: float, p: float):
 
 
 def _power_of_two(v0, g11: float, p: float):
-    """2^k per point of ``v0`` (five floats, or shape (5, n)), k <= 1023,
-    where 2^-k is within a factor 4 of the largest sqrt(w_I) |v_I| over the
-    nonzero components, w = (g11, p, p, p, p)."""
+    """2^k per point of ``v0`` (five floats, or shape (5, n)), where 2^-k is
+    within a factor 4 of the largest sqrt(w_I) |v_I| over the nonzero
+    components, w = (g11, p, p, p, p), unless that passes a cap: k <= 1023,
+    and every |v_I| 2^k < 2^509, since :func:`anharm_integrand_coeffs`
+    squares the components (up to 24 times 2^1018 in a sum) before it
+    weights them."""
     v = np.asarray(v0, dtype=float).T
+    nonzero, exponent = v != 0.0, np.frexp(v)[1]
     half = np.array([math.frexp(g11)[1]] + 4 * [math.frexp(p)[1]]) // 2
-    top = np.where(v != 0.0, np.frexp(v)[1] + half, -1023).max(axis=-1)
-    return np.ldexp(1.0, np.minimum(-top, 1023))
+    top = np.where(nonzero, exponent + half, -1023).max(axis=-1)
+    largest = np.where(nonzero, exponent, -1023).max(axis=-1)
+    return np.ldexp(1.0, np.minimum(np.minimum(-top, 509 - largest), 1023))
 
 
 def _anharm_length(v1, A, B, C):
@@ -345,11 +351,11 @@ def _sum_squares(components):
     return total
 
 
-# A sum of squares below _TINY times its largest weight (1 at least) may
-# have lost digits to underflow (a square's error, 2^-1075 times its weight,
-# is then no longer below 2^-75 of the sum); it is taken again over scaled
-# components, where every square that counts is normal, and the root
-# divided back.  The unit-weight norm scales by _SCALE.
+# An underflowed square is off by at most 2^-1075, so by 2^-1075 w under a
+# weight w: below 2^-75 of any sum of at least _TINY w.  A sum of squares
+# below _TINY times its largest weight (1 at least) may have lost more; it
+# is taken again over scaled components, where every square that counts is
+# normal, and the root divided back.  The unit-weight norm scales by _SCALE.
 _TINY = 2.0 ** -1000
 _SCALE = 2.0 ** 600
 

@@ -489,7 +489,9 @@ def test_tiny_cubic_target_is_bounded_by_its_path_length():
     # a retake by a fixed 2^600 overflowed against p and gave 0.0
     (1e-170, 1.0, 1.0, 1e300),
     # A cleared 2^-1000 with subnormal squares and read 9.99994433576e-111
-    (1e-160, 0.01, 1e100, 1e200)])
+    (1e-160, 0.01, 1e100, 1e200),
+    # a scale brought to sqrt(g11) alone overflowed the square of v1
+    (1.0, 0.0, 5e-324, 100.0)])
 def test_tiny_cubic_target_keeps_its_squares(t, lam, g11, p):
     # v0 = [t, lam t, 0, 0, 0] (to rounding): the squares of (A, B, C)
     # underflow, and used to give A = B = C = 0, a bound of 0.0; the length
@@ -497,10 +499,11 @@ def test_tiny_cubic_target_keeps_its_squares(t, lam, g11, p):
     target = qb.TargetSpec.anharm_cubic(1.0, lam, t, g11=g11, p=p)
     want = qb.bound(target.with_time(1e-100)).value / 1e-100 * t
     assert qb.bound(target).value == pytest.approx(want, rel=1e-13, abs=0.0)
-    curve = qb.bound_curve(target, np.array([0.0, t, 1e-100]))
-    assert curve.value.tolist() == [0.0, qb.bound(target).value,
-                                    qb.bound(target.with_time(1e-100)).value]
-    v0 = np.array([qb.bound(target.with_time(x)).v0 for x in (t, 1e-100)]).T
+    times = sorted([t, 1e-100])
+    curve = qb.bound_curve(target, np.array([0.0, *times]))
+    assert curve.value.tolist() == [
+        0.0, *(qb.bound(target.with_time(x)).value for x in times)]
+    v0 = np.array([qb.bound(target.with_time(x)).v0 for x in times]).T
     assert qb.anharm_length(v0, g11, p).tolist() == curve.value[1:].tolist()
 
 

@@ -252,12 +252,14 @@ def _frozen_cubic_length(v0, g11, p):
 
 @settings(max_examples=300, deadline=None)
 @given(log_t=floats(-320.0, -120.0), lam=floats(0.01, 1.0),
-       log_g11=floats(-307.0, 307.0), log_p=floats(-307.0, 307.0))
+       log_g11=floats(-323.3, 307.0), log_p=floats(-323.3, 307.0))
 @example(log_t=-170.0, lam=1.0, log_g11=0.0, log_p=300.0)
 @example(log_t=-160.0, lam=0.01, log_g11=100.0, log_p=200.0)
+@example(log_t=-124.0, lam=0.18, log_g11=-322.6, log_p=-316.5)
 def test_tiny_cubic_bound_is_the_exact_length(log_t, lam, log_g11, log_p):
     # the squares of (A, B, C) underflow, or lose digits against the
-    # penalties; a retake by a fixed scale read 0 or missed by up to 100 %
+    # penalties; a retake by a fixed scale read 0 or missed by up to 100 %,
+    # and one by sqrt(w) alone overflowed at subnormal penalties
     target = T.anharm_cubic(1.0, lam, 10.0 ** log_t, g11=10.0 ** log_g11,
                             p=10.0 ** log_p)
     res = qb.bound(target)
